@@ -1,30 +1,22 @@
 """Bounded-search-tree solvers for three decision variants.
 
-Each solver recomputes its kernel (the small set some feasible cover must
-intersect) from the residual weighted degrees at every node, branches on its
-members in ascending vertex id, and tracks branching statistics. Depth and
-fan-out bounds are hard assertions, not hopes.
+The three solvers share one depth-first search and differ only in their rule:
+how a node's kernel (the small set some feasible cover must intersect) is
+computed from the residual weighted degrees. A search node is the input graph
+plus a mask of the vertices forced into the solution so far; an edge is live
+while neither endpoint is forced. Branching is on kernel members in ascending
+vertex id. The search keeps its frames on an explicit stack, so its depth is
+bounded by memory, not by Python's recursion limit. Depth and fan-out bounds
+are hard assertions, not hopes.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .errors import InputError, NotBipartiteError, VariantError
-from .graph import LEFT, RIGHT, NotBipartite, bipartition, coverage, weighted_degrees
-from .instance import (SolveReport, Variant, WpvcInstance, is_trivial, make_solution,
-                       residual, validate)
-
-
-@dataclass
-class _Stats:
-    nodes_expanded: int = 0
-    max_depth: int = 0
-
-    def visit(self, depth: int) -> None:
-        if depth > self.max_depth:
-            self.max_depth = depth
+from .graph import LEFT, RIGHT, Graph, NotBipartite, bipartition, weighted_degrees
+from .instance import SolveReport, Variant, WpvcInstance, make_solution, residual, validate
 
 
 def _require_valid(inst: WpvcInstance) -> None:
@@ -50,13 +42,82 @@ def _take_free_coverage(inst: WpvcInstance):
         inst = residual(inst, v)
 
 
-def _finish(inst: WpvcInstance, chain, stats: _Stats, t0: float) -> SolveReport:
-    elapsed = time.perf_counter() - t0
-    if chain is None:
-        return SolveReport(False, None, stats.nodes_expanded, stats.max_depth, elapsed)
-    sol = make_solution(inst.graph, chain)
+def _search(inst: WpvcInstance, rule, depth_bound: int, t0: float) -> SolveReport:
+    """Depth-first search over masks of forced vertices.
+
+    Each node first forces, lowest id first, every zero-cost vertex that still
+    covers positive live profit (see :func:`_take_free_coverage`), then
+    recomputes weighted degrees, budget and target from the live edges in one
+    pass, exactly as :func:`residual` would. A zero target is a yes; a zero
+    budget or a target above the live profit is a no. Otherwise
+    ``rule(wdeg, budget, target, forced)`` returns None for a no,
+    ``(take, None)`` when the vertices ``take`` finish the cover, or
+    ``(None, branch)`` to try each vertex of ``branch`` in turn, skipping
+    those the node cannot afford. Backtracking truncates the witness chain
+    and clears the forced bits of the vertices it drops.
+    """
+    g = inst.graph
+    edges, costs = g.edges, g.costs
+    free = [v for v in g.vertices() if costs[v] == 0]
+    total = g.total_profit()
+    forced = [False] * g.n
+    chain = []
+    stack = []  # one frame per branching node: (branch iterator, chain length, budget)
+    budget = inst.budget
+    nodes = deepest = 0
+    while True:
+        assert len(stack) <= depth_bound
+        deepest = max(deepest, len(stack))
+        for v in free:
+            if not forced[v] and any(edges[e][2] and not forced[g.other_end(e, v)]
+                                     for e in g.adjacency[v]):
+                forced[v] = True
+                chain.append(v)
+        wdeg = [0] * g.n
+        live = 0
+        for u, w, p in edges:
+            if not (forced[u] or forced[w]):
+                wdeg[u] += p
+                wdeg[w] += p
+                live += p
+        target = max(0, inst.target - (total - live))
+        if target == 0:
+            break
+        found = rule(wdeg, budget, target, forced) if 0 < budget and target <= live else None
+        if found is not None:
+            take, branch = found
+            if take is not None:
+                chain += take
+                break
+            nodes += 1
+            stack.append((iter(branch), len(chain), budget))
+        while stack:
+            branch, base, budget = stack[-1]
+            while len(chain) > base:
+                forced[chain.pop()] = False
+            v = next((v for v in branch if costs[v] <= budget), None)
+            if v is not None:
+                forced[v] = True
+                chain.append(v)
+                budget -= costs[v]
+                break
+            stack.pop()
+        else:
+            return SolveReport(False, None, nodes, deepest, time.perf_counter() - t0)
+    sol = make_solution(g, chain)
     assert sol.cost <= inst.budget and sol.profit >= inst.target
-    return SolveReport(True, sol, stats.nodes_expanded, stats.max_depth, elapsed)
+    return SolveReport(True, sol, nodes, deepest, time.perf_counter() - t0)
+
+
+def _with_live_neighbors(g: Graph, kernel, forced, min_profit: int) -> list[int]:
+    """The kernel plus every vertex joined to it by a live edge of enough profit."""
+    spread = set(kernel)
+    for u in kernel:
+        for e in g.adjacency[u]:
+            v = g.other_end(e, u)
+            if g.profit(e) >= min_profit and not forced[v]:
+                spread.add(v)
+    return sorted(spread)
 
 
 def solve_epvcbd(inst: WpvcInstance) -> SolveReport:
@@ -79,38 +140,23 @@ def solve_epvcbd(inst: WpvcInstance) -> SolveReport:
     if isinstance(bp, NotBipartite):
         raise NotBipartiteError(bp.odd_cycle)
     side = bp.side
-    stats = _Stats()
-    root_budget = inst.budget
 
-    def search(cur: WpvcInstance, depth: int):
-        stats.visit(depth)
-        assert depth <= root_budget
-        settled = is_trivial(cur)
-        if settled is not None:
-            return [] if settled else None
-        wdeg = weighted_degrees(cur.graph)
-        pool = [v for v in cur.graph.vertices() if wdeg[v] * cur.budget >= cur.target]
+    def rule(wdeg, budget, target, forced):
+        pool = [v for v, w in enumerate(wdeg) if w * budget >= target]
         if not pool:
             # No single vertex reaches target/budget, so no affordable set
             # reaches the target.
             return None
-        if len(pool) >= 2 * cur.budget:
+        if len(pool) >= 2 * budget:
             lefts = [v for v in pool if side[v] == LEFT]
             rights = [v for v in pool if side[v] == RIGHT]
-            bigger = lefts if len(lefts) >= len(rights) else rights
-            take = bigger[:cur.budget]
-            _, got = coverage(cur.graph, take)
-            assert got >= cur.target  # independent picks, profits add up
-            return take
-        assert len(pool) < 2 * cur.budget
-        stats.nodes_expanded += 1
-        for v in pool:
-            found = search(residual(cur, v), depth + 1)
-            if found is not None:
-                return [v, *found]
-        return None
+            take = (lefts if len(lefts) >= len(rights) else rights)[:budget]
+            assert sum(wdeg[v] for v in take) >= target  # independent picks, profits add up
+            return take, None
+        assert len(pool) < 2 * budget
+        return None, pool
 
-    return _finish(inst, search(inst, 0), stats, t0)
+    return _search(inst, rule, inst.budget, t0)
 
 
 def solve_wpvc_bounded_degree(inst: WpvcInstance, degree_bound: int) -> SolveReport:
@@ -127,48 +173,27 @@ def solve_wpvc_bounded_degree(inst: WpvcInstance, degree_bound: int) -> SolveRep
     _require_valid(inst)
     if not isinstance(degree_bound, int) or degree_bound < 0:
         raise InputError("degree bound must be a non-negative integer")
-    if inst.graph.max_degree() > degree_bound:
+    g = inst.graph
+    if g.max_degree() > degree_bound:
         raise InputError("graph has a vertex of degree %d, above the bound %d"
-                         % (inst.graph.max_degree(), degree_bound))
-    stats = _Stats()
-    root_budget = inst.budget
+                         % (g.max_degree(), degree_bound))
 
-    def search(cur: WpvcInstance, depth: int):
-        stats.visit(depth)
-        assert depth <= root_budget
-        prefix, cur = _take_free_coverage(cur)
-        settled = is_trivial(cur)
-        if settled is not None:
-            return prefix if settled else None
-        g = cur.graph
-        wdeg = weighted_degrees(g)
+    def rule(wdeg, budget, target, forced):
         best_per_cost: dict[int, int] = {}
-        for v in g.vertices():
+        for v, w in enumerate(wdeg):
             c = g.costs[v]
-            if 1 <= c <= cur.budget and wdeg[v] > 0:
+            if 1 <= c <= budget and w > 0:
                 held = best_per_cost.get(c)
-                if held is None or (wdeg[v], -v) > (wdeg[held], -held):
+                if held is None or (w, -v) > (wdeg[held], -held):
                     best_per_cost[c] = v
         if not best_per_cost:
             # Every affordable vertex covers zero residual profit.
             return None
-        kernel = set(best_per_cost.values())
-        spread = set(kernel)
-        for u in kernel:
-            for e in g.adjacency[u]:
-                spread.add(g.other_end(e, u))
-        branch = sorted(spread)
-        assert len(branch) <= (degree_bound + 1) * cur.budget
-        stats.nodes_expanded += 1
-        for v in branch:
-            if g.costs[v] > cur.budget:
-                continue  # never part of a feasible residual cover
-            found = search(residual(cur, v), depth + 1)
-            if found is not None:
-                return [*prefix, v, *found]
-        return None
+        branch = _with_live_neighbors(g, best_per_cost.values(), forced, 0)
+        assert len(branch) <= (degree_bound + 1) * budget
+        return None, branch
 
-    return _finish(inst, search(inst, 0), stats, t0)
+    return _search(inst, rule, inst.budget, t0)
 
 
 def solve_wpvc_by_L(inst: WpvcInstance) -> SolveReport:
@@ -184,25 +209,15 @@ def solve_wpvc_by_L(inst: WpvcInstance) -> SolveReport:
     """
     t0 = time.perf_counter()
     _require_valid(inst)
-    stats = _Stats()
-    root_target = inst.target
+    g = inst.graph
 
-    def search(cur: WpvcInstance, depth: int):
-        stats.visit(depth)
-        assert root_target == 0 or depth < 2 * root_target
-        prefix, cur = _take_free_coverage(cur)
-        settled = is_trivial(cur)
-        if settled is not None:
-            return prefix if settled else None
-        g = cur.graph
-        wdeg = weighted_degrees(g)
-        for v in g.vertices():
-            if g.costs[v] <= cur.budget and wdeg[v] >= cur.target:
-                return [*prefix, v]
+    def rule(wdeg, budget, target, forced):
+        for v, w in enumerate(wdeg):
+            if g.costs[v] <= budget and w >= target:
+                return [v], None
         cheapest_per_value: dict[int, int] = {}
-        for v in g.vertices():
-            w = wdeg[v]
-            if 1 <= w < cur.target:
+        for v, w in enumerate(wdeg):
+            if 1 <= w < target:
                 held = cheapest_per_value.get(w)
                 if held is None or (g.costs[v], v) < (g.costs[held], held):
                     cheapest_per_value[w] = v
@@ -210,21 +225,8 @@ def solve_wpvc_by_L(inst: WpvcInstance) -> SolveReport:
             # All affordable vertices cover zero residual profit (anything
             # covering the target alone would have ended the node above).
             return None
-        kernel = set(cheapest_per_value.values())
-        spread = set(kernel)
-        for u in kernel:
-            for e in g.adjacency[u]:
-                if g.profit(e) > 0:
-                    spread.add(g.other_end(e, u))
-        branch = sorted(spread)
-        assert len(branch) < cur.target * cur.target
-        stats.nodes_expanded += 1
-        for v in branch:
-            if g.costs[v] > cur.budget:
-                continue
-            found = search(residual(cur, v), depth + 1)
-            if found is not None:
-                return [*prefix, v, *found]
-        return None
+        branch = _with_live_neighbors(g, cheapest_per_value.values(), forced, 1)
+        assert len(branch) < target * target
+        return None, branch
 
-    return _finish(inst, search(inst, 0), stats, t0)
+    return _search(inst, rule, max(2 * inst.target - 1, 0), t0)

@@ -1,7 +1,9 @@
 """Command-line front end: solve, oracle, reduce, gen, bench.
 
 Exit codes for solve and oracle: 0 for a yes verdict, 1 for no, 2 for any
-error (parse, variant mismatch, non-bipartite input, oracle scale). Reports
+error (parse, variant mismatch, non-bipartite input, oracle scale). Internal
+errors (any other exception, such as MemoryError or a failed assertion) print
+``internal error: <type>: <message>`` on stderr and also exit 2. Reports
 are line-oriented key=value text; ``--json-like`` switches to a single JSON
 object per run.
 """
@@ -306,6 +308,8 @@ def main(argv=None) -> int:
         print("oracle refused: %s" % exc, file=sys.stderr)
     except (InputError, PvckitError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+    except Exception as exc:  # a crash must never read as a "no" verdict
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
     return 2
 
 

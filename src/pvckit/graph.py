@@ -143,11 +143,24 @@ def make_graph(n, edges, costs=None) -> Graph:
 
 
 def check_graph(g: Graph) -> list[str]:
-    """Re-check the structural invariants of an already-built graph."""
+    """Re-check the structural invariants of an already-built graph.
+
+    One pass over the adjacency lists records, per edge, which of its two
+    endpoints list it (bit 1 for the first, bit 2 for the second; a self-loop
+    sets both), so the whole check is linear in the size of the graph.
+    """
     problems = []
     if len(g.costs) != g.n or len(g.adjacency) != g.n:
         problems.append("per-vertex arrays do not match vertex count")
         return problems
+    listed = [0] * g.m
+    foreign = []
+    for v, adj in enumerate(g.adjacency):
+        for e in adj:
+            if not (0 <= e < g.m) or v not in g.edges[e][:2]:
+                foreign.append("adjacency of vertex %d lists foreign edge %r" % (v, e))
+            else:
+                listed[e] |= (v == g.edges[e][0]) | (v == g.edges[e][1]) << 1
     seen_pairs = set()
     for e, (u, v, p) in enumerate(g.edges):
         if not (0 <= u < g.n and 0 <= v < g.n):
@@ -163,16 +176,12 @@ def check_graph(g: Graph) -> list[str]:
         if key in seen_pairs:
             problems.append("parallel edge %s" % (key,))
         seen_pairs.add(key)
-        if e not in g.adjacency[u] or e not in g.adjacency[v]:
+        if listed[e] != 3:
             problems.append("edge %d missing from an endpoint adjacency list" % e)
     for v, c in enumerate(g.costs):
         if c < 0:
             problems.append("vertex %d has negative cost" % v)
-    for v, adj in enumerate(g.adjacency):
-        for e in adj:
-            if not (0 <= e < g.m) or v not in g.edges[e][:2]:
-                problems.append("adjacency of vertex %d lists foreign edge %r" % (v, e))
-    return problems
+    return problems + foreign
 
 
 def weighted_degree(g: Graph, v: int) -> int:

@@ -1,11 +1,13 @@
 """Solver for the matching-constrained partial cover on bipartite graphs.
 
 Find a set of at most k1 vertices covering at least k2 edges such that the
-covered edges contain a matching of size at least k3. The plan: probe for the
-smallest budget whose plain cover question is a yes, read off the covered
-subgraph, and either its cover number already hands us a large matching
-(matching number equals cover number on bipartite graphs) or we grow the
-subgraph edge by edge until the cover number reaches k3 exactly.
+covered edges contain a matching of size at least k3. The plan: solve the
+plain cover question at budget k1 and read off the subgraph its witness
+covers. If that subgraph's matching number already reaches k3, the witness is
+the answer. Otherwise we grow the subgraph edge by edge until its matching
+number reaches k3 exactly; a minimum vertex cover of the grown subgraph then
+has k3 <= k1 vertices (matching number equals cover number on bipartite
+graphs) and covers every edge the witness covered.
 
 A consequence of the growth stage: once the plain cover question at budget k1
 is a yes, the whole graph has a matching of size k3, and k3 <= k1, the answer
@@ -60,15 +62,7 @@ def solve_pvcbm(g: Graph, k1: int, k2: int, k3: int) -> SolveReport:
     if isinstance(bp, NotBipartite):
         raise NotBipartiteError(bp.odd_cycle)
 
-    nodes = 0
-    depth = 0
-
-    def plain_cover(budget: int) -> SolveReport:
-        nonlocal nodes, depth
-        rep = solve_epvcbd(WpvcInstance(g, budget, k2, Variant.PVC, True))
-        nodes += rep.nodes_expanded
-        depth = max(depth, rep.max_depth)
-        return rep
+    nodes = depth = 0
 
     def report(vertices, matching_ids) -> SolveReport:
         _recheck(g, bp, vertices, k1, k2, k3)
@@ -81,39 +75,31 @@ def solve_pvcbm(g: Graph, k1: int, k2: int, k3: int) -> SolveReport:
 
     if k3 > k1:
         return fail()  # k3 matched edges would need k3 distinct cover vertices
-    if not plain_cover(k1).verdict:
+    plain = solve_epvcbd(WpvcInstance(g, k1, k2, Variant.PVC, True))
+    nodes, depth = plain.nodes_expanded, plain.max_depth
+    if not plain.verdict:
         return fail()
-    for budget in range(k1 + 1):
-        probe = plain_cover(budget)
-        if probe.verdict:
-            least = budget
-            chosen = probe.witness.vertices
-            break
+    chosen = plain.witness.vertices
     covered, _ = coverage(g, chosen)
-
-    if least >= k3:
-        sub, back = edge_subgraph(g, covered)
-        mat = max_matching(sub, bp)
-        # The least sufficient budget is exactly the cover number of the
-        # covered subgraph, hence also its matching number.
-        assert mat.size == least
+    sub, back = edge_subgraph(g, covered)
+    mat = max_matching(sub, bp)
+    if mat.size >= k3:
         return report(chosen, (back[e] for e in mat.edge_ids))
 
     if max_matching(g, bp).size < k3:
         return fail()
 
     # Grow the covered subgraph one edge at a time; each addition moves the
-    # cover number up by at most one, and adding everything would reach the
-    # whole graph's cover number, which is at least k3.
+    # matching number up by at most one, and adding everything would reach the
+    # whole graph's matching number, which is at least k3.
     grown = set(covered)
-    sub, _ = edge_subgraph(g, grown)
     mate = {}
-    for e in max_matching(sub, bp).edge_ids:
+    for e in mat.edge_ids:
         u, v, _ = sub.edges[e]
         mate[u] = v
         mate[v] = u
     size = len(mate) // 2
-    assert size == least
+    assert size == mat.size
     adj = {}
     for e in grown:
         u, v, _ = g.edges[e]

@@ -75,6 +75,39 @@ def brute_force_verdict(inst, must_contain=()):
     return False
 
 
+def check_graph_reference(g):
+    """Quadratic reference for ``check_graph``: scans each adjacency tuple per edge."""
+    problems = []
+    if len(g.costs) != g.n or len(g.adjacency) != g.n:
+        problems.append("per-vertex arrays do not match vertex count")
+        return problems
+    seen_pairs = set()
+    for e, (u, v, p) in enumerate(g.edges):
+        if not (0 <= u < g.n and 0 <= v < g.n):
+            problems.append("edge %d has endpoint out of range" % e)
+            continue
+        if u == v:
+            problems.append("edge %d is a self-loop" % e)
+        if u > v:
+            problems.append("edge %d is not normalized (u < v)" % e)
+        if p < 0:
+            problems.append("edge %d has negative profit" % e)
+        key = (min(u, v), max(u, v))
+        if key in seen_pairs:
+            problems.append("parallel edge %s" % (key,))
+        seen_pairs.add(key)
+        if e not in g.adjacency[u] or e not in g.adjacency[v]:
+            problems.append("edge %d missing from an endpoint adjacency list" % e)
+    for v, c in enumerate(g.costs):
+        if c < 0:
+            problems.append("vertex %d has negative cost" % v)
+    for v, adj in enumerate(g.adjacency):
+        for e in adj:
+            if not (0 <= e < g.m) or v not in g.edges[e][:2]:
+                problems.append("adjacency of vertex %d lists foreign edge %r" % (v, e))
+    return problems
+
+
 def relabeled(inst, seed):
     """The same instance under a random vertex permutation; returns (inst, perm)."""
     rng = random.Random(seed)

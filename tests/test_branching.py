@@ -51,6 +51,21 @@ class TestEpvcbd:
             if rep.verdict:
                 check_yes_witness(inst, rep)
 
+    def test_deep_unit_path(self):
+        # Covering all 1999 edges of a 2000-vertex path takes 1000 picks, and
+        # the search goes one level deeper per pick: past the default
+        # recursion limit of 1000, which must not matter.
+        def path(budget):
+            return make_instance(2000, [(i, i + 1) for i in range(1999)], budget=budget,
+                                 target=1999, bipartite_required=True)
+
+        inst = path(1100)
+        yes = solve_epvcbd(inst)
+        assert yes.verdict and yes.max_depth <= 1100
+        check_yes_witness(inst, yes)
+        no = solve_epvcbd(path(999))
+        assert not no.verdict and no.max_depth <= 999
+
     def test_relabeling_invariance(self):
         for seed in range(40):
             inst = unit_cost_bipartite_case(seed)

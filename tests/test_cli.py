@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import pvckit.cli
 from pvckit import parse_wpvc
 from pvckit.cli import main
 
@@ -71,6 +72,25 @@ class TestSolve:
         code, out, _ = run_cli(
             ["solve", "--alg", "pvcbm", "--k3", "1", str(f)], capsys)
         assert code == 0 and "matching=" in out
+
+    def test_internal_error_exit_two(self, tmp_path, capsys, monkeypatch):
+        def crash(inst):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(pvckit.cli, "solve_epvcbd", crash)
+        f = tmp_path / "path3.wpvc"
+        f.write_text(PATH3)
+        code, out, err = run_cli(["solve", "--alg", "epvcbd", str(f)], capsys)
+        assert code == 2 and "verdict" not in out
+        assert "internal error: RecursionError: maximum recursion depth" in err
+
+    def test_deep_path_yes_exit_zero(self, tmp_path, capsys):
+        # a 2000-vertex unit path: the search goes about 1100 levels deep
+        f = tmp_path / "path2000.wpvc"
+        f.write_text("p wpvc 2000 1999 1100 1999\n"
+                     + "".join("e %d %d\n" % (i, i + 1) for i in range(1999)))
+        code, out, _ = run_cli(["solve", "--alg", "epvcbd", str(f)], capsys)
+        assert code == 0 and "verdict=yes" in out
 
     def test_fractional_alg(self, tmp_path, capsys):
         f = tmp_path / "frac.wpvc"

@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_cover_number, brute_force_matching_size, c4, star
-from pvckit import (Bipartition, InputError, NotBipartite, bipartition, coverage,
+from helpers import (brute_force_cover_number, brute_force_matching_size, c4,
+                     check_graph_reference, star)
+from pvckit import (Bipartition, Graph, InputError, NotBipartite, bipartition, coverage,
                     edge_subgraph, make_graph, max_matching, min_vertex_cover,
                     weighted_degree, weighted_degrees)
+from pvckit.graph import check_graph
 
 
 def small_graphs():
@@ -23,6 +25,36 @@ def small_graphs():
         edges = [(u, v, p) for (u, v), p in zip(picked, profits)]
         return make_graph(n, edges, costs)
     return build()
+
+
+@st.composite
+def malformed_graphs(draw):
+    """Hand-built graphs that skip ``make_graph``: endpoints out of range,
+    self-loops, unnormalized and parallel edges, negative weights, and
+    adjacency lists with missing, duplicated and foreign entries."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    ends = st.integers(min_value=-1, max_value=n)
+    edges = draw(st.lists(st.tuples(ends, ends, st.integers(min_value=-1, max_value=3)),
+                          max_size=8))
+    adjacency = [[] for _ in range(n)]
+    for e, (u, v, _) in enumerate(edges):
+        for x in ((u,) if u == v else (u, v)):
+            if 0 <= x < n and draw(st.integers(min_value=0, max_value=9)):
+                adjacency[x].append(e)
+    for adj in adjacency:
+        adj += draw(st.lists(st.integers(min_value=-1, max_value=len(edges)), max_size=2))
+    adjacency = [tuple(draw(st.permutations(adj))) for adj in adjacency]
+    costs = draw(st.lists(st.integers(min_value=-1, max_value=3), min_size=n, max_size=n))
+    if not draw(st.integers(min_value=0, max_value=19)):
+        costs.append(1)
+    return Graph(n=n, edges=tuple(edges), costs=tuple(costs), adjacency=tuple(adjacency))
+
+
+class TestCheckGraph:
+    @settings(max_examples=300)
+    @given(malformed_graphs())
+    def test_matches_quadratic_reference(self, g):
+        assert check_graph(g) == check_graph_reference(g)
 
 
 class TestConstruction:
