@@ -15,31 +15,45 @@ from __future__ import annotations
 import time
 
 from .errors import InputError, NotBipartiteError, VariantError
-from .graph import LEFT, RIGHT, Graph, NotBipartite, bipartition, weighted_degrees
-from .instance import SolveReport, Variant, WpvcInstance, make_solution, residual, validate
+from .graph import LEFT, RIGHT, Graph, NotBipartite, _derived_graph, bipartition
+from .instance import SolveReport, Variant, WpvcInstance, _validate, make_solution
+from .instance import residual  # noqa: F401  perfbench/tracing.py checks this binding
 
 
-def _require_valid(inst: WpvcInstance) -> None:
-    problems = validate(inst)
+def _require_valid(inst: WpvcInstance):
+    """Raise InputError unless ``inst`` is valid; return the bipartition the
+    check computed, or None when the instance does not require one."""
+    problems, bp = _validate(inst)
     if problems:
         raise InputError("; ".join(problems))
+    return bp
 
 
 def _take_free_coverage(inst: WpvcInstance):
     """Force every zero-cost vertex that still covers positive profit.
 
     Free coverage can never hurt, and clearing such vertices up front is what
-    makes the zero-budget base case sound.
+    makes the zero-budget base case sound. One ascending pass finds them:
+    forcing a vertex only lowers the others' live profit, so a vertex passed
+    over never qualifies later. Returns the forced vertices in the order
+    taken and the instance left after forcing them, which is what
+    :func:`pvckit.instance.residual` would give one vertex at a time.
     """
+    g = inst.graph
+    forced = [False] * g.n
     taken = []
-    while True:
-        wdeg = weighted_degrees(inst.graph)
-        v = next((u for u in inst.graph.vertices()
-                  if inst.graph.costs[u] == 0 and wdeg[u] > 0), None)
-        if v is None:
-            return taken, inst
-        taken.append(v)
-        inst = residual(inst, v)
+    for v in g.vertices():
+        if g.costs[v] == 0 and any(g.profit(e) and not forced[g.other_end(e, v)]
+                                   for e in g.adjacency[v]):
+            forced[v] = True
+            taken.append(v)
+    if not taken:
+        return taken, inst
+    kept = [(u, w, p) for u, w, p in g.edges if not (forced[u] or forced[w])]
+    gain = g.total_profit() - sum(p for _, _, p in kept)
+    return taken, WpvcInstance(_derived_graph(g, g.n, kept, g.costs), inst.budget,
+                               max(0, inst.target - gain), inst.variant,
+                               inst.bipartite_required)
 
 
 def _search(inst: WpvcInstance, rule, depth_bound: int, t0: float) -> SolveReport:
@@ -132,14 +146,20 @@ def solve_epvcbd(inst: WpvcInstance) -> SolveReport:
     and fan-out below twice the residual budget.
     """
     t0 = time.perf_counter()
-    _require_valid(inst)
+    bp = _require_valid(inst)
     if inst.variant not in (Variant.EPVC, Variant.PVC):
         raise VariantError("solver needs unit vertex costs, got variant %s"
                            % inst.variant.value)
-    bp = bipartition(inst.graph)
+    if bp is None:
+        bp = bipartition(inst.graph)
     if isinstance(bp, NotBipartite):
         raise NotBipartiteError(bp.odd_cycle)
-    side = bp.side
+    return _solve_epvcbd(inst, bp.side, t0)
+
+
+def _solve_epvcbd(inst: WpvcInstance, side, t0: float) -> SolveReport:
+    """The search of :func:`solve_epvcbd` on a valid unit-cost instance whose
+    bipartition sides ``side`` the caller already holds."""
 
     def rule(wdeg, budget, target, forced):
         pool = [v for v, w in enumerate(wdeg) if w * budget >= target]

@@ -22,7 +22,7 @@ vertices can never be selected, so those edges are dead weight.
 from __future__ import annotations
 
 from .errors import FormatError, InputError
-from .graph import make_graph
+from .graph import _trusted_graph
 from .instance import Variant, WpvcInstance, infer_variant, prune_unaffordable, validate
 from .reduction import McqInstance, make_mcq
 
@@ -47,6 +47,11 @@ def _int(token: str, lineno: int, what: str) -> int:
 
 def parse_wpvc(text: str, variant: Variant | None = None, prune: bool = True) -> WpvcInstance:
     """Parse a cover instance; the variant tag is inferred unless overridden.
+
+    Every line is checked here, so the graph is built from the checked,
+    normalized edges without a second validation pass. The instance is then
+    validated only when ``variant`` overrides the inferred tag, since that tag
+    may not fit the weights; an inferred tag always does.
 
     ``prune`` controls the load-time removal of edges between two vertices the
     budget cannot afford. Keep it off when the instance is meant for the
@@ -91,7 +96,7 @@ def parse_wpvc(text: str, variant: Variant | None = None, prune: bool = True) ->
                                   % (lineno, pair, seen_pairs[pair]))
             seen_pairs[pair] = lineno
             profit = _int(tokens[3], lineno, "profit") if len(tokens) == 4 else 1
-            edges.append((u, v, profit))
+            edges.append((pair[0], pair[1], profit))
         else:
             raise FormatError("line %d: unknown line type %r" % (lineno, kind))
     if header is None:
@@ -99,13 +104,14 @@ def parse_wpvc(text: str, variant: Variant | None = None, prune: bool = True) ->
     n, m, budget, target = header
     if len(edges) != m:
         raise FormatError("header announces %d edges but %d were given" % (m, len(edges)))
-    g = make_graph(n, edges, costs=[costs.get(v, 1) for v in range(n)])
-    inst = WpvcInstance(g, budget, target,
-                        infer_variant(g) if variant is None else Variant(variant),
-                        bipartite_required=False)
-    problems = validate(inst)
-    if problems:
-        raise InputError("; ".join(problems))
+    g = _trusted_graph(n, edges, [costs.get(v, 1) for v in range(n)])
+    if variant is None:
+        inst = WpvcInstance(g, budget, target, infer_variant(g))
+    else:
+        inst = WpvcInstance(g, budget, target, Variant(variant))
+        problems = validate(inst)
+        if problems:
+            raise InputError("; ".join(problems))
     return prune_unaffordable(inst) if prune else inst
 
 

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .branching import _require_valid, _take_free_coverage, solve_epvcbd
+from .branching import _require_valid, _solve_epvcbd, _take_free_coverage
 from .errors import InputError, NotBipartiteError
-from .graph import Graph, NotBipartite, bipartition, make_graph
+from .graph import (Bipartition, Graph, NotBipartite, _check_bipartition, _derived_graph,
+                    bipartition)
 from .instance import SolveReport, WpvcInstance, infer_variant, make_solution
 
 
@@ -29,19 +30,27 @@ class SectionMap:
     origin: tuple[int, ...]
 
 
-def expand(inst: WpvcInstance) -> tuple[WpvcInstance, SectionMap]:
+def expand(inst: WpvcInstance, bp: Bipartition | None = None
+           ) -> tuple[WpvcInstance, SectionMap]:
     """Blow the instance up into a unit-cost one, section per vertex.
 
     For an edge uv of profit p the expansion holds one copy-edge per pair of
     copies, each worth p / (c(u) * c(v)); scaling every profit (and the target)
     by the lcm of those denominators keeps all arithmetic integral. Isolated
     zero-cost vertices get an empty section; a zero-cost vertex with edges is
-    rejected, callers take those for free beforehand.
+    rejected, callers take those for free beforehand. A caller that already
+    holds a bipartition ``bp`` of the graph passes it to save a second
+    2-coloring; it is checked against the edges. Every copy can take its
+    origin's side, so ``bp`` also 2-colors the expansion through
+    ``SectionMap.origin``.
     """
     g = inst.graph
-    bp = bipartition(g)
-    if isinstance(bp, NotBipartite):
-        raise NotBipartiteError(bp.odd_cycle)
+    if bp is None:
+        bp = bipartition(g)
+        if isinstance(bp, NotBipartite):
+            raise NotBipartiteError(bp.odd_cycle)
+    else:
+        _check_bipartition(g, bp)
     for u, v, _ in g.edges:
         if g.costs[u] == 0 or g.costs[v] == 0:
             raise InputError("edge (%d, %d) touches a zero-cost vertex; "
@@ -60,7 +69,9 @@ def expand(inst: WpvcInstance) -> tuple[WpvcInstance, SectionMap]:
         for a in sections[u]:
             for b in sections[v]:
                 copy_edges.append((a, b, share))
-    expanded_graph = make_graph(next_id, copy_edges, costs=(1,) * next_id)
+    # Sections are numbered in vertex order, so u < v puts every copy of u
+    # below every copy of v: copy edges come out normalized and distinct.
+    expanded_graph = _derived_graph(g, next_id, copy_edges, (1,) * next_id)
     expanded = WpvcInstance(
         graph=expanded_graph,
         budget=inst.budget,
@@ -128,11 +139,13 @@ def solve_wpvcbfd(inst: WpvcInstance) -> SolveReport:
 
     Zero-cost vertices are taken for free, the instance is expanded to unit
     costs and decided exactly, and the section counts are rebalanced back into
-    an at-most-one-fractional solution.
+    an at-most-one-fractional solution. The input is 2-colored once; every
+    copy in the expansion keeps its origin's side.
     """
     t0 = time.perf_counter()
-    _require_valid(inst)
-    bp = bipartition(inst.graph)
+    bp = _require_valid(inst)
+    if bp is None:
+        bp = bipartition(inst.graph)
     if isinstance(bp, NotBipartite):
         raise NotBipartiteError(bp.odd_cycle)
     prefix, cur = _take_free_coverage(inst)
@@ -141,10 +154,10 @@ def solve_wpvcbfd(inst: WpvcInstance) -> SolveReport:
         # Irrelevant to feasibility, and any zero-cost vertex left after the
         # free pass has only such edges; dropping them keeps expand happy.
         kept = [e for e in cur.graph.edges if e[2] > 0]
-        cur = WpvcInstance(make_graph(cur.graph.n, kept, cur.graph.costs),
+        cur = WpvcInstance(_derived_graph(cur.graph, cur.graph.n, kept, cur.graph.costs),
                            cur.budget, cur.target, cur.variant, cur.bipartite_required)
-    expanded, smap = expand(cur)
-    rep = solve_epvcbd(expanded)
+    expanded, smap = expand(cur, bp)
+    rep = _solve_epvcbd(expanded, tuple(bp.side[v] for v in smap.origin), t0)
     if not rep.verdict:
         return SolveReport(False, None, rep.nodes_expanded, rep.max_depth,
                            time.perf_counter() - t0)

@@ -5,12 +5,19 @@ Everything is exact integer arithmetic. All tie-breaking is by lowest vertex id,
 so repeated runs produce identical labelings, matchings and covers. Graphs are
 frozen after construction; every operation here is read-only and safe to call
 concurrently.
+
+Validation happens once, at the boundary: :func:`make_graph` checks every edge
+and cost of outside input, and graphs the toolkit derives from an already
+checked graph are built without re-checking. Both kinds carry a private
+"checked" mark, so :func:`pvckit.instance.validate` skips :func:`check_graph`
+for them. A graph built by hand as ``Graph(...)`` never carries the mark and
+is re-checked in full wherever it enters.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InputError
 
@@ -31,6 +38,9 @@ class Graph:
     edges: tuple[tuple[int, int, int], ...]
     costs: tuple[int, ...]
     adjacency: tuple[tuple[int, ...], ...]
+    # True only on graphs from _trusted_graph, whose data meet every
+    # invariant check_graph tests.
+    _checked: bool = field(default=False, init=False, compare=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -130,20 +140,40 @@ def make_graph(n, edges, costs=None) -> Graph:
             raise InputError("parallel edge %s" % (key,))
         seen_pairs.add(key)
         norm.append((key[0], key[1], p))
+    return _trusted_graph(n, norm, costs)
+
+
+def _trusted_graph(n: int, edges, costs) -> Graph:
+    """Build a graph, marked checked, from data that is valid by construction.
+
+    ``edges`` must be (u, v, profit) triples with 0 <= u < v < n, pairwise
+    distinct and with non-negative int profits; ``costs`` must be n
+    non-negative ints. Nothing here re-checks that: callers either checked it
+    themselves or derive the data from a graph that carries the mark.
+    """
+    edges = tuple(edges)
     adjacency = [[] for _ in range(n)]
-    for e, (u, v, _) in enumerate(norm):
+    for e, (u, v, _) in enumerate(edges):
         adjacency[u].append(e)
         adjacency[v].append(e)
-    return Graph(
-        n=n,
-        edges=tuple(norm),
-        costs=costs,
-        adjacency=tuple(tuple(a) for a in adjacency),
-    )
+    g = Graph(n=n, edges=edges, costs=tuple(costs),
+              adjacency=tuple(tuple(a) for a in adjacency))
+    object.__setattr__(g, "_checked", True)
+    return g
+
+
+def _derived_graph(source: Graph, n: int, edges, costs) -> Graph:
+    """A graph built from parts of ``source``: trusted when ``source`` carries
+    the checked mark, fully validated by :func:`make_graph` when it does not."""
+    return (_trusted_graph if source._checked else make_graph)(n, edges, costs)
 
 
 def check_graph(g: Graph) -> list[str]:
     """Re-check the structural invariants of an already-built graph.
+
+    Needed only for graphs built by hand as ``Graph(...)``: graphs from
+    :func:`make_graph`, the parsers and the toolkit's own derivations are
+    valid by construction, and :func:`pvckit.instance.validate` skips them.
 
     One pass over the adjacency lists records, per edge, which of its two
     endpoints list it (bit 1 for the first, bit 2 for the second; a self-loop
@@ -364,5 +394,7 @@ def edge_subgraph(g: Graph, edge_ids) -> tuple[Graph, tuple[int, ...]]:
     edge. Vertex ids are unchanged, so a bipartition of ``g`` stays valid.
     """
     kept = sorted(edge_ids)
-    sub = make_graph(g.n, [g.edges[e] for e in kept], costs=g.costs)
+    if (kept and not 0 <= kept[0] <= kept[-1] < g.m) or len(set(kept)) < len(kept):
+        raise InputError("edge ids must be distinct and lie in 0..%d" % (g.m - 1))
+    sub = _derived_graph(g, g.n, [g.edges[e] for e in kept], g.costs)
     return sub, tuple(kept)

@@ -4,6 +4,12 @@ triviality checks, and solution/report records.
 Instances are frozen; ``residual`` returns a fresh instance with the same
 vertex-id universe (the forced vertex simply loses all its edges), which keeps
 witnesses valid across the whole recursion.
+
+Graphs are validated once, where they enter: ``make_instance`` builds through
+``make_graph``, and ``residual`` and ``prune_unaffordable`` derive their graphs
+from an already checked one without re-checking. ``validate`` runs
+``check_graph`` only on graphs that lack the checked mark, that is, graphs
+built by hand as ``Graph(...)``; every solver validates its input on entry.
 """
 
 from __future__ import annotations
@@ -13,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .graph import Graph, NotBipartite, bipartition, check_graph, coverage, weighted_degree
+from .graph import (Graph, NotBipartite, _derived_graph, bipartition, check_graph, coverage,
+                    weighted_degree)
 
 
 class Variant(str, enum.Enum):
@@ -116,8 +123,20 @@ def make_instance(n, edges, costs=None, *, budget, target, variant=None,
 
 
 def validate(inst: WpvcInstance) -> list[str]:
-    """Check every instance invariant; returns violations instead of raising."""
-    problems = check_graph(inst.graph)
+    """Check every instance invariant; returns violations instead of raising.
+
+    The graph's structure is re-checked with ``check_graph`` only when the
+    graph lacks the checked mark (see :mod:`pvckit.graph`).
+    """
+    return _validate(inst)[0]
+
+
+def _validate(inst: WpvcInstance):
+    """The problems :func:`validate` reports, plus the bipartition it computed
+    (None unless the instance requires a bipartite graph)."""
+    problems = [] if inst.graph._checked else check_graph(inst.graph)
+    # A graph with broken structure cannot be 2-colored meaningfully.
+    sound = not problems
     if not isinstance(inst.budget, int) or inst.budget < 0:
         problems.append("budget must be a non-negative integer")
     if not isinstance(inst.target, int) or inst.target < 0:
@@ -134,12 +153,13 @@ def validate(inst: WpvcInstance) -> list[str]:
             problems.append("variant/weight mismatch: variant %s requires unit profits "
                             "but edge %d has profit %d"
                             % (inst.variant.value, bad[0], inst.graph.edges[bad[0]][2]))
-    if inst.bipartite_required:
+    bp = None
+    if inst.bipartite_required and sound:
         bp = bipartition(inst.graph)
         if isinstance(bp, NotBipartite):
             problems.append("graph must be bipartite but contains odd cycle %s"
                             % (list(bp.odd_cycle),))
-    return problems
+    return problems, bp
 
 
 def residual(inst: WpvcInstance, v: int) -> WpvcInstance:
@@ -158,10 +178,8 @@ def residual(inst: WpvcInstance, v: int) -> WpvcInstance:
     gain = weighted_degree(g, v)
     drop = set(g.adjacency[v])
     kept = [g.edges[e] for e in range(g.m) if e not in drop]
-    from .graph import make_graph
-
     return WpvcInstance(
-        graph=make_graph(g.n, kept, g.costs),
+        graph=_derived_graph(g, g.n, kept, g.costs),
         budget=inst.budget - g.costs[v],
         target=max(0, inst.target - gain),
         variant=inst.variant,
@@ -199,10 +217,8 @@ def prune_unaffordable(inst: WpvcInstance) -> WpvcInstance:
     kept = [edge for edge in g.edges if not (dead[edge[0]] and dead[edge[1]])]
     if len(kept) == g.m:
         return inst
-    from .graph import make_graph
-
     return WpvcInstance(
-        graph=make_graph(g.n, kept, g.costs),
+        graph=_derived_graph(g, g.n, kept, g.costs),
         budget=inst.budget,
         target=inst.target,
         variant=inst.variant,

@@ -24,7 +24,7 @@ from .errors import InputError, NotBipartiteError, VariantError
 from .graph import (LEFT, Graph, NotBipartite, bipartition, coverage, edge_subgraph,
                     max_matching, min_vertex_cover)
 from .instance import SolveReport, Variant, WpvcInstance, make_solution
-from .branching import solve_epvcbd
+from .branching import _require_valid, solve_epvcbd
 
 
 def _recheck(g: Graph, bp, vertices, k1: int, k2: int, k3: int) -> None:
@@ -58,6 +58,7 @@ def solve_pvcbm(g: Graph, k1: int, k2: int, k3: int) -> SolveReport:
         raise InputError("k1, k2, k3 must be non-negative integers")
     if any(c != 1 for c in g.costs) or any(p != 1 for _, _, p in g.edges):
         raise VariantError("matching-constrained solver needs unit costs and profits")
+    _require_valid(WpvcInstance(g, k1, k2, Variant.PVC))
     bp = bipartition(g)
     if isinstance(bp, NotBipartite):
         raise NotBipartiteError(bp.odd_cycle)

@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass
 
 from .errors import InputError, OracleScaleError
-from .graph import Graph, coverage, make_graph
+from .graph import Graph, _derived_graph, coverage, make_graph
 from .instance import WpvcInstance, infer_variant
 from .oracle import McqVerdict, oracle_mcq, oracle_wpvc
 
@@ -166,8 +166,12 @@ def pendantize(out: ReductionOutput) -> ReductionOutput:
     """
     inst = out.instance
     g = inst.graph
-    hubs = {2 * out.source_n, 2 * out.source_n + 1}
-    if len(out.roles) < 2 or out.roles[-2:] != ("z1", "z2"):
+    z1 = 2 * out.source_n
+    hubs = {z1, z1 + 1}
+    # The new graph is built unchecked, so reject any shape the construction
+    # cannot produce: the hubs last and not adjacent, and a positive k.
+    if (len(out.roles) != g.n or out.roles[-2:] != ("z1", "z2") or g.n != z1 + 2
+            or z1 + 1 in g.neighbors(z1) or not (isinstance(out.k, int) and out.k >= 1)):
         raise InputError("output was not produced by the gadget construction")
     pend_cost = 2 ** (2 * out.k + 1)
     edges = []
@@ -185,7 +189,9 @@ def pendantize(out: ReductionOutput) -> ReductionOutput:
         else:
             assert p == 1  # copy edges are already unit profit
             edges.append((u, v, p))
-    graph = make_graph(next_id, edges, costs)
+    # Pendant ids lie above every copy, so each pendant edge (x, pendant) is
+    # normalized and new; the copy edges come from g.
+    graph = _derived_graph(g, next_id, edges, costs)
     instance = WpvcInstance(
         graph=graph,
         budget=inst.budget,

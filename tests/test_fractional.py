@@ -134,3 +134,31 @@ class TestSolveFractional:
                 if w.fractional is not None:
                     _, extent = w.fractional
                     assert 0 < extent < 1
+
+    @pytest.mark.parametrize("extra, verdict", [(0, True), (1, False)])
+    def test_free_pass_is_one_sweep(self, monkeypatch, extra, verdict):
+        # A 2000-vertex path whose odd vertices cost 0: the free pass alone
+        # covers every edge, and it must take the 1000 free vertices in one
+        # sweep, not rebuild the instance through residual() after each.
+        import pvckit
+
+        n = 2000
+        g = make_graph(n, [(i, i + 1, 1) for i in range(n - 1)],
+                       costs=[(i + 1) % 2 for i in range(n)])
+        inst = WpvcInstance(g, 0, n - 1 + extra, Variant.VPVC, True)
+        calls = []
+        original = pvckit.instance.residual
+
+        def counted(*args):
+            calls.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(pvckit.instance, "residual", counted)
+        monkeypatch.setattr(pvckit.branching, "residual", counted)
+        rep = solve_wpvcbfd(inst)
+        assert len(calls) <= 1
+        assert rep.verdict is verdict
+        if verdict:
+            assert rep.witness.vertices == frozenset(range(1, n, 2))
+            assert rep.witness.fractional is None
+            assert rep.witness.cost == 0 and rep.witness.profit == n - 1

@@ -1,0 +1,216 @@
+"""Validation happens once, where a graph enters the toolkit.
+
+Graphs from ``make_graph``, the parsers and the toolkit's own derivations
+carry a checked mark and are not re-checked; these tests hold that trust to
+account. Every derived graph passes ``check_graph`` and equals what
+``make_graph`` builds from the same data, a hand-built ``Graph(...)`` never
+carries the mark and is still rejected by ``validate`` and every solver, and
+one public solve 2-colors its input once.
+"""
+
+import dataclasses
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import pvckit
+from pvckit import (Graph, InputError, Variant, WpvcInstance, bipartition, edge_subgraph,
+                    expand, generators, infer_variant, make_graph, parse_wpvc, pendantize,
+                    prune_unaffordable, reduce_mcq_to_wpvcbd, residual, solve_epvcbd,
+                    solve_pvcbm, solve_wpvc_bounded_degree, solve_wpvc_by_L, solve_wpvcbfd,
+                    validate, weighted_degrees, write_wpvc)
+from pvckit.branching import _take_free_coverage
+from pvckit.graph import check_graph
+from test_graph_core import malformed_graphs
+
+
+def assert_trusted_sound(g):
+    assert g._checked
+    assert check_graph(g) == []
+    assert g == make_graph(g.n, g.edges, g.costs)
+
+
+@st.composite
+def instances(draw, bipartite=False, cost_min=0):
+    n = draw(st.integers(min_value=1, max_value=7))
+    if bipartite:
+        left = draw(st.integers(min_value=0, max_value=n))
+        slots = [(i, j) for i in range(left) for j in range(left, n)]
+    else:
+        slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    picked = draw(st.lists(st.sampled_from(slots), unique=True, max_size=len(slots))
+                  if slots else st.just([]))
+    edges = [(u, v, draw(st.integers(min_value=0, max_value=4))) for u, v in picked]
+    costs = draw(st.lists(st.integers(min_value=cost_min, max_value=4),
+                          min_size=n, max_size=n))
+    g = make_graph(n, edges, costs)
+    budget = draw(st.integers(min_value=0, max_value=6))
+    target = draw(st.integers(min_value=0, max_value=g.total_profit() + 1))
+    return WpvcInstance(g, budget, target, infer_variant(g), bipartite)
+
+
+class TestDerivedGraphsAreValid:
+    @settings(max_examples=150)
+    @given(instances())
+    def test_residual_and_prune(self, inst):
+        for v in inst.graph.vertices():
+            if inst.graph.costs[v] <= inst.budget:
+                assert_trusted_sound(residual(inst, v).graph)
+        assert_trusted_sound(prune_unaffordable(inst).graph)
+
+    @settings(max_examples=150)
+    @given(instances(), st.data())
+    def test_edge_subgraph(self, inst, data):
+        g = inst.graph
+        ids = data.draw(st.sets(st.integers(min_value=0, max_value=g.m - 1))
+                        if g.m else st.just(set()))
+        sub, back = edge_subgraph(g, ids)
+        assert_trusted_sound(sub)
+        assert [g.edges[e] for e in back] == list(sub.edges)
+
+    @settings(max_examples=150)
+    @given(instances(bipartite=True, cost_min=1))
+    def test_expand_with_and_without_sides(self, inst):
+        expanded, smap = expand(inst)
+        assert_trusted_sound(expanded.graph)
+        bp = bipartition(inst.graph)
+        again, _ = expand(inst, bp)
+        assert again == expanded
+        side = tuple(bp.side[v] for v in smap.origin)
+        assert all(side[a] != side[b] for a, b, _ in expanded.graph.edges)
+
+    @settings(max_examples=150)
+    @given(instances())
+    def test_text_round_trip(self, inst):
+        text = write_wpvc(inst)
+        whole = parse_wpvc(text, prune=False)
+        assert_trusted_sound(whole.graph)
+        assert whole.graph == inst.graph
+        assert_trusted_sound(parse_wpvc(text).graph)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=0, max_value=10 ** 6), st.booleans())
+    def test_pendantize(self, seed, plant):
+        mcq = generators.random_mcq(seed, 2, 2, edge_prob=0.5, plant=plant)
+        assert_trusted_sound(pendantize(reduce_mcq_to_wpvcbd(mcq)).instance.graph)
+
+    @settings(max_examples=150)
+    @given(instances())
+    def test_free_pass_matches_residual_chain(self, inst):
+        taken, cur = [], inst
+        while True:
+            wdeg = weighted_degrees(cur.graph)
+            v = next((u for u in cur.graph.vertices()
+                      if cur.graph.costs[u] == 0 and wdeg[u] > 0), None)
+            if v is None:
+                break
+            taken.append(v)
+            cur = residual(cur, v)
+        got_taken, got = _take_free_coverage(inst)
+        assert got_taken == taken
+        assert got == cur
+        assert_trusted_sound(got.graph)
+
+
+class TestGadgetPendantizeGuard:
+    def test_rejects_a_second_pendantize(self):
+        out = pendantize(reduce_mcq_to_wpvcbd(generators.random_mcq(3, 2, 2)))
+        with pytest.raises(InputError):
+            pendantize(out)
+
+    def test_rejects_edge_between_hubs(self):
+        out = reduce_mcq_to_wpvcbd(generators.random_mcq(3, 2, 2))
+        g = out.instance.graph
+        z1 = 2 * out.source_n
+        joined = make_graph(g.n, list(g.edges) + [(z1, z1 + 1, 1)], g.costs)
+        forged = dataclasses.replace(out, instance=dataclasses.replace(out.instance,
+                                                                       graph=joined))
+        with pytest.raises(InputError):
+            pendantize(forged)
+
+
+class TestEdgeSubgraphIds:
+    def test_rejects_repeated_and_out_of_range_ids(self):
+        g = make_graph(3, [(0, 1), (1, 2)])
+        for ids in ([0, 0], [2], [-1]):
+            with pytest.raises(InputError):
+                edge_subgraph(g, ids)
+
+
+class TestHandBuiltGraphs:
+    def test_copy_by_hand_never_carries_the_mark(self):
+        g = make_graph(3, [(0, 1), (1, 2)])
+        copies = [Graph(g.n, g.edges, g.costs, g.adjacency), dataclasses.replace(g)]
+        for h in copies:
+            assert h == g and not h._checked
+        with pytest.raises(TypeError):
+            Graph(g.n, g.edges, g.costs, g.adjacency, True)
+
+    @settings(max_examples=200)
+    @given(malformed_graphs())
+    def test_validate_and_every_solver_reject(self, g):
+        problems = check_graph(g)
+        assume(problems)
+        assert validate(WpvcInstance(g, 1, 1, Variant.WPVC)) == problems
+        for variant in Variant:
+            for bipartite in (False, True):
+                inst = WpvcInstance(g, 1, 1, variant, bipartite)
+                assert validate(inst)
+                for solve in (solve_epvcbd, solve_wpvc_by_L, solve_wpvcbfd,
+                              lambda inst: solve_wpvc_bounded_degree(inst, 8)):
+                    with pytest.raises(InputError):
+                        solve(inst)
+        with pytest.raises(InputError):
+            solve_pvcbm(g, 1, 1, 1)
+
+
+def count_calls(monkeypatch, name):
+    """Count calls to the pvckit function ``name`` through every module binding."""
+    calls = []
+    original = getattr(pvckit.graph, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (pvckit, pvckit.graph, pvckit.instance, pvckit.branching,
+                   pvckit.fractional, pvckit.pvcbm, pvckit.formats, pvckit.reduction):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOnePassPerSolve:
+    def fractional_instance(self, bipartite_required):
+        # Vertex 5 costs 0 and is taken free; edge (1, 2) has zero profit.
+        g = make_graph(6, [(0, 1, 2), (1, 2, 0), (2, 3, 3), (3, 4, 1), (4, 5, 2)],
+                       costs=[1, 2, 3, 1, 2, 0])
+        return WpvcInstance(g, 3, 6, infer_variant(g), bipartite_required)
+
+    @pytest.mark.parametrize("bipartite_required", [False, True])
+    def test_epvcbd_bipartitions_once(self, monkeypatch, bipartite_required):
+        g = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        inst = WpvcInstance(g, 2, 4, Variant.PVC, bipartite_required)
+        sides = count_calls(monkeypatch, "bipartition")
+        checks = count_calls(monkeypatch, "check_graph")
+        assert solve_epvcbd(inst).verdict
+        assert len(sides) == 1 and checks == []
+
+    @pytest.mark.parametrize("bipartite_required", [False, True])
+    def test_wpvcbfd_bipartitions_once(self, monkeypatch, bipartite_required):
+        inst = self.fractional_instance(bipartite_required)
+        sides = count_calls(monkeypatch, "bipartition")
+        checks = count_calls(monkeypatch, "check_graph")
+        rep = solve_wpvcbfd(inst)
+        assert rep.verdict and 5 in rep.witness.vertices
+        assert len(sides) == 1 and checks == []
+
+    def test_hand_built_graph_is_checked_once(self, monkeypatch):
+        g = self.fractional_instance(True).graph
+        hand = Graph(g.n, g.edges, g.costs, g.adjacency)
+        checks = count_calls(monkeypatch, "check_graph")
+        rep = solve_wpvcbfd(WpvcInstance(hand, 3, 6, Variant.WPVC, True))
+        assert rep == dataclasses.replace(
+            solve_wpvcbfd(self.fractional_instance(True)), wall_time=rep.wall_time)
+        assert checks == [(hand,)]
