@@ -29,6 +29,25 @@ def _require_valid(inst: WpvcInstance):
     return bp
 
 
+def _require_bipartite(inst: WpvcInstance, unit_costs: bool = False):
+    """Validate ``inst`` and 2-color its graph, once; return the Bipartition.
+
+    Raises InputError for an invalid instance (an odd cycle is one when the
+    instance requires a bipartite graph), then VariantError if ``unit_costs``
+    is set and the variant allows other costs, then NotBipartiteError for an
+    odd cycle.
+    """
+    bp = _require_valid(inst)
+    if unit_costs and inst.variant not in (Variant.EPVC, Variant.PVC):
+        raise VariantError("solver needs unit vertex costs, got variant %s"
+                           % inst.variant.value)
+    if bp is None:
+        bp = bipartition(inst.graph)
+    if isinstance(bp, NotBipartite):
+        raise NotBipartiteError(bp.odd_cycle)
+    return bp
+
+
 def _take_free_coverage(inst: WpvcInstance):
     """Force every zero-cost vertex that still covers positive profit.
 
@@ -146,15 +165,7 @@ def solve_epvcbd(inst: WpvcInstance) -> SolveReport:
     and fan-out below twice the residual budget.
     """
     t0 = time.perf_counter()
-    bp = _require_valid(inst)
-    if inst.variant not in (Variant.EPVC, Variant.PVC):
-        raise VariantError("solver needs unit vertex costs, got variant %s"
-                           % inst.variant.value)
-    if bp is None:
-        bp = bipartition(inst.graph)
-    if isinstance(bp, NotBipartite):
-        raise NotBipartiteError(bp.odd_cycle)
-    return _solve_epvcbd(inst, bp.side, t0)
+    return _solve_epvcbd(inst, _require_bipartite(inst, unit_costs=True).side, t0)
 
 
 def _solve_epvcbd(inst: WpvcInstance, side, t0: float) -> SolveReport:

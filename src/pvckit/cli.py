@@ -22,8 +22,7 @@ from .errors import (FormatError, InputError, NotBipartiteError, OracleScaleErro
 from .fractional import solve_wpvcbfd
 from .formats import parse_mcq, parse_wpvc, sniff_format, write_mcq, write_wpvc
 from .generators import random_bipartite_graph, random_bounded_degree_graph, random_mcq
-from .graph import coverage
-from .instance import Variant, WpvcInstance, infer_variant
+from .instance import Variant, WpvcInstance, infer_variant, make_solution
 from .oracle import DEFAULT_CAP, oracle_fractional, oracle_mcq, oracle_pvcbm, oracle_wpvc
 from .pvcbm import solve_pvcbm
 from .reduction import pendantize, reduce_mcq_to_wpvcbd
@@ -85,17 +84,10 @@ def _verify_witness(inst: WpvcInstance, rep) -> None:
     if rep.witness is None:
         return
     w = rep.witness
-    covered, profit = coverage(inst.graph, w.vertices)
-    cost = sum(inst.graph.costs[v] for v in w.vertices)
-    if w.fractional is not None:
-        v, extent = w.fractional
-        profit = profit + extent * sum(inst.graph.profit(e)
-                                       for e in inst.graph.adjacency[v]
-                                       if e not in covered)
-        cost = cost + extent * inst.graph.costs[v]
-    if cost > inst.budget or profit < inst.target:
+    sol = make_solution(inst.graph, w.vertices, w.fractional)
+    if sol.cost > inst.budget or sol.profit < inst.target:
         raise InputError("witness failed re-verification (cost=%s profit=%s)"
-                         % (cost, profit))
+                         % (sol.cost, sol.profit))
 
 
 def _cmd_solve(args) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .branching import _require_valid, _solve_epvcbd, _take_free_coverage
+from .branching import _require_bipartite, _solve_epvcbd, _take_free_coverage
 from .errors import InputError, NotBipartiteError
 from .graph import (Bipartition, Graph, NotBipartite, _check_bipartition, _derived_graph,
                     bipartition)
@@ -143,11 +143,7 @@ def solve_wpvcbfd(inst: WpvcInstance) -> SolveReport:
     copy in the expansion keeps its origin's side.
     """
     t0 = time.perf_counter()
-    bp = _require_valid(inst)
-    if bp is None:
-        bp = bipartition(inst.graph)
-    if isinstance(bp, NotBipartite):
-        raise NotBipartiteError(bp.odd_cycle)
+    bp = _require_bipartite(inst)
     prefix, cur = _take_free_coverage(inst)
     zero_profit = [e for e in cur.graph.edges if e[2] == 0]
     if zero_profit:

@@ -299,7 +299,9 @@ def max_matching(g: Graph, bp: Bipartition) -> Matching:
     """Maximum-cardinality matching via Hopcroft-Karp.
 
     Left vertices are scanned in ascending id order and adjacency is sorted,
-    so augmenting-path ties always resolve toward the lowest vertex id.
+    so augmenting-path ties always resolve toward the lowest vertex id. The
+    path search keeps its frames on an explicit stack, so path length is not
+    capped by Python's recursion limit.
     """
     _check_bipartition(g, bp)
     left = [v for v in range(g.n) if bp.side[v] == LEFT]
@@ -329,19 +331,32 @@ def max_matching(g: Graph, bp: Bipartition) -> Matching:
                     queue.append(pair[w])
         return found != INF
 
-    def dfs(u: int) -> bool:
-        for w in adj[u]:
-            if pair[w] == -1 or (dist[pair[w]] == dist[u] + 1 and dfs(pair[w])):
-                pair[u] = w
-                pair[w] = u
-                return True
-        dist[u] = INF
+    def augment(root: int) -> bool:
+        # Depth-first search for an augmenting path along the BFS layers, on
+        # an explicit stack of (left vertex, rest of its neighbor scan). A left
+        # vertex whose scan runs out leaves the layering (dist INF).
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            u, scan = stack[-1]
+            for w in scan:
+                if pair[w] == -1:
+                    # Flip the path: each left vertex on it takes the right
+                    # vertex below it and frees its old mate for the one above.
+                    for a, _ in reversed(stack):
+                        pair[a], pair[w], w = w, a, pair[a]
+                    return True
+                if dist[pair[w]] == dist[u] + 1:
+                    stack.append((pair[w], iter(adj[pair[w]])))
+                    break
+            else:
+                dist[u] = INF
+                stack.pop()
         return False
 
     size = 0
     while bfs():
         for u in left:
-            if pair[u] == -1 and dfs(u):
+            if pair[u] == -1 and augment(u):
                 size += 1
 
     index = {(u, v): e for e, (u, v, _) in enumerate(g.edges)}

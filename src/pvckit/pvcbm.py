@@ -4,10 +4,15 @@ Find a set of at most k1 vertices covering at least k2 edges such that the
 covered edges contain a matching of size at least k3. The plan: solve the
 plain cover question at budget k1 and read off the subgraph its witness
 covers. If that subgraph's matching number already reaches k3, the witness is
-the answer. Otherwise we grow the subgraph edge by edge until its matching
-number reaches k3 exactly; a minimum vertex cover of the grown subgraph then
-has k3 <= k1 vertices (matching number equals cover number on bipartite
-graphs) and covers every edge the witness covered.
+the answer. Otherwise we grow the subgraph by a prefix of the uncovered edges
+sorted by endpoints. The matching number of the covered edges plus the first
+j sorted ones never decreases as j grows and rises by at most one per step,
+so at the least j where it reaches k3 it is exactly k3. A binary search over
+j finds that prefix with Hopcroft-Karp on O(log m) subgraphs; the whole graph
+(all uncovered edges added) falling short of k3 is a no. A minimum vertex
+cover of the grown subgraph then has k3 <= k1 vertices (matching number
+equals cover number on bipartite graphs) and covers every edge the witness
+covered.
 
 A consequence of the growth stage: once the plain cover question at budget k1
 is a yes, the whole graph has a matching of size k3, and k3 <= k1, the answer
@@ -18,13 +23,11 @@ yes comes with an explicit, independently re-checked witness.
 from __future__ import annotations
 
 import time
-from bisect import insort
 
-from .errors import InputError, NotBipartiteError, VariantError
-from .graph import (LEFT, Graph, NotBipartite, bipartition, coverage, edge_subgraph,
-                    max_matching, min_vertex_cover)
+from .errors import InputError, VariantError
+from .graph import Graph, coverage, edge_subgraph, max_matching, min_vertex_cover
 from .instance import SolveReport, Variant, WpvcInstance, make_solution
-from .branching import _require_valid, solve_epvcbd
+from .branching import _require_bipartite, _solve_epvcbd
 
 
 def _recheck(g: Graph, bp, vertices, k1: int, k2: int, k3: int) -> None:
@@ -36,21 +39,6 @@ def _recheck(g: Graph, bp, vertices, k1: int, k2: int, k3: int) -> None:
     assert max_matching(sub, bp).size >= k3
 
 
-def _augment(adj, mate, seen, u):
-    # Alternating DFS over the grown subgraph; adj maps left vertices to
-    # sorted right neighbors, mate maps matched vertices both ways.
-    for w in adj.get(u, ()):
-        if w in seen:
-            continue
-        seen.add(w)
-        back = mate.get(w)
-        if back is None or _augment(adj, mate, seen, back):
-            mate[w] = u
-            mate[u] = w
-            return True
-    return False
-
-
 def solve_pvcbm(g: Graph, k1: int, k2: int, k3: int) -> SolveReport:
     """Decide the matching-constrained cover; unit weights, bipartite only."""
     t0 = time.perf_counter()
@@ -58,10 +46,8 @@ def solve_pvcbm(g: Graph, k1: int, k2: int, k3: int) -> SolveReport:
         raise InputError("k1, k2, k3 must be non-negative integers")
     if any(c != 1 for c in g.costs) or any(p != 1 for _, _, p in g.edges):
         raise VariantError("matching-constrained solver needs unit costs and profits")
-    _require_valid(WpvcInstance(g, k1, k2, Variant.PVC))
-    bp = bipartition(g)
-    if isinstance(bp, NotBipartite):
-        raise NotBipartiteError(bp.odd_cycle)
+    inst = WpvcInstance(g, k1, k2, Variant.PVC)
+    bp = _require_bipartite(inst)
 
     nodes = depth = 0
 
@@ -76,7 +62,7 @@ def solve_pvcbm(g: Graph, k1: int, k2: int, k3: int) -> SolveReport:
 
     if k3 > k1:
         return fail()  # k3 matched edges would need k3 distinct cover vertices
-    plain = solve_epvcbd(WpvcInstance(g, k1, k2, Variant.PVC, True))
+    plain = _solve_epvcbd(inst, bp.side, t0)
     nodes, depth = plain.nodes_expanded, plain.max_depth
     if not plain.verdict:
         return fail()
@@ -86,48 +72,24 @@ def solve_pvcbm(g: Graph, k1: int, k2: int, k3: int) -> SolveReport:
     mat = max_matching(sub, bp)
     if mat.size >= k3:
         return report(chosen, (back[e] for e in mat.edge_ids))
-
     if max_matching(g, bp).size < k3:
         return fail()
+    order = sorted(set(range(g.m)) - covered, key=lambda e: g.edges[e][:2])
 
-    # Grow the covered subgraph one edge at a time; each addition moves the
-    # matching number up by at most one, and adding everything would reach the
-    # whole graph's matching number, which is at least k3.
-    grown = set(covered)
-    mate = {}
-    for e in mat.edge_ids:
-        u, v, _ = sub.edges[e]
-        mate[u] = v
-        mate[v] = u
-    size = len(mate) // 2
-    assert size == mat.size
-    adj = {}
-    for e in grown:
-        u, v, _ = g.edges[e]
-        l, r = (u, v) if bp.side[u] == LEFT else (v, u)
-        insort(adj.setdefault(l, []), r)
-    order = sorted(range(g.m), key=lambda e: g.edges[e][:2])
-    for e in order:
-        if e in grown:
-            continue
-        grown.add(e)
-        u, v, _ = g.edges[e]
-        l, r = (u, v) if bp.side[u] == LEFT else (v, u)
-        insort(adj.setdefault(l, []), r)
-        # One augmentation settles the new matching number.
-        prev = size
-        for root in sorted(adj):
-            if root not in mate and _augment(adj, mate, set(), root):
-                size += 1
-                break
-        assert size - prev in (0, 1)
-        if size == k3:
-            break
-    else:
-        raise RuntimeError("internal invariant broken: cover number never reached k3")
+    def grown(j):
+        # The covered edges plus the first j uncovered ones, and a maximum matching.
+        sub, back = edge_subgraph(g, covered.union(order[:j]))
+        return sub, back, max_matching(sub, bp)
 
-    sub, back = edge_subgraph(g, grown)
-    mat = max_matching(sub, bp)
+    lo, hi, top = 0, len(order), None  # matching number below k3 at lo, at least k3 at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        trial = grown(mid)
+        if trial[2].size >= k3:
+            hi, top = mid, trial
+        else:
+            lo = mid
+    sub, back, mat = top or grown(hi)
     assert mat.size == k3
     cover = min_vertex_cover(sub, bp, mat)
     assert len(cover) == k3

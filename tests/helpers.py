@@ -2,9 +2,11 @@
 library's algorithms, and instance relabeling."""
 
 import random
+from collections import deque
 from itertools import combinations
 
-from pvckit import WpvcInstance, coverage, infer_variant, make_graph
+from pvckit import LEFT, Matching, WpvcInstance, coverage, infer_variant, make_graph
+from pvckit.graph import _check_bipartition
 
 
 def path3(budget=1, target=2):
@@ -106,6 +108,77 @@ def check_graph_reference(g):
             if not (0 <= e < g.m) or v not in g.edges[e][:2]:
                 problems.append("adjacency of vertex %d lists foreign edge %r" % (v, e))
     return problems
+
+
+def max_matching_reference(g, bp):
+    """Recursive Hopcroft-Karp, the form ``max_matching`` had before its path
+    search moved to an explicit stack; paths of more than about 1000 edges
+    raise RecursionError."""
+    _check_bipartition(g, bp)
+    left = [v for v in range(g.n) if bp.side[v] == LEFT]
+    adj = {u: sorted(g.neighbors(u)) for u in left}
+    pair = [-1] * g.n
+    INF = g.n + 1
+    dist = {}
+
+    def bfs():
+        queue = deque()
+        for u in left:
+            if pair[u] == -1:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = INF
+        found = INF
+        while queue:
+            u = queue.popleft()
+            if dist[u] >= found:
+                continue
+            for w in adj[u]:
+                if pair[w] == -1:
+                    found = min(found, dist[u] + 1)
+                elif dist[pair[w]] == INF:
+                    dist[pair[w]] = dist[u] + 1
+                    queue.append(pair[w])
+        return found != INF
+
+    def dfs(u):
+        for w in adj[u]:
+            if pair[w] == -1 or (dist[pair[w]] == dist[u] + 1 and dfs(pair[w])):
+                pair[u] = w
+                pair[w] = u
+                return True
+        dist[u] = INF
+        return False
+
+    size = 0
+    while bfs():
+        for u in left:
+            if pair[u] == -1 and dfs(u):
+                size += 1
+
+    index = {(u, v): e for e, (u, v, _) in enumerate(g.edges)}
+    ids = set()
+    for u in left:
+        if pair[u] != -1:
+            a, b = (u, pair[u]) if u < pair[u] else (pair[u], u)
+            ids.add(index[(a, b)])
+    return Matching(edge_ids=frozenset(ids), size=size)
+
+
+def long_augmenting_path(k):
+    """A path of 2k-1 edges whose maximum matching (size k) needs an augmenting
+    path through all of it, so a recursive path search goes k calls deep.
+
+    Left vertex i has id i and right vertex j has id R(j) = 2k - j, for i, j
+    in 0..k-1, with edges (i, R(i)) and, for i < k-1, (i, R(i+1)); vertex k
+    is isolated.
+    Each left vertex prefers its lower-id neighbor R(i+1), so the greedy first
+    phase leaves left vertex k-1 and right vertex R(0) unmatched at the two
+    ends of the path.
+    """
+    edges = [(i, 2 * k - i) for i in range(k)] + [(i, 2 * k - i - 1) for i in range(k - 1)]
+    return make_graph(2 * k + 1, edges)
 
 
 def relabeled(inst, seed):

@@ -12,18 +12,26 @@ The corpus is the criterion 1-4 acceptance instances, the bench grids, deep
 unit paths, and seeded trees of 30-100 vertices at the yes/no boundary. The
 acceptance instances hardly branch; the trees are kept only if the solve
 expands at least ``MIN_NODES`` nodes, so the corpus exercises backtracking.
+
+The matching-constrained solver has its own records, which also hold the
+reported matching: the criterion 5 instances, and the first ``GROWTH_CASES``
+instances from seed ``GROWTH_SEED`` on where the plain cover witness's
+covered edges hold no matching of size k3 but the whole graph does, so the
+solver has to grow them.
 """
 
 import json
 import random
 from pathlib import Path
 
-from pvckit import (WpvcInstance, infer_variant, make_graph, solve_epvcbd,
+from pvckit import (Variant, WpvcInstance, bipartition, coverage, edge_subgraph,
+                    infer_variant, make_graph, max_matching, solve_epvcbd, solve_pvcbm,
                     solve_wpvc_bounded_degree, solve_wpvc_by_L, solve_wpvcbfd)
 from pvckit.bench import default_config
 from pvckit.generators import (bounded_degree_case, fractional_case, general_graph_case,
                                grid_bounded_degree_case, grid_profit_target_case,
-                               grid_unit_cost_case, unit_cost_bipartite_case)
+                               grid_unit_cost_case, matching_constrained_case,
+                               unit_cost_bipartite_case)
 
 GOLDEN = Path(__file__).with_name("golden_search.json")
 SOLVERS = {
@@ -43,6 +51,9 @@ PATHS = ((200, 100), (200, 99), (300, 150), (300, 149))
 MIN_NODES = 20
 TREES_PER_ALG = 13
 BUDGETS = {"epvcbd": 6, "bounded-degree": 3, "fractional": 5}
+PVCBM_CRITERION = 300
+GROWTH_SEED = 1_000_000
+GROWTH_CASES = 60
 
 
 def tree(alg, seed):
@@ -81,6 +92,8 @@ def tree(alg, seed):
 def build(source):
     """The instance a recorded source names."""
     kind, alg = source[0], source[1]
+    if kind == "pvcbm":
+        return matching_constrained_case(source[2])
     if kind == "criterion":
         return CRITERIA[alg][0](source[2])
     if kind == "grid":
@@ -95,6 +108,13 @@ def build(source):
 
 
 def record(alg, inst):
+    if alg == "pvcbm":
+        rep = solve_pvcbm(*inst)
+        return {"verdict": rep.verdict,
+                "witness": sorted(rep.witness.vertices) if rep.verdict else None,
+                "matching_edge_ids": sorted(rep.matching_edge_ids) if rep.verdict else None,
+                "nodes_expanded": rep.nodes_expanded,
+                "max_depth": rep.max_depth}
     rep = SOLVERS[alg](inst)
     frac = None
     if rep.witness is not None and rep.witness.fractional is not None:
@@ -105,6 +125,19 @@ def record(alg, inst):
             "fractional": frac,
             "nodes_expanded": rep.nodes_expanded,
             "max_depth": rep.max_depth}
+
+
+def grows(seed):
+    """Whether the matching-constrained case ``seed`` grows its cover: k3 <= k1,
+    the plain cover at budget k1 is a yes, the edges its witness covers hold no
+    matching of size k3, and the whole graph does."""
+    g, k1, k2, k3 = matching_constrained_case(seed)
+    plain = solve_epvcbd(WpvcInstance(g, k1, k2, Variant.PVC, True))
+    if k3 > k1 or not plain.verdict:
+        return False
+    bp = bipartition(g)
+    sub, _ = edge_subgraph(g, coverage(g, plain.witness.vertices)[0])
+    return max_matching(sub, bp).size < k3 <= max_matching(g, bp).size
 
 
 def _boundary(alg, seed):
@@ -152,6 +185,14 @@ def main():
             if len(kept) >= TREES_PER_ALG:
                 break
         cases += kept[:TREES_PER_ALG]
+    seeds = list(range(PVCBM_CRITERION))
+    seed = GROWTH_SEED
+    while len(seeds) < PVCBM_CRITERION + GROWTH_CASES:
+        if grows(seed):
+            seeds.append(seed)
+        seed += 1
+    for src in (("pvcbm", "pvcbm", seed) for seed in seeds):
+        cases.append({"source": list(src), **record("pvcbm", build(src))})
     lines = ",\n".join(json.dumps(case, sort_keys=True) for case in cases)
     GOLDEN.write_text('{"cases": [\n%s\n]}\n' % lines)
     print("wrote %d records to %s" % (len(cases), GOLDEN))

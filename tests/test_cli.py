@@ -3,7 +3,8 @@ import subprocess
 import sys
 
 import pvckit.cli
-from pvckit import parse_wpvc
+from helpers import long_augmenting_path
+from pvckit import Variant, WpvcInstance, parse_wpvc, write_wpvc
 from pvckit.cli import main
 
 PATH3 = "p wpvc 3 2 1 2\ne 0 1\ne 1 2\n"
@@ -90,6 +91,14 @@ class TestSolve:
         f.write_text("p wpvc 2000 1999 1100 1999\n"
                      + "".join("e %d %d\n" % (i, i + 1) for i in range(1999)))
         code, out, _ = run_cli(["solve", "--alg", "epvcbd", str(f)], capsys)
+        assert code == 0 and "verdict=yes" in out
+
+    def test_pvcbm_long_augmenting_path_exit_zero(self, tmp_path, capsys):
+        # Hopcroft-Karp needs one augmenting path 1500 left vertices deep.
+        g = long_augmenting_path(1500)
+        f = tmp_path / "path1500.wpvc"
+        f.write_text(write_wpvc(WpvcInstance(g, 1500, g.m, Variant.PVC)))
+        code, out, _ = run_cli(["solve", "--alg", "pvcbm", "--k3", "1500", str(f)], capsys)
         assert code == 0 and "verdict=yes" in out
 
     def test_fractional_alg(self, tmp_path, capsys):

@@ -1,7 +1,8 @@
 """The search solvers reproduce their golden records exactly.
 
-``golden_search.json`` holds verdict, witness, fractional part,
-``nodes_expanded`` and ``max_depth`` per instance; ``make_golden_search.py``
+``golden_search.json`` holds verdict, witness, fractional part (or, for the
+matching-constrained solver, the reported matching), ``nodes_expanded`` and
+``max_depth`` per instance; ``make_golden_search.py``
 builds the corpus and wrote the file.
 """
 
@@ -14,7 +15,7 @@ from make_golden_search import GOLDEN, build, record
 CASES = json.loads(GOLDEN.read_text())["cases"]
 
 
-@pytest.mark.parametrize("kind", ["criterion", "grid", "path", "tree"])
+@pytest.mark.parametrize("kind", ["criterion", "grid", "path", "tree", "pvcbm"])
 def test_search_matches_golden_records(kind):
     cases = [case for case in CASES if case["source"][0] == kind]
     assert cases

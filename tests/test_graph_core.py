@@ -3,9 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (brute_force_cover_number, brute_force_matching_size, c4,
-                     check_graph_reference, star)
-from pvckit import (Bipartition, Graph, InputError, NotBipartite, bipartition, coverage,
-                    edge_subgraph, make_graph, max_matching, min_vertex_cover,
+                     check_graph_reference, long_augmenting_path, max_matching_reference,
+                     star)
+from pvckit import (LEFT, RIGHT, Bipartition, Graph, InputError, NotBipartite, bipartition,
+                    coverage, edge_subgraph, make_graph, max_matching, min_vertex_cover,
                     weighted_degree, weighted_degrees)
 from pvckit.graph import check_graph
 
@@ -219,6 +220,26 @@ class TestMatchingAndCover:
             cover = min_vertex_cover(g, bp, mat)
             assert len(cover) == mat.size
             assert all(u in cover or v in cover for u, v, _ in g.edges)
+
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_matches_recursive_reference(self, data):
+        # Sides drawn per vertex, so left and right ids interleave and the
+        # greedy first phase leaves augmenting paths of several edges.
+        n = data.draw(st.integers(min_value=0, max_value=14))
+        side = data.draw(st.lists(st.sampled_from([LEFT, RIGHT]), min_size=n, max_size=n))
+        slots = [(u, v) for u in range(n) for v in range(u + 1, n) if side[u] != side[v]]
+        keep = data.draw(st.lists(st.booleans(), min_size=len(slots), max_size=len(slots)))
+        g = make_graph(n, [slot for slot, kept in zip(slots, keep) if kept])
+        bp = Bipartition(side=tuple(side))
+        assert max_matching(g, bp) == max_matching_reference(g, bp)
+
+    def test_augmenting_path_longer_than_recursion_limit(self):
+        g = long_augmenting_path(1500)
+        mat = max_matching(g, bipartition(g))
+        assert mat.size == 1500
+        assert mat.edge_ids == frozenset(range(1500))  # every (i, R(i)) edge
 
 
 class TestEdgeSubgraph:

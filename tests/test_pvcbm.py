@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import c4, star
+from helpers import c4, long_augmenting_path, star
 from pvckit import (NotBipartiteError, VariantError, coverage, edge_subgraph,
                     bipartition, make_graph, max_matching, solve_epvcbd, solve_pvcbm,
                     Variant, WpvcInstance)
@@ -80,3 +80,11 @@ class TestSolvePvcbm:
             assert rep.verdict == oracle_pvcbm(g, k1, k2, k3).verdict
             if rep.verdict:
                 check_witness(g, rep, k1, k2, k3)
+
+    def test_augmenting_path_longer_than_recursion_limit(self):
+        # Matching all 1500 right vertices takes one augmenting path through
+        # the whole graph, 1500 left vertices deep.
+        g = long_augmenting_path(1500)
+        rep = solve_pvcbm(g, 1500, g.m, 1500)
+        assert rep.verdict
+        check_witness(g, rep, 1500, g.m, 1500)

@@ -206,6 +206,25 @@ class TestOnePassPerSolve:
         assert rep.verdict and 5 in rep.witness.vertices
         assert len(sides) == 1 and checks == []
 
+    @pytest.mark.parametrize("k2, k3", [(4, 2), (0, 3)])
+    def test_pvcbm_validates_and_bipartitions_once(self, monkeypatch, k2, k3):
+        # (4, 2): the plain witness suffices; (0, 3): it is empty, and the
+        # edges it covers (none) are grown until they hold a 3-matching.
+        g = make_graph(6, [(0, 3), (0, 4), (1, 3), (1, 4), (2, 5)])
+        sides = count_calls(monkeypatch, "bipartition")
+        checks = count_calls(monkeypatch, "check_graph")
+        validations = []
+        original = pvckit.instance._validate
+
+        def counted(inst):
+            validations.append(inst)
+            return original(inst)
+
+        for module in (pvckit.instance, pvckit.branching):
+            monkeypatch.setattr(module, "_validate", counted)
+        assert solve_pvcbm(g, 3, k2, k3).verdict
+        assert len(sides) == 1 and checks == [] and len(validations) == 1
+
     def test_hand_built_graph_is_checked_once(self, monkeypatch):
         g = self.fractional_instance(True).graph
         hand = Graph(g.n, g.edges, g.costs, g.adjacency)
