@@ -16,17 +16,9 @@ import time
 
 from .errors import InputError, NotBipartiteError, VariantError
 from .graph import LEFT, RIGHT, Graph, NotBipartite, _derived_graph, bipartition
-from .instance import SolveReport, Variant, WpvcInstance, _validate, make_solution
+from .instance import SolveReport, Variant, WpvcInstance, _require_valid, make_solution
 from .instance import residual  # noqa: F401  perfbench/tracing.py checks this binding
-
-
-def _require_valid(inst: WpvcInstance):
-    """Raise InputError unless ``inst`` is valid; return the bipartition the
-    check computed, or None when the instance does not require one."""
-    problems, bp = _validate(inst)
-    if problems:
-        raise InputError("; ".join(problems))
-    return bp
+from .instance import _validate  # noqa: F401  tests/test_trust.py patches this binding
 
 
 def _require_bipartite(inst: WpvcInstance, unit_costs: bool = False):
@@ -48,24 +40,31 @@ def _require_bipartite(inst: WpvcInstance, unit_costs: bool = False):
     return bp
 
 
-def _take_free_coverage(inst: WpvcInstance):
-    """Force every zero-cost vertex that still covers positive profit.
+def _force_free(g: Graph, forced) -> list[int]:
+    """Force every zero-cost vertex that still covers positive live profit.
 
     Free coverage can never hurt, and clearing such vertices up front is what
     makes the zero-budget base case sound. One ascending pass finds them:
     forcing a vertex only lowers the others' live profit, so a vertex passed
-    over never qualifies later. Returns the forced vertices in the order
-    taken and the instance left after forcing them, which is what
-    :func:`pvckit.instance.residual` would give one vertex at a time.
+    over never qualifies later, not even after more vertices are forced.
+    Marks them in ``forced`` and returns them in the order taken.
     """
-    g = inst.graph
-    forced = [False] * g.n
     taken = []
     for v in g.vertices():
         if g.costs[v] == 0 and any(g.profit(e) and not forced[g.other_end(e, v)]
                                    for e in g.adjacency[v]):
             forced[v] = True
             taken.append(v)
+    return taken
+
+
+def _take_free_coverage(inst: WpvcInstance):
+    """Force the zero-cost vertices :func:`_force_free` takes; return them in
+    the order taken and the instance left after forcing them, which is what
+    :func:`pvckit.instance.residual` would give one vertex at a time."""
+    g = inst.graph
+    forced = [False] * g.n
+    taken = _force_free(g, forced)
     if not taken:
         return taken, inst
     kept = [(u, w, p) for u, w, p in g.edges if not (forced[u] or forced[w])]
@@ -78,8 +77,10 @@ def _take_free_coverage(inst: WpvcInstance):
 def _search(inst: WpvcInstance, rule, depth_bound: int, t0: float) -> SolveReport:
     """Depth-first search over masks of forced vertices.
 
-    Each node first forces, lowest id first, every zero-cost vertex that still
-    covers positive live profit (see :func:`_take_free_coverage`), then
+    The root first forces the zero-cost vertices that cover positive profit
+    (see :func:`_force_free`). No node below it has another such vertex,
+    since forcing only lowers live profit, and backtracking never un-forces
+    the root's vertices, which sit below every frame's chain base. Each node
     recomputes weighted degrees, budget and target from the live edges in one
     pass, exactly as :func:`residual` would. A zero target is a yes; a zero
     budget or a target above the live profit is a no. Otherwise
@@ -91,21 +92,15 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, t0: float) -> SolveRepor
     """
     g = inst.graph
     edges, costs = g.edges, g.costs
-    free = [v for v in g.vertices() if costs[v] == 0]
     total = g.total_profit()
     forced = [False] * g.n
-    chain = []
+    chain = _force_free(g, forced)
     stack = []  # one frame per branching node: (branch iterator, chain length, budget)
     budget = inst.budget
     nodes = deepest = 0
     while True:
         assert len(stack) <= depth_bound
         deepest = max(deepest, len(stack))
-        for v in free:
-            if not forced[v] and any(edges[e][2] and not forced[g.other_end(e, v)]
-                                     for e in g.adjacency[v]):
-                forced[v] = True
-                chain.append(v)
         wdeg = [0] * g.n
         live = 0
         for u, w, p in edges:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import bench as bench_mod
@@ -22,6 +23,7 @@ from .errors import (FormatError, InputError, NotBipartiteError, OracleScaleErro
 from .fractional import solve_wpvcbfd
 from .formats import parse_mcq, parse_wpvc, sniff_format, write_mcq, write_wpvc
 from .generators import random_bipartite_graph, random_bounded_degree_graph, random_mcq
+from .graph import coverage
 from .instance import Variant, WpvcInstance, infer_variant, make_solution
 from .oracle import DEFAULT_CAP, oracle_fractional, oracle_mcq, oracle_pvcbm, oracle_wpvc
 from .pvcbm import solve_pvcbm
@@ -80,12 +82,22 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _verify_witness(inst: WpvcInstance, rep) -> None:
+def _verify_witness(inst: WpvcInstance, rep, k3: int | None = None) -> None:
+    """Re-check a yes witness against the graph: cost within the budget,
+    profit up to the target and, given ``k3``, at least k3 pairwise disjoint
+    reported matching edges, all of them covered by the witness."""
     if rep.witness is None:
         return
     w = rep.witness
-    sol = make_solution(inst.graph, w.vertices, w.fractional)
-    if sol.cost > inst.budget or sol.profit < inst.target:
+    g = inst.graph
+    sol = make_solution(g, w.vertices, w.fractional)
+    ok = sol.cost <= inst.budget and sol.profit >= inst.target
+    if k3 is not None:
+        matched = rep.matching_edge_ids or frozenset()
+        ends = [v for e in matched & coverage(g, w.vertices)[0] for v in g.edges[e][:2]]
+        # Every matched edge covered, no endpoint shared, and k3 of them.
+        ok = ok and len(set(ends)) == len(ends) == 2 * len(matched) >= 2 * k3
+    if not ok:
         raise InputError("witness failed re-verification (cost=%s profit=%s)"
                          % (sol.cost, sol.profit))
 
@@ -113,20 +125,17 @@ def _cmd_solve(args) -> int:
         rep = solve_pvcbm(inst.graph, k1, k2, args.k3)
     if args.verify:
         if args.alg == "pvcbm":
-            if len(inst.graph.costs) <= DEFAULT_CAP:
-                check = oracle_pvcbm(inst.graph, k1, k2, args.k3)
-                if check.verdict != rep.verdict:
-                    raise InputError("verdict disagrees with the brute-force oracle")
-                extra.append("verify=ok")
+            _verify_witness(replace(inst, budget=k1, target=k2), rep, args.k3)
+            check = (oracle_pvcbm(inst.graph, k1, k2, args.k3)
+                     if inst.graph.n <= DEFAULT_CAP else None)
         else:
             _verify_witness(inst, rep)
             selectable = sum(1 for c in inst.graph.costs if c <= inst.budget)
-            if selectable <= DEFAULT_CAP:
-                oracle = oracle_fractional if args.alg == "fractional" else oracle_wpvc
-                check = oracle(inst)
-                if check.verdict != rep.verdict:
-                    raise InputError("verdict disagrees with the brute-force oracle")
-            extra.append("verify=ok")
+            oracle = oracle_fractional if args.alg == "fractional" else oracle_wpvc
+            check = oracle(inst) if selectable <= DEFAULT_CAP else None
+        if check is not None and check.verdict != rep.verdict:
+            raise InputError("verdict disagrees with the brute-force oracle")
+        extra.append("verify=ok")
     _print_report(rep, inst.graph, args.json_like, extra)
     return 0 if rep.verdict else 1
 

@@ -17,13 +17,18 @@ Vertex ids must be 0..n-1 and are used as-is. Duplicate vertex or edge lines
 (in either orientation) are hard errors, as are self-loops. Loading a cover
 instance drops edges both of whose endpoints cost more than the budget; such
 vertices can never be selected, so those edges are dead weight.
+
+Both formats are read by one loop, :func:`_read`. It checks the header, every
+vertex and edge line and the announced edge count, and reports the first
+fault with its line number (comments and blank lines count). ``parse_wpvc``
+and ``parse_mcq`` only build their instance from what it returns.
 """
 
 from __future__ import annotations
 
 from .errors import FormatError, InputError
 from .graph import _trusted_graph
-from .instance import Variant, WpvcInstance, infer_variant, prune_unaffordable, validate
+from .instance import Variant, WpvcInstance, _require_valid, infer_variant, prune_unaffordable
 from .reduction import McqInstance, make_mcq
 
 
@@ -45,73 +50,95 @@ def _int(token: str, lineno: int, what: str) -> int:
     return value
 
 
-def parse_wpvc(text: str, variant: Variant | None = None, prune: bool = True) -> WpvcInstance:
-    """Parse a cover instance; the variant tag is inferred unless overridden.
+# Per format: header fields, the vertex line's tag, value name and usage, the
+# edge line's usage and its largest token count.
+_LAYOUTS = {
+    "wpvc": (("n", "m", "budget", "target"), "v", "cost", "'v <id> <cost>'",
+             "'e <u> <v> [profit]'", 4),
+    "mcq": (("n", "m", "k"), "c", "color", "'c <vertex> <color>'", "'e <u> <v>'", 3),
+}
 
-    Every line is checked here, so the graph is built from the checked,
-    normalized edges without a second validation pass. The instance is then
-    validated only when ``variant`` overrides the inferred tag, since that tag
-    may not fit the weights; an inferred tag always does.
 
-    ``prune`` controls the load-time removal of edges between two vertices the
-    budget cannot afford. Keep it off when the instance is meant for the
-    fractional solver: there an expensive vertex can still be taken partially,
-    so those edges matter.
+def _read(text: str, fmt: str):
+    """Check every line of a ``p <fmt>`` instance; the one reader of both formats.
+
+    Returns the header values, a dict from vertex id to the value of its
+    vertex line (a cost, or a color already checked against 1..k) in file
+    order, and the edges as ``(u, v, profit)`` with ``u < v`` in file order
+    (profit 1 when the line gives none, as clique edge lines never do).
     """
+    fields, vtag, vname, vusage, eusage, most = _LAYOUTS[fmt]
     header = None
-    costs = {}
+    values = {}
     edges = []
     seen_pairs = {}
     for lineno, tokens in _tokenized(text):
         kind = tokens[0]
         if header is None:
-            if kind != "p" or len(tokens) != 6 or tokens[1] != "wpvc":
-                raise FormatError("line %d: expected header 'p wpvc <n> <m> <budget> <target>'"
-                                  % lineno)
-            header = tuple(_int(tokens[2 + i], lineno, name)
-                           for i, name in enumerate(("n", "m", "budget", "target")))
-            continue
-        n = header[0]
-        if kind == "v":
-            if len(tokens) != 3:
-                raise FormatError("line %d: expected 'v <id> <cost>'" % lineno)
-            vid = _int(tokens[1], lineno, "vertex id")
-            if vid >= n:
-                raise FormatError("line %d: vertex id %d outside 0..%d" % (lineno, vid, n - 1))
-            if vid in costs:
-                raise FormatError("line %d: duplicate cost line for vertex %d" % (lineno, vid))
-            costs[vid] = _int(tokens[2], lineno, "cost")
+            if kind != "p" or len(tokens) != 2 + len(fields) or tokens[1] != fmt:
+                raise FormatError("line %d: expected header 'p %s %s'"
+                                  % (lineno, fmt, " ".join("<%s>" % f for f in fields)))
+            header = tuple(_int(t, lineno, f) for t, f in zip(tokens[2:], fields))
+            n = header[0]
+            k = header[2] if fmt == "mcq" else None  # colors lie in 1..k
         elif kind == "e":
-            if len(tokens) not in (3, 4):
-                raise FormatError("line %d: expected 'e <u> <v> [profit]'" % lineno)
+            if not 3 <= len(tokens) <= most:
+                raise FormatError("line %d: expected %s" % (lineno, eusage))
             u = _int(tokens[1], lineno, "endpoint")
             v = _int(tokens[2], lineno, "endpoint")
             if u >= n or v >= n:
                 raise FormatError("line %d: edge endpoint outside 0..%d" % (lineno, n - 1))
             if u == v:
                 raise FormatError("line %d: self-loop at vertex %d" % (lineno, u))
-            pair = (min(u, v), max(u, v))
+            pair = (u, v) if u < v else (v, u)
             if pair in seen_pairs:
                 raise FormatError("line %d: duplicate edge %s (first seen on line %d)"
                                   % (lineno, pair, seen_pairs[pair]))
             seen_pairs[pair] = lineno
             profit = _int(tokens[3], lineno, "profit") if len(tokens) == 4 else 1
             edges.append((pair[0], pair[1], profit))
+        elif kind == vtag:
+            if len(tokens) != 3:
+                raise FormatError("line %d: expected %s" % (lineno, vusage))
+            vid = _int(tokens[1], lineno, "vertex id")
+            if vid >= n:
+                raise FormatError("line %d: vertex id %d outside 0..%d" % (lineno, vid, n - 1))
+            if vid in values:
+                raise FormatError("line %d: duplicate %s line for vertex %d"
+                                  % (lineno, vname, vid))
+            value = values[vid] = _int(tokens[2], lineno, vname)
+            if k is not None and not 1 <= value <= k:
+                raise FormatError("line %d: color %d outside 1..%d" % (lineno, value, k))
         else:
             raise FormatError("line %d: unknown line type %r" % (lineno, kind))
     if header is None:
-        raise FormatError("missing 'p wpvc' header")
-    n, m, budget, target = header
-    if len(edges) != m:
-        raise FormatError("header announces %d edges but %d were given" % (m, len(edges)))
+        raise FormatError("missing 'p %s' header" % fmt)
+    if len(edges) != header[1]:
+        raise FormatError("header announces %d edges but %d were given"
+                          % (header[1], len(edges)))
+    return header, values, edges
+
+
+def parse_wpvc(text: str, variant: Variant | None = None, prune: bool = True) -> WpvcInstance:
+    """Parse a cover instance; the variant tag is inferred unless overridden.
+
+    Every line is checked by the reader, so the graph is built from the
+    checked, normalized edges without a second validation pass. The instance
+    is then validated only when ``variant`` overrides the inferred tag, since
+    that tag may not fit the weights; an inferred tag always does.
+
+    ``prune`` controls the load-time removal of edges between two vertices the
+    budget cannot afford. Keep it off when the instance is meant for the
+    fractional solver: there an expensive vertex can still be taken partially,
+    so those edges matter.
+    """
+    (n, _, budget, target), costs, edges = _read(text, "wpvc")
     g = _trusted_graph(n, edges, [costs.get(v, 1) for v in range(n)])
     if variant is None:
         inst = WpvcInstance(g, budget, target, infer_variant(g))
     else:
         inst = WpvcInstance(g, budget, target, Variant(variant))
-        problems = validate(inst)
-        if problems:
-            raise InputError("; ".join(problems))
+        _require_valid(inst)
     return prune_unaffordable(inst) if prune else inst
 
 
@@ -129,53 +156,7 @@ def write_wpvc(inst: WpvcInstance, comments=()) -> str:
 
 def parse_mcq(text: str) -> McqInstance:
     """Parse a multicolored-clique instance; intra-class edges are normalized away."""
-    header = None
-    colors = {}
-    edges = []
-    seen_pairs = {}
-    for lineno, tokens in _tokenized(text):
-        kind = tokens[0]
-        if header is None:
-            if kind != "p" or len(tokens) != 5 or tokens[1] != "mcq":
-                raise FormatError("line %d: expected header 'p mcq <n> <m> <k>'" % lineno)
-            header = tuple(_int(tokens[2 + i], lineno, name)
-                           for i, name in enumerate(("n", "m", "k")))
-            continue
-        n, _, k = header
-        if kind == "c":
-            if len(tokens) != 3:
-                raise FormatError("line %d: expected 'c <vertex> <color>'" % lineno)
-            vid = _int(tokens[1], lineno, "vertex id")
-            if vid >= n:
-                raise FormatError("line %d: vertex id %d outside 0..%d" % (lineno, vid, n - 1))
-            if vid in colors:
-                raise FormatError("line %d: duplicate color line for vertex %d" % (lineno, vid))
-            color = _int(tokens[2], lineno, "color")
-            if not 1 <= color <= k:
-                raise FormatError("line %d: color %d outside 1..%d" % (lineno, color, k))
-            colors[vid] = color
-        elif kind == "e":
-            if len(tokens) != 3:
-                raise FormatError("line %d: expected 'e <u> <v>'" % lineno)
-            u = _int(tokens[1], lineno, "endpoint")
-            v = _int(tokens[2], lineno, "endpoint")
-            if u >= n or v >= n:
-                raise FormatError("line %d: edge endpoint outside 0..%d" % (lineno, n - 1))
-            if u == v:
-                raise FormatError("line %d: self-loop at vertex %d" % (lineno, u))
-            pair = (min(u, v), max(u, v))
-            if pair in seen_pairs:
-                raise FormatError("line %d: duplicate edge %s (first seen on line %d)"
-                                  % (lineno, pair, seen_pairs[pair]))
-            seen_pairs[pair] = lineno
-            edges.append((u, v))
-        else:
-            raise FormatError("line %d: unknown line type %r" % (lineno, kind))
-    if header is None:
-        raise FormatError("missing 'p mcq' header")
-    n, m, k = header
-    if len(edges) != m:
-        raise FormatError("header announces %d edges but %d were given" % (m, len(edges)))
+    (n, _, k), colors, edges = _read(text, "mcq")
     missing = [v for v in range(n) if v not in colors]
     if missing:
         raise FormatError("vertex %d has no color line" % missing[0])

@@ -359,14 +359,10 @@ def max_matching(g: Graph, bp: Bipartition) -> Matching:
             if pair[u] == -1 and augment(u):
                 size += 1
 
-    index = {(u, v): e for e, (u, v, _) in enumerate(g.edges)}
-    ids = set()
-    for u in left:
-        if pair[u] != -1:
-            a, b = (u, pair[u]) if u < pair[u] else (pair[u], u)
-            ids.add(index[(a, b)])
+    ids = frozenset(e for u in left if pair[u] != -1
+                    for e in g.adjacency[u] if g.other_end(e, u) == pair[u])
     assert len(ids) == size
-    return Matching(edge_ids=frozenset(ids), size=size)
+    return Matching(edge_ids=ids, size=size)
 
 
 def min_vertex_cover(g: Graph, bp: Bipartition, matching: Matching) -> frozenset[int]:

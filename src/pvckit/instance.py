@@ -116,9 +116,7 @@ def make_instance(n, edges, costs=None, *, budget, target, variant=None,
     if variant is None:
         variant = infer_variant(g)
     inst = WpvcInstance(g, budget, target, Variant(variant), bipartite_required)
-    problems = validate(inst)
-    if problems:
-        raise InputError("; ".join(problems))
+    _require_valid(inst)
     return inst
 
 
@@ -160,6 +158,15 @@ def _validate(inst: WpvcInstance):
             problems.append("graph must be bipartite but contains odd cycle %s"
                             % (list(bp.odd_cycle),))
     return problems, bp
+
+
+def _require_valid(inst: WpvcInstance):
+    """Raise InputError unless ``inst`` is valid; return the bipartition the
+    check computed, or None when the instance does not require one."""
+    problems, bp = _validate(inst)
+    if problems:
+        raise InputError("; ".join(problems))
+    return bp
 
 
 def residual(inst: WpvcInstance, v: int) -> WpvcInstance:

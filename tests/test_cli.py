@@ -2,9 +2,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import pvckit.cli
 from helpers import long_augmenting_path
-from pvckit import Variant, WpvcInstance, parse_wpvc, write_wpvc
+from pvckit import SolveReport, Variant, WpvcInstance, make_solution, parse_wpvc, write_wpvc
 from pvckit.cli import main
 
 PATH3 = "p wpvc 3 2 1 2\ne 0 1\ne 1 2\n"
@@ -106,6 +108,35 @@ class TestSolve:
         f.write_text("p wpvc 2 1 1 2\nv 0 2\nv 1 2\ne 0 1 4\n")
         code, out, _ = run_cli(["solve", "--alg", "fractional", str(f)], capsys)
         assert code == 0 and "fractional=0 extent=1/2" in out
+
+    @pytest.mark.parametrize("vertices, matching", [
+        pytest.param({0, 1, 2}, {0, 2}, id="above-k1-vertices"),
+        pytest.param({0, 4}, {0, 3}, id="below-k2-covered"),
+        pytest.param({1, 2}, {0, 3}, id="matched-edge-uncovered"),
+        pytest.param({1, 2}, {0, 1}, id="matched-edges-share-a-vertex"),
+        pytest.param({1, 2}, {0}, id="below-k3-matched"),
+    ])
+    def test_pvcbm_verify_rejects_bad_witness(self, tmp_path, capsys, monkeypatch,
+                                              vertices, matching):
+        def bad(g, k1, k2, k3):
+            return SolveReport(True, make_solution(g, vertices), 0, 0, 0.0,
+                               matching_edge_ids=frozenset(matching))
+
+        monkeypatch.setattr(pvckit.cli, "solve_pvcbm", bad)
+        f = tmp_path / "path5.wpvc"
+        f.write_text("p wpvc 5 4 2 3\ne 0 1\ne 1 2\ne 2 3\ne 3 4\n")
+        code, out, err = run_cli(
+            ["solve", "--alg", "pvcbm", "--k3", "2", "--verify", str(f)], capsys)
+        assert code == 2 and "verify=ok" not in out
+        assert "witness failed re-verification" in err
+
+    def test_pvcbm_verify_checks_witness_above_oracle_cap(self, tmp_path, capsys):
+        f = tmp_path / "path30.wpvc"
+        f.write_text("p wpvc 30 29 15 29\n"
+                     + "".join("e %d %d\n" % (i, i + 1) for i in range(29)))
+        code, out, _ = run_cli(
+            ["solve", "--alg", "pvcbm", "--k3", "10", "--verify", str(f)], capsys)
+        assert code == 0 and "verdict=yes" in out and "verify=ok" in out
 
 
 class TestOracleCmd:
