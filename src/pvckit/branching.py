@@ -13,12 +13,12 @@ are hard assertions, not hopes.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from .errors import InputError, NotBipartiteError, VariantError
 from .graph import LEFT, RIGHT, Graph, NotBipartite, _derived_graph, bipartition
 from .instance import SolveReport, Variant, WpvcInstance, _require_valid, make_solution
 from .instance import residual  # noqa: F401  perfbench/tracing.py checks this binding
-from .instance import _validate  # noqa: F401  tests/test_trust.py patches this binding
 
 
 def _require_bipartite(inst: WpvcInstance, unit_costs: bool = False):
@@ -69,9 +69,8 @@ def _take_free_coverage(inst: WpvcInstance):
         return taken, inst
     kept = [(u, w, p) for u, w, p in g.edges if not (forced[u] or forced[w])]
     gain = g.total_profit() - sum(p for _, _, p in kept)
-    return taken, WpvcInstance(_derived_graph(g, g.n, kept, g.costs), inst.budget,
-                               max(0, inst.target - gain), inst.variant,
-                               inst.bipartite_required)
+    return taken, replace(inst, graph=_derived_graph(g, g.n, kept, g.costs),
+                          target=max(0, inst.target - gain))
 
 
 def _search(inst: WpvcInstance, rule, depth_bound: int, t0: float) -> SolveReport:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from . import bench as bench_mod
@@ -30,19 +29,20 @@ from .pvcbm import solve_pvcbm
 from .reduction import pendantize, reduce_mcq_to_wpvcbd
 
 
+# The brute-force oracle that checks each solver's verdict.
+_ORACLE_KIND = {"epvcbd": "wpvc", "bounded-degree": "wpvc", "by-L": "wpvc",
+                "fractional": "fractional", "pvcbm": "pvcbm"}
+
+
 def _num(x):
     if isinstance(x, Fraction) and x.denominator != 1:
         return str(x)
     return int(x)
 
 
-def _report_dict(rep, g=None):
-    out = {
-        "verdict": "yes" if rep.verdict else "no",
-        "nodes_expanded": rep.nodes_expanded,
-        "max_depth": rep.max_depth,
-        "wall_ms": round(rep.wall_time * 1000.0, 3),
-    }
+def _report_dict(rep, g, verified=False):
+    """The report as an ordered record: text prints it in this order."""
+    out = {"verdict": "yes" if rep.verdict else "no"}
     if rep.witness is not None:
         out["witness"] = sorted(rep.witness.vertices)
         if rep.witness.fractional is not None:
@@ -50,31 +50,34 @@ def _report_dict(rep, g=None):
             out["fractional"] = {"vertex": w, "extent": str(extent)}
         out["cost"] = _num(rep.witness.cost)
         out["profit"] = _num(rep.witness.profit)
-    if rep.matching_edge_ids is not None and g is not None:
+    if rep.matching_edge_ids is not None:
         out["matching"] = sorted(g.edges[e][:2] for e in rep.matching_edge_ids)
+    out["nodes_expanded"] = rep.nodes_expanded
+    out["max_depth"] = rep.max_depth
+    out["wall_ms"] = round(rep.wall_time * 1000.0, 3)
+    if verified:
+        out["verify"] = "ok"
     return out
 
 
-def _print_report(rep, g=None, json_like=False, extra=()):
-    data = _report_dict(rep, g)
+def _text(value) -> str:
+    """A record value as text: lists space-joined, with pairs as ``u-v``, and
+    the fractional vertex as ``w extent=e``."""
+    if isinstance(value, list):
+        return " ".join("%d-%d" % x if isinstance(x, tuple) else str(x) for x in value)
+    if isinstance(value, dict):
+        return "%(vertex)s extent=%(extent)s" % value
+    return str(value)
+
+
+def _print_record(record, json_like: bool) -> None:
+    """One JSON object, or one ``key=value`` line per field that is not None."""
     if json_like:
-        print(json.dumps(data, sort_keys=True))
+        print(json.dumps(record, sort_keys=True))
         return
-    print("verdict=%s" % data["verdict"])
-    if "witness" in data:
-        print("witness=%s" % " ".join(str(v) for v in data["witness"]))
-        if "fractional" in data:
-            print("fractional=%s extent=%s"
-                  % (data["fractional"]["vertex"], data["fractional"]["extent"]))
-        print("cost=%s" % data["cost"])
-        print("profit=%s" % data["profit"])
-    if "matching" in data:
-        print("matching=%s" % " ".join("%d-%d" % (u, v) for u, v in data["matching"]))
-    print("nodes_expanded=%d" % data["nodes_expanded"])
-    print("max_depth=%d" % data["max_depth"])
-    print("wall_ms=%s" % data["wall_ms"])
-    for line in extra:
-        print(line)
+    for key, value in record.items():
+        if value is not None:
+            print("%s=%s" % (key, _text(value)))
 
 
 def _read(path: str) -> str:
@@ -82,16 +85,47 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _verify_witness(inst: WpvcInstance, rep, k3: int | None = None) -> None:
-    """Re-check a yes witness against the graph: cost within the budget,
-    profit up to the target and, given ``k3``, at least k3 pairwise disjoint
-    reported matching edges, all of them covered by the witness."""
+def _write(text: str, out) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _load(text: str, args, kind: str) -> WpvcInstance:
+    # Load-time pruning keys off the header budget; only apply it when that
+    # budget is what the solver or oracle runs with.
+    return parse_wpvc(text, variant=args.variant, prune=kind == "wpvc")
+
+
+def _ks(args, inst: WpvcInstance, flag: str) -> tuple[int, int, int]:
+    """k1, k2, k3 for the matching-constrained cover; k1 and k2 default to
+    the header's budget and target."""
+    if args.k3 is None:
+        raise InputError("--k3 is required for %s pvcbm" % flag)
+    return (inst.budget if args.k1 is None else args.k1,
+            inst.target if args.k2 is None else args.k2, args.k3)
+
+
+def _oracle(kind: str, inst: WpvcInstance, ks, cap: int):
+    if kind == "pvcbm":
+        return oracle_pvcbm(inst.graph, *ks, cap=cap)
+    return (oracle_fractional if kind == "fractional" else oracle_wpvc)(inst, cap=cap)
+
+
+def _verify_witness(inst: WpvcInstance, rep, ks=None) -> None:
+    """Re-check a yes witness against the graph: cost within the budget and
+    profit up to the target (k1 and k2 when pvcbm's ``ks`` is given) and,
+    given ``ks``, at least k3 pairwise disjoint reported matching edges, all
+    of them covered by the witness."""
     if rep.witness is None:
         return
+    budget, target, k3 = ks or (inst.budget, inst.target, None)
     w = rep.witness
     g = inst.graph
     sol = make_solution(g, w.vertices, w.fractional)
-    ok = sol.cost <= inst.budget and sol.profit >= inst.target
+    ok = sol.cost <= budget and sol.profit >= target
     if k3 is not None:
         matched = rep.matching_edge_ids or frozenset()
         ends = [v for e in matched & coverage(g, w.vertices)[0] for v in g.edges[e][:2]]
@@ -103,11 +137,9 @@ def _verify_witness(inst: WpvcInstance, rep, k3: int | None = None) -> None:
 
 
 def _cmd_solve(args) -> int:
-    # Load-time pruning keys off the header budget; only apply it when that
-    # budget is what the solver runs with.
-    inst = parse_wpvc(_read(args.file), variant=args.variant,
-                      prune=args.alg in ("epvcbd", "bounded-degree", "by-L"))
-    extra = []
+    kind = _ORACLE_KIND[args.alg]
+    inst = _load(_read(args.file), args, kind)
+    ks = _ks(args, inst, "--alg") if kind == "pvcbm" else None
     if args.alg == "epvcbd":
         rep = solve_epvcbd(inst)
     elif args.alg == "bounded-degree":
@@ -118,25 +150,15 @@ def _cmd_solve(args) -> int:
     elif args.alg == "fractional":
         rep = solve_wpvcbfd(inst)
     else:  # pvcbm
-        k1 = args.k1 if args.k1 is not None else inst.budget
-        k2 = args.k2 if args.k2 is not None else inst.target
-        if args.k3 is None:
-            raise InputError("--k3 is required for --alg pvcbm")
-        rep = solve_pvcbm(inst.graph, k1, k2, args.k3)
+        rep = solve_pvcbm(inst.graph, *ks)
     if args.verify:
-        if args.alg == "pvcbm":
-            _verify_witness(replace(inst, budget=k1, target=k2), rep, args.k3)
-            check = (oracle_pvcbm(inst.graph, k1, k2, args.k3)
-                     if inst.graph.n <= DEFAULT_CAP else None)
-        else:
-            _verify_witness(inst, rep)
-            selectable = sum(1 for c in inst.graph.costs if c <= inst.budget)
-            oracle = oracle_fractional if args.alg == "fractional" else oracle_wpvc
-            check = oracle(inst) if selectable <= DEFAULT_CAP else None
-        if check is not None and check.verdict != rep.verdict:
-            raise InputError("verdict disagrees with the brute-force oracle")
-        extra.append("verify=ok")
-    _print_report(rep, inst.graph, args.json_like, extra)
+        _verify_witness(inst, rep, ks)
+        try:
+            if _oracle(kind, inst, ks, DEFAULT_CAP).verdict != rep.verdict:
+                raise InputError("verdict disagrees with the brute-force oracle")
+        except OracleScaleError:
+            pass  # too big to brute-force; the witness check above stands
+    _print_record(_report_dict(rep, inst.graph, args.verify), args.json_like)
     return 0 if rep.verdict else 1
 
 
@@ -147,27 +169,14 @@ def _cmd_oracle(args) -> int:
         kind = "mcq" if sniff_format(text) == "mcq" else "wpvc"
     if kind == "mcq":
         verdict = oracle_mcq(parse_mcq(text))
-        if args.json_like:
-            print(json.dumps({"verdict": "yes" if verdict.yes else "no",
-                              "clique": list(verdict.clique) if verdict.clique else None},
-                             sort_keys=True))
-        else:
-            print("verdict=%s" % ("yes" if verdict.yes else "no"))
-            if verdict.clique:
-                print("clique=%s" % " ".join(str(v) for v in verdict.clique))
+        _print_record({"verdict": "yes" if verdict.yes else "no",
+                       "clique": list(verdict.clique) if verdict.clique else None},
+                      args.json_like)
         return 0 if verdict.yes else 1
-    inst = parse_wpvc(text, variant=args.variant, prune=kind == "wpvc")
-    if kind == "fractional":
-        rep = oracle_fractional(inst, cap=args.cap)
-    elif kind == "pvcbm":
-        if args.k3 is None:
-            raise InputError("--k3 is required for --kind pvcbm")
-        k1 = args.k1 if args.k1 is not None else inst.budget
-        k2 = args.k2 if args.k2 is not None else inst.target
-        rep = oracle_pvcbm(inst.graph, k1, k2, args.k3, cap=args.cap)
-    else:
-        rep = oracle_wpvc(inst, cap=args.cap)
-    _print_report(rep, inst.graph, args.json_like)
+    inst = _load(text, args, kind)
+    ks = _ks(args, inst, "--kind") if kind == "pvcbm" else None
+    rep = _oracle(kind, inst, ks, args.cap)
+    _print_record(_report_dict(rep, inst.graph), args.json_like)
     return 0 if rep.verdict else 1
 
 
@@ -183,12 +192,7 @@ def _cmd_reduce(args) -> int:
                  for i in range(out.source_n)]
     comments += ["role %d %s" % (x, role) for x, role in enumerate(out.roles)
                  if not role.startswith("pendant")]
-    text = write_wpvc(out.instance, comments)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(write_wpvc(out.instance, comments), args.out)
     return 0
 
 
@@ -207,11 +211,7 @@ def _cmd_gen(args) -> int:
                                             profit_max=args.profit_max)
         inst = WpvcInstance(g, args.budget, args.target, infer_variant(g), False)
         text = write_wpvc(inst, ["seed %d" % args.seed])
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     return 0
 
 
@@ -235,32 +235,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact parameterized solvers for partial vertex cover variants.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="run one of the exact solvers on an instance file")
-    solve.add_argument("file")
-    solve.add_argument("--alg", required=True,
-                       choices=["epvcbd", "bounded-degree", "by-L", "fractional", "pvcbm"])
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("file")
+    shared.add_argument("--k1", type=int, default=None)
+    shared.add_argument("--k2", type=int, default=None)
+    shared.add_argument("--k3", type=int, default=None)
+    shared.add_argument("--variant", choices=[v.value for v in Variant], default=None,
+                        help="override the variant tag inferred from the weights")
+    shared.add_argument("--json-like", action="store_true")
+
+    solve = sub.add_parser("solve", parents=[shared],
+                           help="run one of the exact solvers on an instance file")
+    solve.add_argument("--alg", required=True, choices=list(_ORACLE_KIND))
     solve.add_argument("--degree-bound", type=int, default=None,
                        help="degree bound for --alg bounded-degree (default: graph maximum)")
-    solve.add_argument("--k1", type=int, default=None)
-    solve.add_argument("--k2", type=int, default=None)
-    solve.add_argument("--k3", type=int, default=None)
-    solve.add_argument("--variant", choices=[v.value for v in Variant], default=None,
-                       help="override the variant tag inferred from the weights")
     solve.add_argument("--verify", action="store_true",
                        help="re-check the witness and, on small instances, the verdict")
-    solve.add_argument("--json-like", action="store_true")
     solve.set_defaults(func=_cmd_solve)
 
-    oracle = sub.add_parser("oracle", help="run a brute-force oracle on an instance file")
-    oracle.add_argument("file")
-    oracle.add_argument("--kind", choices=["auto", "wpvc", "fractional", "pvcbm", "mcq"],
-                        default="auto")
+    oracle = sub.add_parser("oracle", parents=[shared],
+                            help="run a brute-force oracle on an instance file")
+    oracle.add_argument("--kind", default="auto",
+                        choices=["auto", *dict.fromkeys(_ORACLE_KIND.values()), "mcq"])
     oracle.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    oracle.add_argument("--k1", type=int, default=None)
-    oracle.add_argument("--k2", type=int, default=None)
-    oracle.add_argument("--k3", type=int, default=None)
-    oracle.add_argument("--variant", choices=[v.value for v in Variant], default=None)
-    oracle.add_argument("--json-like", action="store_true")
     oracle.set_defaults(func=_cmd_oracle)
 
     reduce_p = sub.add_parser("reduce",

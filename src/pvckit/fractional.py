@@ -11,7 +11,7 @@ profit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
@@ -150,8 +150,7 @@ def solve_wpvcbfd(inst: WpvcInstance) -> SolveReport:
         # Irrelevant to feasibility, and any zero-cost vertex left after the
         # free pass has only such edges; dropping them keeps expand happy.
         kept = [e for e in cur.graph.edges if e[2] > 0]
-        cur = WpvcInstance(_derived_graph(cur.graph, cur.graph.n, kept, cur.graph.costs),
-                           cur.budget, cur.target, cur.variant, cur.bipartite_required)
+        cur = replace(cur, graph=_derived_graph(cur.graph, cur.graph.n, kept, cur.graph.costs))
     expanded, smap = expand(cur, bp)
     rep = _solve_epvcbd(expanded, tuple(bp.side[v] for v in smap.origin), t0)
     if not rep.verdict:

@@ -49,19 +49,12 @@ class Graph:
     def vertices(self) -> range:
         return range(self.n)
 
-    def endpoints(self, e: int) -> tuple[int, int]:
-        u, v, _ = self.edges[e]
-        return u, v
-
     def profit(self, e: int) -> int:
         return self.edges[e][2]
 
     def other_end(self, e: int, v: int) -> int:
         u, w, _ = self.edges[e]
         return w if v == u else u
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
 
     def max_degree(self) -> int:
         return max((len(adj) for adj in self.adjacency), default=0)

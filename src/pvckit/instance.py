@@ -15,7 +15,7 @@ built by hand as ``Graph(...)``; every solver validates its input on entry.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import InputError
@@ -98,6 +98,8 @@ def make_solution(g: Graph, vertices, fractional=None) -> CoverSolution:
         extent = Fraction(extent)
         if not 0 < extent < 1:
             raise InputError("fractional extent must lie strictly between 0 and 1")
+        if not (isinstance(w, int) and 0 <= w < g.n):
+            raise InputError("invalid vertex id %r" % (w,))
         if w in vertices:
             raise InputError("vertex %d is both integral and fractional" % w)
         sole = sum(g.profit(e) for e in g.adjacency[w] if e not in covered)
@@ -185,13 +187,8 @@ def residual(inst: WpvcInstance, v: int) -> WpvcInstance:
     gain = weighted_degree(g, v)
     drop = set(g.adjacency[v])
     kept = [g.edges[e] for e in range(g.m) if e not in drop]
-    return WpvcInstance(
-        graph=_derived_graph(g, g.n, kept, g.costs),
-        budget=inst.budget - g.costs[v],
-        target=max(0, inst.target - gain),
-        variant=inst.variant,
-        bipartite_required=inst.bipartite_required,
-    )
+    return replace(inst, graph=_derived_graph(g, g.n, kept, g.costs),
+                   budget=inst.budget - g.costs[v], target=max(0, inst.target - gain))
 
 
 def is_trivial(inst: WpvcInstance):
@@ -224,10 +221,4 @@ def prune_unaffordable(inst: WpvcInstance) -> WpvcInstance:
     kept = [edge for edge in g.edges if not (dead[edge[0]] and dead[edge[1]])]
     if len(kept) == g.m:
         return inst
-    return WpvcInstance(
-        graph=_derived_graph(g, g.n, kept, g.costs),
-        budget=inst.budget,
-        target=inst.target,
-        variant=inst.variant,
-        bipartite_required=inst.bipartite_required,
-    )
+    return replace(inst, graph=_derived_graph(g, g.n, kept, g.costs))

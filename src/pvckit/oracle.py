@@ -116,6 +116,8 @@ def oracle_fractional(inst: WpvcInstance, cap: int = DEFAULT_CAP,
     else:
         frac_pool = sorted(set(fractional_candidates))
         for w in frac_pool:
+            if not (isinstance(w, int) and 0 <= w < g.n):
+                raise InputError("invalid vertex id %r" % (w,))
             if g.costs[w] == 0:
                 raise InputError("zero-cost vertex %d cannot be a fractional candidate" % w)
     examined = 0

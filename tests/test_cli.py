@@ -262,3 +262,71 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "solve" in proc.stdout
+
+
+FRAC_HALF = "p wpvc 2 1 1 2\nv 0 2\nv 1 2\ne 0 1 4\n"
+C4 = "p wpvc 4 4 2 4\ne 0 1\ne 1 2\ne 2 3\ne 0 3\n"
+MCQ_NO_CLIQUE = "p mcq 2 0 2\nc 0 1\nc 1 2\n"
+
+
+def _text_fields(out):
+    return dict(line.partition("=")[::2] for line in out.splitlines())
+
+
+def _json_as_text(data):
+    # How each JSON value reads in the key=value form; null fields are omitted there.
+    def text(value):
+        if isinstance(value, list):
+            return " ".join("%d-%d" % tuple(x) if isinstance(x, list) else str(x)
+                            for x in value)
+        if isinstance(value, dict):
+            return "%s extent=%s" % (value["vertex"], value["extent"])
+        return str(value)
+
+    return {key: text(value) for key, value in data.items() if value is not None}
+
+
+class TestReportParity:
+    """Text and ``--json-like`` reports carry the same fields and values."""
+
+    @staticmethod
+    def both_forms(tmp_path, capsys, args, text):
+        f = tmp_path / "instance.txt"
+        f.write_text(text)
+        code, out, err = run_cli(args + [str(f)], capsys)
+        json_code, json_out, _ = run_cli(args + ["--json-like", str(f)], capsys)
+        assert code == json_code and code in (0, 1), err
+        fields = _text_fields(out)
+        data = _json_as_text(json.loads(json_out))
+        # Timing differs between the two runs, so only its presence is compared.
+        assert ("wall_ms" in fields) == (data.pop("wall_ms", None) is not None)
+        fields.pop("wall_ms", None)
+        return fields, data
+
+    @pytest.mark.parametrize("verify", [False, True], ids=["plain", "verify"])
+    @pytest.mark.parametrize("alg, extra, text", [
+        pytest.param("epvcbd", [], PATH3, id="epvcbd-yes"),
+        pytest.param("epvcbd", [], PATH3_L3, id="epvcbd-no"),
+        pytest.param("bounded-degree", [], PATH3, id="bounded-degree"),
+        pytest.param("by-L", [], PATH3, id="by-L"),
+        pytest.param("fractional", [], FRAC_HALF, id="fractional"),
+        pytest.param("pvcbm", ["--k3", "1"], PATH3, id="pvcbm"),
+    ])
+    def test_solve(self, tmp_path, capsys, alg, extra, text, verify):
+        args = ["solve", "--alg", alg] + extra + (["--verify"] if verify else [])
+        fields, data = self.both_forms(tmp_path, capsys, args, text)
+        assert fields == data
+        assert ("verify" in fields) == verify
+
+    @pytest.mark.parametrize("kind, extra, text", [
+        pytest.param("auto", [], PATH3, id="auto"),
+        pytest.param("wpvc", [], PATH3_L3, id="wpvc-no"),
+        pytest.param("fractional", [], FRAC_HALF, id="fractional"),
+        pytest.param("pvcbm", ["--k3", "2"], C4, id="pvcbm"),
+        pytest.param("mcq", [], MCQ_PAIR, id="mcq-yes"),
+        pytest.param("mcq", [], MCQ_NO_CLIQUE, id="mcq-no"),
+    ])
+    def test_oracle(self, tmp_path, capsys, kind, extra, text):
+        fields, data = self.both_forms(tmp_path, capsys, ["oracle", "--kind", kind] + extra,
+                                       text)
+        assert fields == data

@@ -142,3 +142,10 @@ class TestMakeSolution:
         g = make_graph(2, [(0, 1)])
         with pytest.raises(InputError):
             make_solution(g, set(), (0, 1))
+
+    @pytest.mark.parametrize("w", [-1, 3])
+    def test_rejects_fractional_vertex_out_of_range(self, w):
+        from fractions import Fraction
+        g = make_graph(3, [(0, 1, 4), (1, 2, 2)], costs=[1, 2, 1])
+        with pytest.raises(InputError, match="invalid vertex id"):
+            make_solution(g, {0}, (w, Fraction(1, 2)))

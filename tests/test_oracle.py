@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import c4, path3, random_instance, relabeled, star
-from pvckit import (OracleScaleError, Variant, WpvcInstance, make_graph, make_instance)
+from pvckit import (InputError, OracleScaleError, Variant, WpvcInstance, make_graph,
+                    make_instance)
 from pvckit.generators import random_mcq
 from pvckit.oracle import (oracle_fractional, oracle_mcq, oracle_pvcbm, oracle_wpvc)
 from pvckit.reduction import make_mcq
@@ -70,6 +71,12 @@ class TestOracleFractional:
             assert plain.verdict == crippled.verdict
             if plain.verdict:
                 assert plain.witness.vertices == crippled.witness.vertices
+
+    @pytest.mark.parametrize("w", [-1, 2])
+    def test_rejects_fractional_candidate_out_of_range(self, w):
+        inst = make_instance(2, [(0, 1, 4)], costs=[2, 2], budget=1, target=2)
+        with pytest.raises(InputError, match="invalid vertex id"):
+            oracle_fractional(inst, fractional_candidates=[0, w])
 
 
 class TestOraclePvcbm:
