@@ -79,35 +79,41 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, t0: float) -> SolveRepor
     The root first forces the zero-cost vertices that cover positive profit
     (see :func:`_force_free`). No node below it has another such vertex,
     since forcing only lowers live profit, and backtracking never un-forces
-    the root's vertices, which sit below every frame's chain base. Each node
-    recomputes weighted degrees, budget and target from the live edges in one
-    pass, exactly as :func:`residual` would. A zero target is a yes; a zero
-    budget or a target above the live profit is a no. Otherwise
-    ``rule(wdeg, budget, target, forced)`` returns None for a no,
-    ``(take, None)`` when the vertices ``take`` finish the cover, or
-    ``(None, branch)`` to try each vertex of ``branch`` in turn, skipping
-    those the node cannot afford. Backtracking truncates the witness chain
-    and clears the forced bits of the vertices it drops.
+    the root's vertices, which sit below every frame's chain base.
+
+    The weighted degrees ``wdeg`` and the live profit are computed once, after
+    the root's free vertices are forced, and then kept up to date: forcing a
+    vertex subtracts each of its live edges (other end not forced) from both
+    endpoints' ``wdeg`` and from the live profit, and backtracking adds them
+    back as it pops vertices off the chain, in reverse chain order. So a step
+    costs O(deg v), and every node sees exactly what :func:`residual` would
+    give. The target is the instance target less the profit already covered.
+    A zero target is a yes; a zero budget or a target above the live profit
+    is a no. Otherwise ``rule(wdeg, budget, target, forced)`` returns None
+    for a no, ``(take, None)`` when the vertices ``take`` finish the cover,
+    or ``(None, branch)`` to try each vertex of ``branch`` in turn, skipping
+    those the node cannot afford. Rules read ``wdeg`` and ``forced`` and must
+    not write to either: the search owns that state across nodes.
     """
     g = inst.graph
-    edges, costs = g.edges, g.costs
-    total = g.total_profit()
+    edges, costs, adjacency = g.edges, g.costs, g.adjacency
     forced = [False] * g.n
     chain = _force_free(g, forced)
+    wdeg = [0] * g.n
+    live = 0
+    for u, w, p in edges:
+        if not (forced[u] or forced[w]):
+            wdeg[u] += p
+            wdeg[w] += p
+            live += p
+    slack = g.total_profit() - inst.target  # live profit that may stay uncovered
     stack = []  # one frame per branching node: (branch iterator, chain length, budget)
     budget = inst.budget
     nodes = deepest = 0
     while True:
         assert len(stack) <= depth_bound
         deepest = max(deepest, len(stack))
-        wdeg = [0] * g.n
-        live = 0
-        for u, w, p in edges:
-            if not (forced[u] or forced[w]):
-                wdeg[u] += p
-                wdeg[w] += p
-                live += p
-        target = max(0, inst.target - (total - live))
+        target = max(0, live - slack)
         if target == 0:
             break
         found = rule(wdeg, budget, target, forced) if 0 < budget and target <= live else None
@@ -121,9 +127,23 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, t0: float) -> SolveRepor
         while stack:
             branch, base, budget = stack[-1]
             while len(chain) > base:
-                forced[chain.pop()] = False
+                v = chain.pop()
+                forced[v] = False
+                for e in adjacency[v]:
+                    u, w, p = edges[e]
+                    if not forced[w if u == v else u]:
+                        wdeg[u] += p
+                        wdeg[w] += p
+                        live += p
             v = next((v for v in branch if costs[v] <= budget), None)
             if v is not None:
+                assert not forced[v]
+                for e in adjacency[v]:
+                    u, w, p = edges[e]
+                    if not forced[w if u == v else u]:
+                        wdeg[u] -= p
+                        wdeg[w] -= p
+                        live -= p
                 forced[v] = True
                 chain.append(v)
                 budget -= costs[v]

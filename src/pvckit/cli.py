@@ -99,9 +99,16 @@ def _load(text: str, args, kind: str) -> WpvcInstance:
     return parse_wpvc(text, variant=args.variant, prune=kind == "wpvc")
 
 
-def _ks(args, inst: WpvcInstance, flag: str) -> tuple[int, int, int]:
+def _ks(args, kind: str, flag: str, inst: WpvcInstance | None = None):
     """k1, k2, k3 for the matching-constrained cover; k1 and k2 default to
-    the header's budget and target."""
+    the header's budget and target. Every other kind takes none of the
+    three: giving one is an error, and the result is None."""
+    if kind != "pvcbm":
+        given = [k for k in ("k1", "k2", "k3") if getattr(args, k) is not None]
+        if given:
+            raise InputError("--%s applies only to %s pvcbm; the instance header"
+                             " gives the budget and target" % (given[0], flag))
+        return None
     if args.k3 is None:
         raise InputError("--k3 is required for %s pvcbm" % flag)
     return (inst.budget if args.k1 is None else args.k1,
@@ -139,7 +146,7 @@ def _verify_witness(inst: WpvcInstance, rep, ks=None) -> None:
 def _cmd_solve(args) -> int:
     kind = _ORACLE_KIND[args.alg]
     inst = _load(_read(args.file), args, kind)
-    ks = _ks(args, inst, "--alg") if kind == "pvcbm" else None
+    ks = _ks(args, kind, "--alg", inst)
     if args.alg == "epvcbd":
         rep = solve_epvcbd(inst)
     elif args.alg == "bounded-degree":
@@ -168,13 +175,14 @@ def _cmd_oracle(args) -> int:
     if kind == "auto":
         kind = "mcq" if sniff_format(text) == "mcq" else "wpvc"
     if kind == "mcq":
+        _ks(args, kind, "--kind")
         verdict = oracle_mcq(parse_mcq(text))
         _print_record({"verdict": "yes" if verdict.yes else "no",
                        "clique": list(verdict.clique) if verdict.clique else None},
                       args.json_like)
         return 0 if verdict.yes else 1
     inst = _load(text, args, kind)
-    ks = _ks(args, inst, "--kind") if kind == "pvcbm" else None
+    ks = _ks(args, kind, "--kind", inst)
     rep = _oracle(kind, inst, ks, args.cap)
     _print_record(_report_dict(rep, inst.graph), args.json_like)
     return 0 if rep.verdict else 1

@@ -26,10 +26,10 @@ and ``parse_mcq`` only build their instance from what it returns.
 
 from __future__ import annotations
 
-from .errors import FormatError, InputError
+from .errors import FormatError
 from .graph import _trusted_graph
 from .instance import Variant, WpvcInstance, _require_valid, infer_variant, prune_unaffordable
-from .reduction import McqInstance, make_mcq
+from .reduction import McqInstance, _normalized_mcq
 
 
 def _tokenized(text: str):
@@ -155,15 +155,18 @@ def write_wpvc(inst: WpvcInstance, comments=()) -> str:
 
 
 def parse_mcq(text: str) -> McqInstance:
-    """Parse a multicolored-clique instance; intra-class edges are normalized away."""
+    """Parse a multicolored-clique instance; intra-class edges are normalized away.
+
+    As in ``parse_wpvc``, the graph is built from the reader's checked edges
+    without a second validation pass.
+    """
     (n, _, k), colors, edges = _read(text, "mcq")
     missing = [v for v in range(n) if v not in colors]
     if missing:
         raise FormatError("vertex %d has no color line" % missing[0])
-    try:
-        return make_mcq(n, k, [colors[v] for v in range(n)], edges)
-    except InputError as exc:
-        raise FormatError(str(exc))
+    if k < 1:
+        raise FormatError("k must be a positive integer")
+    return _normalized_mcq(n, k, tuple(colors[v] for v in range(n)), edges, _trusted_graph)
 
 
 def write_mcq(mcq: McqInstance, comments=()) -> str:

@@ -297,8 +297,16 @@ def max_matching(g: Graph, bp: Bipartition) -> Matching:
     capped by Python's recursion limit.
     """
     _check_bipartition(g, bp)
-    left = [v for v in range(g.n) if bp.side[v] == LEFT]
-    adj = {u: sorted(g.neighbors(u)) for u in left}
+    side = bp.side
+    left = [v for v in range(g.n) if side[v] == LEFT]
+    adj = [[] for _ in range(g.n)]  # sorted right neighbors of each left vertex
+    for u, w, _ in g.edges:
+        if side[u] == LEFT:
+            adj[u].append(w)
+        else:
+            adj[w].append(u)
+    for u in left:
+        adj[u].sort()
     pair = [-1] * g.n
     INF = g.n + 1
     dist = {}

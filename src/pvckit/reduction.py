@@ -45,6 +45,13 @@ def make_mcq(n, k, colors, edges) -> McqInstance:
     for v, c in enumerate(colors):
         if not isinstance(c, int) or not 1 <= c <= k:
             raise InputError("color of vertex %d must lie in 1..%d" % (v, k))
+    return _normalized_mcq(n, k, colors, edges, make_graph)
+
+
+def _normalized_mcq(n, k, colors, edges, build) -> McqInstance:
+    """The instance of valid ``k`` and ``colors`` (a tuple): intra-class edges
+    dropped with a warning, the rest handed to ``build`` (a graph builder
+    such as ``make_graph``) with unit costs and profits."""
     kept = []
     dropped = 0
     for item in edges:
@@ -55,7 +62,7 @@ def make_mcq(n, k, colors, edges) -> McqInstance:
             kept.append((u, v, 1))
     if dropped:
         log.warning("dropped %d intra-class edge(s) during normalization", dropped)
-    g = make_graph(n, kept, costs=(1,) * n)
+    g = build(n, kept, (1,) * n)
     return McqInstance(graph=g, k=k, colors=colors, dropped_intra_class_edges=dropped)
 
 

@@ -1,9 +1,15 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import path3, relabeled, star, triangle
+from test_trust import instances
 from pvckit import (InputError, NotBipartiteError, Variant, VariantError, WpvcInstance,
-                    coverage, make_graph, make_instance, solve_epvcbd,
-                    solve_wpvc_bounded_degree, solve_wpvc_by_L)
+                    coverage, infer_variant, make_graph, make_instance, solve_epvcbd,
+                    solve_pvcbm, solve_wpvc_bounded_degree, solve_wpvc_by_L, solve_wpvcbfd)
+from pvckit.branching import _search
 from pvckit.generators import (bounded_degree_case, general_graph_case,
                                unit_cost_bipartite_case)
 from pvckit.oracle import oracle_wpvc
@@ -150,3 +156,90 @@ class TestByProfitTarget:
             inst = general_graph_case(seed)
             other, _ = relabeled(inst, 13 * seed + 3)
             assert solve_wpvc_by_L(inst).verdict == solve_wpvc_by_L(other).verdict
+
+
+class TestSearchState:
+    """The search keeps weighted degrees and live profit across nodes; at
+    every node they must equal a recompute from scratch."""
+
+    @staticmethod
+    def check_search(inst):
+        g = inst.graph
+        nodes = []
+
+        def rule(wdeg, budget, target, forced):
+            want = [0] * g.n
+            live = 0
+            for u, w, p in g.edges:
+                if not (forced[u] or forced[w]):
+                    want[u] += p
+                    want[w] += p
+                    live += p
+            assert wdeg == want
+            assert target == max(0, inst.target - (g.total_profit() - live))
+            assert budget == inst.budget - sum(g.costs[v] for v in g.vertices() if forced[v])
+            nodes.append(target)
+            # Branch on everything that still covers profit: an exhaustive
+            # search that backtracks through every affordable set.
+            return None, [v for v, w in enumerate(wdeg) if w > 0]
+
+        rep = _search(inst, rule, g.n, 0.0)
+        assert rep.verdict == oracle_wpvc(inst).verdict
+        assert rep.nodes_expanded == len(nodes)
+        if rep.verdict:
+            check_yes_witness(inst, rep)
+
+    @settings(max_examples=200, deadline=None)
+    @given(instances())
+    def test_live_state_matches_recompute(self, inst):
+        # Zero-cost vertices, zero-profit edges and costs above 1 all occur.
+        # The drawn target is often met on the first path; the whole profit
+        # as target makes the search backtrack until the budget covers every
+        # positive edge, or through every affordable set.
+        self.check_search(inst)
+        self.check_search(replace(inst, target=inst.graph.total_profit()))
+
+
+@st.composite
+def unit_cost_bounded_degree(draw):
+    """A unit-cost bipartite instance of max degree d, and d."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    left = draw(st.integers(min_value=0, max_value=n))
+    d = draw(st.integers(min_value=1, max_value=3))
+    profit_max = draw(st.sampled_from([1, 3]))
+    slots = [(i, j) for i in range(left) for j in range(left, n)]
+    picked = draw(st.lists(st.sampled_from(slots), unique=True, max_size=len(slots))
+                  if slots else st.just([]))
+    degree = [0] * n
+    edges = []
+    for u, v in picked:
+        if degree[u] < d and degree[v] < d:
+            degree[u] += 1
+            degree[v] += 1
+            edges.append((u, v, draw(st.integers(min_value=1, max_value=profit_max))))
+    g = make_graph(n, edges)
+    budget = draw(st.integers(min_value=0, max_value=4))
+    target = draw(st.integers(min_value=0, max_value=g.total_profit() + 1))
+    return WpvcInstance(g, budget, target, infer_variant(g), True), d
+
+
+class TestCrossSolverAgreement:
+    @settings(max_examples=150, deadline=None)
+    @given(unit_cost_bounded_degree())
+    def test_all_solvers_agree_with_the_oracle(self, case):
+        # With unit costs a fractional vertex never helps, and with k3 = 0
+        # the matching constraint is void; every solver decides one question.
+        inst, d = case
+        g = inst.graph
+        reports = {"epvcbd": solve_epvcbd(inst),
+                   "bounded-degree": solve_wpvc_bounded_degree(inst, d),
+                   "by-L": solve_wpvc_by_L(inst),
+                   "fractional": solve_wpvcbfd(inst)}
+        if all(p == 1 for _, _, p in g.edges):
+            reports["pvcbm"] = solve_pvcbm(g, inst.budget, inst.target, 0)
+        want = oracle_wpvc(inst).verdict
+        for name, rep in reports.items():
+            assert rep.verdict == want, name
+            if rep.verdict:
+                assert rep.witness.fractional is None, name
+                check_yes_witness(inst, rep)

@@ -76,6 +76,17 @@ class TestSolve:
             ["solve", "--alg", "pvcbm", "--k3", "1", str(f)], capsys)
         assert code == 0 and "matching=" in out
 
+    @pytest.mark.parametrize("alg", ["epvcbd", "bounded-degree", "by-L", "fractional"])
+    @pytest.mark.parametrize("flag", ["--k1", "--k2", "--k3"])
+    def test_k_flags_without_pvcbm_exit_two(self, tmp_path, capsys, alg, flag):
+        # The header budget is 1, so a silently ignored --k1 0 would say yes.
+        f = tmp_path / "path3.wpvc"
+        f.write_text(PATH3)
+        code, out, err = run_cli(["solve", "--alg", alg, flag, "0", str(f)], capsys)
+        assert code == 2 and out == ""
+        assert err == ("error: %s applies only to --alg pvcbm; the instance header"
+                       " gives the budget and target\n" % flag)
+
     def test_internal_error_exit_two(self, tmp_path, capsys, monkeypatch):
         def crash(inst):
             raise RecursionError("maximum recursion depth exceeded")
@@ -158,6 +169,18 @@ class TestOracleCmd:
         code, out, _ = run_cli(["oracle", "--kind", "pvcbm", "--k3", "2", str(f)],
                                capsys)
         assert code == 0 and "matching=" in out
+
+    @pytest.mark.parametrize("kind, text", [
+        pytest.param(kind, text, id=kind) for kind, text in
+        [("auto", PATH3), ("wpvc", PATH3), ("fractional", PATH3), ("mcq", MCQ_PAIR)]])
+    @pytest.mark.parametrize("flag", ["--k1", "--k2", "--k3"])
+    def test_k_flags_without_pvcbm_exit_two(self, tmp_path, capsys, kind, text, flag):
+        f = tmp_path / "instance.txt"
+        f.write_text(text)
+        code, out, err = run_cli(["oracle", "--kind", kind, flag, "0", str(f)], capsys)
+        assert code == 2 and out == ""
+        assert err == ("error: %s applies only to --kind pvcbm; the instance header"
+                       " gives the budget and target\n" % flag)
 
     def test_fractional_kind_keeps_expensive_edges(self, tmp_path, capsys):
         f = tmp_path / "frac.wpvc"

@@ -5,7 +5,8 @@ carry a checked mark and are not re-checked; these tests hold that trust to
 account. Every derived graph passes ``check_graph`` and equals what
 ``make_graph`` builds from the same data, a hand-built ``Graph(...)`` never
 carries the mark and is still rejected by ``validate`` and every solver, and
-one public solve 2-colors its input once.
+one public solve 2-colors its input once. A parsed clique instance is built
+without ``make_graph`` and equals the ``make_mcq`` build.
 """
 
 import dataclasses
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 import pvckit
 from pvckit import (Graph, InputError, Variant, WpvcInstance, bipartition, edge_subgraph,
-                    expand, generators, infer_variant, make_graph, parse_wpvc, pendantize,
+                    expand, generators, infer_variant, make_graph, make_mcq, parse_mcq,
+                    parse_wpvc, pendantize,
                     prune_unaffordable, reduce_mcq_to_wpvcbd, residual, solve_epvcbd,
                     solve_pvcbm, solve_wpvc_bounded_degree, solve_wpvc_by_L, solve_wpvcbfd,
                     validate, weighted_degrees, write_wpvc)
@@ -111,6 +113,45 @@ class TestDerivedGraphsAreValid:
         assert got_taken == taken
         assert got == cur
         assert_trusted_sound(got.graph)
+
+
+@st.composite
+def clique_texts(draw):
+    """An mcq text whose edges, in either orientation, may join one class."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    k = draw(st.integers(min_value=1, max_value=3))
+    colors = draw(st.lists(st.integers(min_value=1, max_value=k), min_size=n, max_size=n))
+    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    picked = draw(st.lists(st.sampled_from(slots), unique=True, max_size=len(slots))
+                  if slots else st.just([]))
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in picked]
+    lines = ["p mcq %d %d %d" % (n, len(edges), k)]
+    lines += ["c %d %d" % (v, c) for v, c in enumerate(colors)]
+    lines += ["e %d %d" % e for e in edges]
+    return "\n".join(lines) + "\n", (n, k, colors, edges)
+
+
+class TestParsedCliqueGraphs:
+    @settings(max_examples=150)
+    @given(clique_texts())
+    def test_parse_mcq_equals_make_mcq(self, case):
+        text, (n, k, colors, edges) = case
+        parsed = parse_mcq(text)
+        assert_trusted_sound(parsed.graph)
+        built = make_mcq(n, k, colors, edges)
+        assert parsed == built
+        assert parsed.dropped_intra_class_edges == built.dropped_intra_class_edges
+
+    def test_parse_mcq_builds_trusted(self, monkeypatch, caplog):
+        # Edge (0, 1) joins class 1 and is dropped with a warning.
+        text = "p mcq 3 2 2\nc 0 1\nc 1 1\nc 2 2\ne 1 0\ne 2 0\n"
+        builds = count_calls(monkeypatch, "make_graph")
+        checks = count_calls(monkeypatch, "check_graph")
+        with caplog.at_level("WARNING", logger="pvckit.reduction"):
+            mcq = parse_mcq(text)
+        assert mcq.graph._checked and builds == [] and checks == []
+        assert "dropped 1 intra-class edge(s)" in caplog.text
+        assert mcq.graph.edges == ((0, 2, 1),) and mcq.dropped_intra_class_edges == 1
 
 
 class TestGadgetPendantizeGuard:
