@@ -13,10 +13,9 @@ are hard assertions, not hopes.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 
 from .errors import InputError, NotBipartiteError, VariantError
-from .graph import LEFT, RIGHT, Graph, NotBipartite, _derived_graph, bipartition
+from .graph import LEFT, RIGHT, Graph, NotBipartite, bipartition
 from .instance import SolveReport, Variant, WpvcInstance, _require_valid, make_solution
 from .instance import residual  # noqa: F401  perfbench/tracing.py checks this binding
 
@@ -56,21 +55,6 @@ def _force_free(g: Graph, forced) -> list[int]:
             forced[v] = True
             taken.append(v)
     return taken
-
-
-def _take_free_coverage(inst: WpvcInstance):
-    """Force the zero-cost vertices :func:`_force_free` takes; return them in
-    the order taken and the instance left after forcing them, which is what
-    :func:`pvckit.instance.residual` would give one vertex at a time."""
-    g = inst.graph
-    forced = [False] * g.n
-    taken = _force_free(g, forced)
-    if not taken:
-        return taken, inst
-    kept = [(u, w, p) for u, w, p in g.edges if not (forced[u] or forced[w])]
-    gain = g.total_profit() - sum(p for _, _, p in kept)
-    return taken, replace(inst, graph=_derived_graph(g, g.n, kept, g.costs),
-                          target=max(0, inst.target - gain))
 
 
 def _search(inst: WpvcInstance, rule, depth_bound: int, t0: float) -> SolveReport:

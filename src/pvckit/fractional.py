@@ -15,10 +15,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
-from .branching import _require_bipartite, _solve_epvcbd, _take_free_coverage
+from .branching import _force_free, _require_bipartite, _solve_epvcbd
 from .errors import InputError, NotBipartiteError
-from .graph import (Bipartition, Graph, NotBipartite, _check_bipartition, _derived_graph,
-                    bipartition)
+from .graph import Graph, NotBipartite, _derived_graph, bipartition
 from .instance import SolveReport, WpvcInstance, infer_variant, make_solution
 
 
@@ -30,27 +29,28 @@ class SectionMap:
     origin: tuple[int, ...]
 
 
-def expand(inst: WpvcInstance, bp: Bipartition | None = None
-           ) -> tuple[WpvcInstance, SectionMap]:
+def expand(inst: WpvcInstance) -> tuple[WpvcInstance, SectionMap]:
     """Blow the instance up into a unit-cost one, section per vertex.
 
     For an edge uv of profit p the expansion holds one copy-edge per pair of
     copies, each worth p / (c(u) * c(v)); scaling every profit (and the target)
     by the lcm of those denominators keeps all arithmetic integral. Isolated
     zero-cost vertices get an empty section; a zero-cost vertex with edges is
-    rejected, callers take those for free beforehand. A caller that already
-    holds a bipartition ``bp`` of the graph passes it to save a second
-    2-coloring; it is checked against the edges. Every copy can take its
-    origin's side, so ``bp`` also 2-colors the expansion through
-    ``SectionMap.origin``.
+    rejected, callers take those for free beforehand. Raises NotBipartiteError
+    for an odd cycle.
     """
+    bp = bipartition(inst.graph)
+    if isinstance(bp, NotBipartite):
+        raise NotBipartiteError(bp.odd_cycle)
+    return _expand(inst)
+
+
+def _expand(inst: WpvcInstance) -> tuple[WpvcInstance, SectionMap]:
+    """The expansion of :func:`expand`, for a caller that already knows the
+    graph is bipartite. Every copy can take its origin's side, so a
+    bipartition of the graph 2-colors the expansion through
+    ``SectionMap.origin``."""
     g = inst.graph
-    if bp is None:
-        bp = bipartition(g)
-        if isinstance(bp, NotBipartite):
-            raise NotBipartiteError(bp.odd_cycle)
-    else:
-        _check_bipartition(g, bp)
     for u, v, _ in g.edges:
         if g.costs[u] == 0 or g.costs[v] == 0:
             raise InputError("edge (%d, %d) touches a zero-cost vertex; "
@@ -137,21 +137,29 @@ def rebalance_sections(g: Graph, counts) -> list[int]:
 def solve_wpvcbfd(inst: WpvcInstance) -> SolveReport:
     """Decide a weighted bipartite instance with at most one fractional vertex.
 
-    Zero-cost vertices are taken for free, the instance is expanded to unit
-    costs and decided exactly, and the section counts are rebalanced back into
-    an at-most-one-fractional solution. The input is 2-colored once; every
-    copy in the expansion keeps its origin's side.
+    One pass derives the instance to expand: zero-cost vertices that cover
+    positive profit are taken for free, and the edges they cover go together
+    with the zero-profit ones, lowering the target by the profit won (the
+    graph is rebuilt only when an edge goes). That instance is expanded to
+    unit costs and decided exactly, and the section counts are rebalanced
+    back into an at-most-one-fractional solution. The input is 2-colored
+    once; every copy in the expansion keeps its origin's side.
     """
     t0 = time.perf_counter()
     bp = _require_bipartite(inst)
-    prefix, cur = _take_free_coverage(inst)
-    zero_profit = [e for e in cur.graph.edges if e[2] == 0]
-    if zero_profit:
-        # Irrelevant to feasibility, and any zero-cost vertex left after the
-        # free pass has only such edges; dropping them keeps expand happy.
-        kept = [e for e in cur.graph.edges if e[2] > 0]
-        cur = replace(cur, graph=_derived_graph(cur.graph, cur.graph.n, kept, cur.graph.costs))
-    expanded, smap = expand(cur, bp)
+    g = inst.graph
+    forced = [False] * g.n
+    prefix = _force_free(g, forced)
+    # Zero-profit edges are irrelevant to feasibility, and any zero-cost
+    # vertex the free pass left has only such edges; dropping them with the
+    # covered ones keeps the expansion free of zero-cost endpoints.
+    kept = [(u, w, p) for u, w, p in g.edges if p > 0 and not (forced[u] or forced[w])]
+    cur = inst
+    if len(kept) < g.m:
+        gain = g.total_profit() - sum(p for _, _, p in kept)
+        cur = replace(inst, graph=_derived_graph(g, g.n, kept, g.costs),
+                      target=max(0, inst.target - gain))
+    expanded, smap = _expand(cur)
     rep = _solve_epvcbd(expanded, tuple(bp.side[v] for v in smap.origin), t0)
     if not rep.verdict:
         return SolveReport(False, None, rep.nodes_expanded, rep.max_depth,

@@ -49,7 +49,7 @@ def random_bipartite_graph(seed, n, m, cost_max=1, profit_max=1) -> Graph:
 
 
 def random_bounded_degree_graph(seed, n, m, degree_bound, cost_max=1, profit_max=1,
-                                profit_min=1, exact=True) -> Graph:
+                                exact=True) -> Graph:
     """Random graph with all degrees within the bound; not necessarily bipartite.
 
     Shuffles all vertex pairs and keeps the first m that respect the bound.
@@ -74,7 +74,7 @@ def random_bounded_degree_graph(seed, n, m, degree_bound, cost_max=1, profit_max
         raise InputError("degree bound %d cannot accommodate %d edges on %d vertices"
                          % (degree_bound, m, n))
     chosen.sort()
-    edges = [(u, v, rng.randint(profit_min, profit_max)) for u, v in chosen]
+    edges = [(u, v, rng.randint(1, profit_max)) for u, v in chosen]
     costs = [rng.randint(1, cost_max) for _ in range(n)]
     return make_graph(n, edges, costs)
 

@@ -98,28 +98,17 @@ def oracle_wpvc(inst: WpvcInstance, cap: int = DEFAULT_CAP) -> SolveReport:
     return SolveReport(True, sol, examined, deepest, elapsed)
 
 
-def oracle_fractional(inst: WpvcInstance, cap: int = DEFAULT_CAP,
-                      fractional_candidates=None) -> SolveReport:
+def oracle_fractional(inst: WpvcInstance, cap: int = DEFAULT_CAP) -> SolveReport:
     """Exhaustive decision allowing at most one fractionally-taken vertex.
 
     For an integral set S and a candidate w outside it, profit grows linearly
     with the extent, so the best extent is the whole leftover budget spent on
     w, capped at 1. Extents of 0 or 1 add nothing over plain enumeration and
-    are skipped. ``fractional_candidates`` restricts which vertices may be
-    taken fractionally (an empty collection turns this into ``oracle_wpvc``).
+    are skipped.
     """
     t0 = time.perf_counter()
     cands = _candidates(inst, cap)
     g = inst.graph
-    if fractional_candidates is None:
-        frac_pool = [w for w in g.vertices() if g.costs[w] > 0]
-    else:
-        frac_pool = sorted(set(fractional_candidates))
-        for w in frac_pool:
-            if not (isinstance(w, int) and 0 <= w < g.n):
-                raise InputError("invalid vertex id %r" % (w,))
-            if g.costs[w] == 0:
-                raise InputError("zero-cost vertex %d cannot be a fractional candidate" % w)
     examined = 0
     deepest = 0
     for combo in _subsets(cands, g.costs, inst.budget):
@@ -132,7 +121,7 @@ def oracle_fractional(inst: WpvcInstance, cap: int = DEFAULT_CAP,
         spare = inst.budget - sum(g.costs[v] for v in combo)
         if spare <= 0:
             continue
-        for w in frac_pool:
+        for w in g.vertices():
             if w in combo or g.costs[w] <= spare:
                 continue  # affordable vertices are covered by integral enumeration
             extent = Fraction(spare, g.costs[w])

@@ -35,7 +35,8 @@ def make_mcq(n, k, colors, edges) -> McqInstance:
     """Build a multicolored-clique instance, normalizing away intra-class edges.
 
     Edges inside one color class can never sit in a valid clique, so they are
-    dropped (with a warning), not rejected.
+    dropped (with a warning), not rejected. An edge endpoint that is not a
+    vertex id raises InputError before any color is read.
     """
     colors = tuple(colors)
     if not isinstance(k, int) or k < 1:
@@ -45,6 +46,11 @@ def make_mcq(n, k, colors, edges) -> McqInstance:
     for v, c in enumerate(colors):
         if not isinstance(c, int) or not 1 <= c <= k:
             raise InputError("color of vertex %d must lie in 1..%d" % (v, k))
+    edges = list(edges)
+    for item in edges:
+        u, v = item[0], item[1]
+        if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < n and 0 <= v < n):
+            raise InputError("edge endpoint out of range: %r" % (item,))
     return _normalized_mcq(n, k, colors, edges, make_graph)
 
 

@@ -64,19 +64,15 @@ class TestOracleFractional:
         assert rep.verdict and rep.witness.fractional is None
 
     def test_disabled_candidates_match_plain_oracle(self):
+        # With unit costs any leftover budget affords a whole vertex, so no
+        # vertex is a fractional candidate and the two oracles coincide.
         for seed in range(60):
-            inst = random_instance(seed, n_max=7)
+            inst = random_instance(seed, n_max=7, cost_max=1)
             plain = oracle_wpvc(inst)
-            crippled = oracle_fractional(inst, fractional_candidates=())
+            crippled = oracle_fractional(inst)
             assert plain.verdict == crippled.verdict
             if plain.verdict:
-                assert plain.witness.vertices == crippled.witness.vertices
-
-    @pytest.mark.parametrize("w", [-1, 2])
-    def test_rejects_fractional_candidate_out_of_range(self, w):
-        inst = make_instance(2, [(0, 1, 4)], costs=[2, 2], budget=1, target=2)
-        with pytest.raises(InputError, match="invalid vertex id"):
-            oracle_fractional(inst, fractional_candidates=[0, w])
+                assert plain.witness == crippled.witness
 
 
 class TestOraclePvcbm:

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from pvckit import (OracleScaleError, coverage, gadget_budget, gadget_target,
+from pvckit import (InputError, OracleScaleError, coverage, gadget_budget, gadget_target,
                     make_mcq, pendantize, reduce_mcq_to_wpvcbd, verify_reduction,
                     weighted_degree)
 from pvckit.generators import random_mcq
@@ -41,6 +41,16 @@ class TestWorkedExample:
         assert yes.clique_cost_exact and yes.clique_profit_exact
         no = verify_reduction(two_class_pair(False))
         assert no.ok and not no.source.yes and not no.reduced_yes
+
+
+class TestMakeMcqEndpoints:
+    # An endpoint at or above n used to raise a bare IndexError, and a
+    # negative one was read as a color from the end of the tuple, which made
+    # (-1, 1) look like an intra-class edge that was silently dropped.
+    @pytest.mark.parametrize("edge", [(0, 5), (-1, 1)])
+    def test_rejects_endpoint_out_of_range(self, edge):
+        with pytest.raises(InputError, match="edge endpoint out of range"):
+            make_mcq(2, 2, [1, 2], [edge])
 
 
 class TestStructuralInvariants:

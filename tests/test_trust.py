@@ -22,7 +22,8 @@ from pvckit import (Graph, InputError, Variant, WpvcInstance, bipartition, edge_
                     prune_unaffordable, reduce_mcq_to_wpvcbd, residual, solve_epvcbd,
                     solve_pvcbm, solve_wpvc_bounded_degree, solve_wpvc_by_L, solve_wpvcbfd,
                     validate, weighted_degrees, write_wpvc)
-from pvckit.branching import _take_free_coverage
+from pvckit.branching import _force_free
+from pvckit.fractional import _expand
 from pvckit.graph import check_graph
 from test_graph_core import malformed_graphs
 
@@ -76,9 +77,8 @@ class TestDerivedGraphsAreValid:
     def test_expand_with_and_without_sides(self, inst):
         expanded, smap = expand(inst)
         assert_trusted_sound(expanded.graph)
+        assert _expand(inst) == (expanded, smap)
         bp = bipartition(inst.graph)
-        again, _ = expand(inst, bp)
-        assert again == expanded
         side = tuple(bp.side[v] for v in smap.origin)
         assert all(side[a] != side[b] for a, b, _ in expanded.graph.edges)
 
@@ -109,10 +109,14 @@ class TestDerivedGraphsAreValid:
                 break
             taken.append(v)
             cur = residual(cur, v)
-        got_taken, got = _take_free_coverage(inst)
-        assert got_taken == taken
-        assert got == cur
-        assert_trusted_sound(got.graph)
+        g = inst.graph
+        forced = [False] * g.n
+        assert _force_free(g, forced) == taken
+        assert forced == [v in taken for v in g.vertices()]
+        kept = [(u, w, p) for u, w, p in g.edges if not (forced[u] or forced[w])]
+        assert kept == list(cur.graph.edges)
+        gain = g.total_profit() - sum(p for _, _, p in kept)
+        assert max(0, inst.target - gain) == cur.target
 
 
 @st.composite
@@ -264,6 +268,22 @@ class TestOnePassPerSolve:
         monkeypatch.setattr(pvckit.instance, "_validate", counted)
         assert solve_pvcbm(g, 3, k2, k3).verdict
         assert len(sides) == 1 and checks == [] and len(validations) == 1
+
+    @pytest.mark.parametrize("zero_cost, zero_profit, builds", [
+        (False, False, 1), (True, False, 2), (False, True, 2), (True, True, 2)])
+    def test_wpvcbfd_derives_in_one_pass(self, monkeypatch, zero_cost, zero_profit, builds):
+        # Vertex 5 costing 0 is taken free; edge (1, 2) of profit 0 is dropped.
+        # Either drop costs one rebuild, both together still one; the
+        # expansion is always built.
+        g = make_graph(6, [(0, 1, 2), (1, 2, 0 if zero_profit else 1), (2, 3, 3),
+                           (3, 4, 1), (4, 5, 2)],
+                       costs=[1, 2, 3, 1, 2, 0 if zero_cost else 1])
+        inst = WpvcInstance(g, 3, 6, infer_variant(g), True)
+        graphs = count_calls(monkeypatch, "_trusted_graph")
+        sides = count_calls(monkeypatch, "bipartition")
+        rechecks = count_calls(monkeypatch, "_check_bipartition")
+        assert solve_wpvcbfd(inst).verdict
+        assert len(graphs) == builds and len(sides) == 1 and rechecks == []
 
     def test_hand_built_graph_is_checked_once(self, monkeypatch):
         g = self.fractional_instance(True).graph
