@@ -229,9 +229,10 @@ def solve_wpvc_by_L(inst: WpvcInstance) -> SolveReport:
     """Decide a weighted instance on any graph, parameterized by the profit target.
 
     An affordable vertex whose residual coverage reaches the whole remaining
-    target ends the node on its own. Otherwise the kernel keeps, per residual
-    coverage value from 1 to target-1, the cheapest vertex attaining it, plus
-    every vertex reachable from those picks over a positive-profit edge.
+    target ends the node on its own (the lowest such id). Otherwise the kernel
+    keeps, per residual coverage value from 1 to target-1, the cheapest vertex
+    attaining it, plus every vertex reachable from those picks over a
+    positive-profit edge; one ascending pass over the coverages serves both.
     Swapping any cover member for its coverage class's cheapest pick preserves
     feasibility, so the kernel intersects some feasible cover. Fan-out stays
     below the residual target squared and depth below twice the root target.
@@ -241,18 +242,17 @@ def solve_wpvc_by_L(inst: WpvcInstance) -> SolveReport:
     g = inst.graph
 
     def rule(wdeg, budget, target, forced):
-        for v, w in enumerate(wdeg):
-            if g.costs[v] <= budget and w >= target:
-                return [v], None
         cheapest_per_value: dict[int, int] = {}
         for v, w in enumerate(wdeg):
+            if w >= target and g.costs[v] <= budget:
+                return [v], None
             if 1 <= w < target:
                 held = cheapest_per_value.get(w)
                 if held is None or (g.costs[v], v) < (g.costs[held], held):
                     cheapest_per_value[w] = v
         if not cheapest_per_value:
-            # All affordable vertices cover zero residual profit (anything
-            # covering the target alone would have ended the node above).
+            # All affordable vertices cover zero residual profit (one
+            # covering the target alone would have ended the node in the loop).
             return None
         branch = _with_live_neighbors(g, cheapest_per_value.values(), forced, 1)
         assert len(branch) < target * target

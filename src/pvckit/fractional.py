@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 from .branching import _force_free, _require_bipartite, _solve_epvcbd
@@ -35,43 +36,48 @@ def expand(inst: WpvcInstance) -> tuple[WpvcInstance, SectionMap]:
     For an edge uv of profit p the expansion holds one copy-edge per pair of
     copies, each worth p / (c(u) * c(v)); scaling every profit (and the target)
     by the lcm of those denominators keeps all arithmetic integral. Isolated
-    zero-cost vertices get an empty section; a zero-cost vertex with edges is
-    rejected, callers take those for free beforehand. Raises NotBipartiteError
-    for an odd cycle.
+    zero-cost vertices get an empty section. Raises NotBipartiteError for an
+    odd cycle, then InputError for an edge with a zero-cost endpoint: callers
+    take such vertices for free beforehand.
     """
-    bp = bipartition(inst.graph)
+    g = inst.graph
+    bp = bipartition(g)
     if isinstance(bp, NotBipartite):
         raise NotBipartiteError(bp.odd_cycle)
-    return _expand(inst)
-
-
-def _expand(inst: WpvcInstance) -> tuple[WpvcInstance, SectionMap]:
-    """The expansion of :func:`expand`, for a caller that already knows the
-    graph is bipartite. Every copy can take its origin's side, so a
-    bipartition of the graph 2-colors the expansion through
-    ``SectionMap.origin``."""
-    g = inst.graph
     for u, v, _ in g.edges:
         if g.costs[u] == 0 or g.costs[v] == 0:
             raise InputError("edge (%d, %d) touches a zero-cost vertex; "
                              "take such vertices for free before expanding" % (u, v))
-    scale = lcm(*(g.costs[u] * g.costs[v] for u, v, _ in g.edges)) if g.edges else 1
-    sections = []
-    origin = []
-    next_id = 0
-    for v in g.vertices():
-        sections.append(tuple(range(next_id, next_id + g.costs[v])))
-        origin.extend([v] * g.costs[v])
-        next_id += g.costs[v]
+    return _expand(inst)
+
+
+def _copy_shares(g: Graph) -> tuple[int, list[int]]:
+    """The expansion's scale, the lcm of c(u) * c(v) over the edges uv, and
+    per edge the scaled profit of each of its c(u) * c(v) copy edges. Every
+    edge endpoint must have a positive cost."""
+    scale = lcm(*(g.costs[u] * g.costs[v] for u, v, _ in g.edges))
+    return scale, [scale * p // (g.costs[u] * g.costs[v]) for u, v, p in g.edges]
+
+
+def _expand(inst: WpvcInstance) -> tuple[WpvcInstance, SectionMap]:
+    """The expansion of :func:`expand`, for a caller that already knows the
+    graph is bipartite and that no edge has a zero-cost endpoint (the solver's
+    free pass and edge filter leave none). Every copy can take its origin's
+    side, so a bipartition of the graph 2-colors the expansion through
+    ``SectionMap.origin``."""
+    g = inst.graph
+    scale, share = _copy_shares(g)
+    origin = [v for v in g.vertices() for _ in range(g.costs[v])]
+    start = list(accumulate(g.costs, initial=0))
+    sections = [tuple(range(start[v], start[v + 1])) for v in g.vertices()]
     copy_edges = []
-    for u, v, p in g.edges:
-        share = scale * p // (g.costs[u] * g.costs[v])
+    for (u, v, _), s in zip(g.edges, share):
         for a in sections[u]:
             for b in sections[v]:
-                copy_edges.append((a, b, share))
+                copy_edges.append((a, b, s))
     # Sections are numbered in vertex order, so u < v puts every copy of u
     # below every copy of v: copy edges come out normalized and distinct.
-    expanded_graph = _derived_graph(g, next_id, copy_edges, (1,) * next_id)
+    expanded_graph = _derived_graph(g, len(origin), copy_edges, (1,) * len(origin))
     expanded = WpvcInstance(
         graph=expanded_graph,
         budget=inst.budget,
@@ -83,24 +89,29 @@ def _expand(inst: WpvcInstance) -> tuple[WpvcInstance, SectionMap]:
 
 
 def _expanded_profit(g: Graph, scale: int, counts) -> int:
-    """Profit of a section selection in the expanded instance, without building it."""
-    total = 0
-    for u, v, p in g.edges:
-        share = scale * p // (g.costs[u] * g.costs[v])
-        ku, kv = counts[u], counts[v]
-        total += share * (ku * g.costs[v] + kv * g.costs[u] - ku * kv)
-    return total
+    """Profit of a section selection in the expanded instance, without
+    building it, with profits scaled by ``scale`` (a multiple of the
+    expansion's own scale)."""
+    own, share = _copy_shares(g)
+    total = sum(s * (counts[u] * g.costs[v] + counts[v] * g.costs[u] - counts[u] * counts[v])
+                for (u, v, _), s in zip(g.edges, share))
+    return total * scale // own
 
 
 def rebalance_sections(g: Graph, counts) -> list[int]:
     """Concentrate partial sections until at most one remains partial.
 
-    ``counts[v]`` is how many of the c(v) copies of v are selected. One unit at
-    a time moves from the partial vertex with the smallest per-copy marginal
-    gain to the one with the largest (ties to the lowest id); removing the
-    donor copy first only raises the receiver's gain, so each move keeps the
-    expanded profit from dropping, which is asserted. Total mass, and with it
-    the cost, is untouched.
+    ``counts[v]`` is how many of the c(v) copies of v are selected. Each copy
+    of v is worth gain(v) = sum over edges uv of share_uv * (c(u) - counts[u]),
+    share_uv being the profit of one copy edge of uv. Each step takes the
+    partial vertex r of largest gain and, among the others, the partial
+    vertex d of smallest gain (ties to the lowest id), and moves
+    t = min(c(r) - counts[r], counts[d]) units from d to r at once, which fills
+    r or empties d. Moving t units changes the expanded profit by
+    t * (gain(r) - gain(d)) + share_rd * t**2 (share_rd is 0 unless rd is an
+    edge), which never falls as t grows, since gain(r) >= gain(d). So neither
+    the batch nor any unit of it lowers the profit; that is asserted once per
+    batch. Total mass, and with it the cost, is untouched.
     """
     counts = list(counts)
     if len(counts) != g.n:
@@ -108,30 +119,27 @@ def rebalance_sections(g: Graph, counts) -> list[int]:
     for v in g.vertices():
         if not 0 <= counts[v] <= g.costs[v]:
             raise InputError("count of vertex %d is outside its section" % v)
-    scale = lcm(*(g.costs[u] * g.costs[v] for u, v, _ in g.edges)) if g.edges else 1
+    partial = [v for v in g.vertices() if 0 < counts[v] < g.costs[v]]
+    if len(partial) <= 1:
+        return counts
+    scale, share = _copy_shares(g)
 
     def per_copy_gain(v: int) -> int:
-        gain = 0
-        for e in g.adjacency[v]:
-            u = g.other_end(e, v)
-            share = scale * g.profit(e) // (g.costs[u] * g.costs[v])
-            gain += share * (g.costs[u] - counts[u])
-        return gain
+        return sum(share[e] * (g.costs[u] - counts[u])
+                   for e in g.adjacency[v] for u in g.edges[e][:2] if u != v)
 
-    while True:
-        partial = [v for v in g.vertices() if 0 < counts[v] < g.costs[v]]
-        if len(partial) <= 1:
-            return counts
+    while len(partial) > 1:
         receiver = max(partial, key=lambda v: (per_copy_gain(v), -v))
         donor = min((v for v in partial if v != receiver),
                     key=lambda v: (per_copy_gain(v), v))
         moves = min(g.costs[receiver] - counts[receiver], counts[donor])
-        for _ in range(moves):
-            before = _expanded_profit(g, scale, counts)
-            counts[donor] -= 1
-            counts[receiver] += 1
-            after = _expanded_profit(g, scale, counts)
-            assert after >= before
+        before = _expanded_profit(g, scale, counts)
+        counts[donor] -= moves
+        counts[receiver] += moves
+        assert _expanded_profit(g, scale, counts) >= before
+        # Only the donor and the receiver changed, and one of them filled or emptied.
+        partial = [v for v in partial if 0 < counts[v] < g.costs[v]]
+    return counts
 
 
 def solve_wpvcbfd(inst: WpvcInstance) -> SolveReport:

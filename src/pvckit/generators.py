@@ -126,12 +126,12 @@ def unit_cost_bipartite_case(seed) -> WpvcInstance:
     return WpvcInstance(g, budget, target, infer_variant(g), True)
 
 
-def bounded_degree_case(seed, degree_bound=3) -> WpvcInstance:
-    """Degree-bounded weighted instance: n <= 12, costs 1..3, profits 1..4."""
+def bounded_degree_case(seed) -> WpvcInstance:
+    """Degree-bounded weighted instance: n <= 12, max degree 3, costs 1..3, profits 1..4."""
     rng = random.Random(7_000_003 * 2 + seed)
     n = rng.randint(2, 12)
-    m = rng.randint(0, (n * degree_bound) // 2)
-    g = random_bounded_degree_graph(rng, n, m, degree_bound, cost_max=3, profit_max=4,
+    m = rng.randint(0, (n * 3) // 2)
+    g = random_bounded_degree_graph(rng, n, m, 3, cost_max=3, profit_max=4,
                                     exact=False)
     budget = rng.randint(0, 5)
     target = rng.randint(0, g.total_profit() + 1)

@@ -97,9 +97,9 @@ class Matching:
 def make_graph(n, edges, costs=None) -> Graph:
     """Build and validate a graph.
 
-    ``edges`` items are (u, v) or (u, v, profit); profit defaults to 1. Costs
-    default to 1 per vertex. Self-loops and parallel edges are rejected, as are
-    negative weights.
+    ``edges`` items are (u, v) or (u, v, profit); profit defaults to 1, and an
+    item of any other shape is rejected. Costs default to 1 per vertex.
+    Self-loops and parallel edges are rejected, as are negative weights.
     """
     if not isinstance(n, int) or n < 0:
         raise InputError("vertex count must be a non-negative integer")
@@ -115,11 +115,10 @@ def make_graph(n, edges, costs=None) -> Graph:
     norm = []
     seen_pairs = set()
     for item in edges:
-        if len(item) == 2:
-            u, v = item
-            p = 1
-        else:
-            u, v, p = item
+        try:
+            u, v, p = item if len(item) == 3 else (*item, 1)
+        except (TypeError, ValueError):
+            raise InputError("edge must be (u, v) or (u, v, profit): %r" % (item,)) from None
         if not (isinstance(u, int) and isinstance(v, int)):
             raise InputError("edge endpoints must be integers: %r" % (item,))
         if not (0 <= u < n and 0 <= v < n):

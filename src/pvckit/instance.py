@@ -2,8 +2,11 @@
 triviality checks, and solution/report records.
 
 Instances are frozen; ``residual`` returns a fresh instance with the same
-vertex-id universe (the forced vertex simply loses all its edges), which keeps
-witnesses valid across the whole recursion.
+vertex-id universe (the forced vertex simply loses all its edges), so a
+witness of the residual plus the forced vertex is a witness of the original.
+The solvers do not call it: their search keeps the residual weighted degrees
+as live state (see :func:`pvckit.branching._search`), and ``residual`` stays
+the public reference for what each search node sees.
 
 Graphs are validated once, where they enter: ``make_instance`` builds through
 ``make_graph``, and ``residual`` and ``prune_unaffordable`` derive their graphs

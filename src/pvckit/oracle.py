@@ -21,6 +21,8 @@ from .graph import Graph, NotBipartite, bipartition, coverage, edge_subgraph, ma
 from .instance import CoverSolution, SolveReport, WpvcInstance, make_solution
 
 DEFAULT_CAP = 20
+_MCQ_K_CAP = 4
+_MCQ_CLASS_CAP = 8
 
 
 def _candidates(inst: WpvcInstance, cap: int) -> list[int]:
@@ -169,7 +171,7 @@ class McqVerdict:
     clique: tuple[int, ...] | None
 
 
-def oracle_mcq(mcq, k_cap: int = 4, class_cap: int = 8) -> McqVerdict:
+def oracle_mcq(mcq) -> McqVerdict:
     """Exhaustive multicolored-clique check: one vertex per color class.
 
     ``mcq`` needs ``graph``, ``k`` and per-vertex ``colors`` in 1..k.
@@ -178,10 +180,10 @@ def oracle_mcq(mcq, k_cap: int = 4, class_cap: int = 8) -> McqVerdict:
     classes = [[] for _ in range(mcq.k)]
     for v, color in enumerate(mcq.colors):
         classes[color - 1].append(v)
-    if mcq.k > k_cap:
-        raise OracleScaleError("k=%d exceeds oracle cap %d" % (mcq.k, k_cap))
-    if any(len(cls) > class_cap for cls in classes):
-        raise OracleScaleError("a color class exceeds the oracle cap %d" % class_cap)
+    if mcq.k > _MCQ_K_CAP:
+        raise OracleScaleError("k=%d exceeds oracle cap %d" % (mcq.k, _MCQ_K_CAP))
+    if any(len(cls) > _MCQ_CLASS_CAP for cls in classes):
+        raise OracleScaleError("a color class exceeds the oracle cap %d" % _MCQ_CLASS_CAP)
     if any(not cls for cls in classes):
         return McqVerdict(False, None)
     adjacent = {(u, v) for u, v, _ in g.edges}

@@ -20,6 +20,9 @@ from .oracle import McqVerdict, oracle_mcq, oracle_wpvc
 
 log = logging.getLogger(__name__)
 
+_VERIFY_K_CAP = 3
+_VERIFY_N_CAP = 6
+
 
 @dataclass(frozen=True)
 class McqInstance:
@@ -35,8 +38,8 @@ def make_mcq(n, k, colors, edges) -> McqInstance:
     """Build a multicolored-clique instance, normalizing away intra-class edges.
 
     Edges inside one color class can never sit in a valid clique, so they are
-    dropped (with a warning), not rejected. An edge endpoint that is not a
-    vertex id raises InputError before any color is read.
+    dropped (with a warning), not rejected. An edge that is not a pair (u, v)
+    of vertex ids raises InputError before any color is read.
     """
     colors = tuple(colors)
     if not isinstance(k, int) or k < 1:
@@ -48,7 +51,10 @@ def make_mcq(n, k, colors, edges) -> McqInstance:
             raise InputError("color of vertex %d must lie in 1..%d" % (v, k))
     edges = list(edges)
     for item in edges:
-        u, v = item[0], item[1]
+        try:
+            u, v = item
+        except (TypeError, ValueError):
+            raise InputError("edge must be a pair (u, v): %r" % (item,)) from None
         if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < n and 0 <= v < n):
             raise InputError("edge endpoint out of range: %r" % (item,))
     return _normalized_mcq(n, k, colors, edges, make_graph)
@@ -237,15 +243,15 @@ class ReductionCheck:
         return True
 
 
-def verify_reduction(mcq: McqInstance, k_cap: int = 3, n_cap: int = 6) -> ReductionCheck:
+def verify_reduction(mcq: McqInstance) -> ReductionCheck:
     """Brute-force both sides of the reduction and compare verdicts.
 
     On a yes-instance the clique's copies are additionally checked to spend the
     budget and hit the target exactly.
     """
-    if mcq.k > k_cap or mcq.graph.n > n_cap:
+    if mcq.k > _VERIFY_K_CAP or mcq.graph.n > _VERIFY_N_CAP:
         raise OracleScaleError("equivalence check capped at k <= %d, n <= %d"
-                               % (k_cap, n_cap))
+                               % (_VERIFY_K_CAP, _VERIFY_N_CAP))
     out = reduce_mcq_to_wpvcbd(mcq)
     source = oracle_mcq(mcq)
     reduced = oracle_wpvc(out.instance)

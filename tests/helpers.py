@@ -4,6 +4,7 @@ library's algorithms, and instance relabeling."""
 import random
 from collections import deque
 from itertools import combinations
+from math import lcm
 
 from pvckit import LEFT, Matching, WpvcInstance, coverage, infer_variant, make_graph
 from pvckit.graph import _check_bipartition
@@ -215,3 +216,40 @@ def random_instance(seed, n_max=8, cost_max=3, profit_max=4, bipartite=False,
     budget = rng.randint(0, 5)
     target = rng.randint(0, g.total_profit() + 1)
     return WpvcInstance(g, budget, target, infer_variant(g), bipartite)
+
+
+def rebalance_sections_reference(g, counts):
+    """Section rebalancing one unit at a time, re-checking the expanded
+    profit after every unit; :func:`pvckit.rebalance_sections` moves each
+    donor-to-receiver batch at once and must end at the same counts."""
+    counts = list(counts)
+    scale = lcm(*(g.costs[u] * g.costs[v] for u, v, _ in g.edges)) if g.edges else 1
+
+    def share(u, v, p):
+        return scale * p // (g.costs[u] * g.costs[v])
+
+    def expanded_profit():
+        return sum(share(u, v, p) * (counts[u] * g.costs[v] + counts[v] * g.costs[u]
+                                     - counts[u] * counts[v])
+                   for u, v, p in g.edges)
+
+    def per_copy_gain(v):
+        gain = 0
+        for e in g.adjacency[v]:
+            u = g.other_end(e, v)
+            gain += share(u, v, g.profit(e)) * (g.costs[u] - counts[u])
+        return gain
+
+    while True:
+        partial = [v for v in g.vertices() if 0 < counts[v] < g.costs[v]]
+        if len(partial) <= 1:
+            return counts
+        receiver = max(partial, key=lambda v: (per_copy_gain(v), -v))
+        donor = min((v for v in partial if v != receiver),
+                    key=lambda v: (per_copy_gain(v), v))
+        moves = min(g.costs[receiver] - counts[receiver], counts[donor])
+        for _ in range(moves):
+            before = expanded_profit()
+            counts[donor] -= 1
+            counts[receiver] += 1
+            assert expanded_profit() >= before

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_instance, triangle
+import pvckit.fractional
+from helpers import random_instance, rebalance_sections_reference, triangle
 from pvckit import (InputError, NotBipartiteError, Variant, WpvcInstance, expand,
                     make_graph, make_instance, rebalance_sections, solve_epvcbd,
                     solve_wpvcbfd)
@@ -162,3 +165,79 @@ class TestSolveFractional:
             assert rep.witness.vertices == frozenset(range(1, n, 2))
             assert rep.witness.fractional is None
             assert rep.witness.cost == 0 and rep.witness.profit == n - 1
+
+
+@st.composite
+def sectioned_bipartite_graphs(draw):
+    """A bipartite graph with costs 1..100 and a count per vertex in 0..c(v)."""
+    n = draw(st.integers(1, 7))
+    left = draw(st.integers(0, n))
+    slots = [(i, j) for i in range(left) for j in range(left, n)]
+    picked = draw(st.lists(st.sampled_from(slots), unique=True) if slots else st.just([]))
+    edges = [(u, v, draw(st.integers(0, 5))) for u, v in sorted(picked)]
+    g = make_graph(n, edges, [draw(st.integers(1, 100)) for _ in range(n)])
+    return g, [draw(st.integers(0, g.costs[v])) for v in range(n)]
+
+
+class TestRebalanceInBatches:
+    @settings(max_examples=200, deadline=None)
+    @given(sectioned_bipartite_graphs())
+    def test_matches_unit_at_a_time_reference(self, case):
+        g, counts = case
+        assert rebalance_sections(g, counts) == rebalance_sections_reference(g, counts)
+
+    def test_one_batch_checks_profit_twice(self, monkeypatch):
+        # Two disjoint edges with vertices 0 and 2 half full: one batch of 100
+        # units fills vertex 0 and empties vertex 2. A unit-at-a-time loop
+        # would recompute the expanded profit 200 times.
+        calls = []
+        original = pvckit.fractional._expanded_profit
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(pvckit.fractional, "_expanded_profit", counted)
+        g = make_graph(4, [(0, 1, 1), (2, 3, 1)], [200] * 4)
+        assert rebalance_sections(g, [100, 0, 100, 0]) == [200, 0, 0, 0]
+        assert len(calls) <= 2
+
+
+class TestExpandPrecondition:
+    """The solver's free pass and edge filter leave no zero-cost endpoint, so
+    the private expansion never needs the public one's check."""
+
+    @pytest.fixture
+    def expansions(self, monkeypatch):
+        seen = []
+        original = pvckit.fractional._expand
+
+        def checked(inst):
+            g = inst.graph
+            assert all(g.costs[u] and g.costs[v] for u, v, _ in g.edges)
+            seen.append(g.n)
+            return original(inst)
+
+        monkeypatch.setattr(pvckit.fractional, "_expand", checked)
+        return seen
+
+    def test_criterion_4_seeds(self, expansions):
+        for seed in range(300):
+            solve_wpvcbfd(fractional_case(seed))
+        assert len(expansions) == 300
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_free_pass_path(self, expansions, extra):
+        n = 2000
+        g = make_graph(n, [(i, i + 1, 1) for i in range(n - 1)],
+                       costs=[(i + 1) % 2 for i in range(n)])
+        solve_wpvcbfd(WpvcInstance(g, 0, n - 1 + extra, Variant.VPVC, True))
+        assert expansions == [n]
+
+    def test_zero_costs_and_zero_profits(self, expansions):
+        # The criterion 4 recipe draws neither; here a third of the vertices
+        # cost 0 and a fifth of the edges earn 0.
+        for seed in range(200):
+            solve_wpvcbfd(random_instance(seed, n_max=7, cost_min=0, cost_max=2,
+                                          bipartite=True))
+        assert len(expansions) == 200

@@ -73,6 +73,13 @@ class TestConstruction:
         with pytest.raises(InputError):
             make_graph(2, [], costs=[1, -2])
 
+    # Unpacking such an item raises a bare ValueError; the builder must name
+    # the item as malformed input.
+    @pytest.mark.parametrize("item", [(0,), (0, 1, 2, 3)])
+    def test_rejects_edge_of_wrong_shape(self, item):
+        with pytest.raises(InputError, match=r"edge must be \(u, v\) or \(u, v, profit\)"):
+            make_graph(2, [item])
+
     def test_adjacency_lists_both_endpoints(self):
         g = make_graph(3, [(0, 1), (1, 2)])
         assert g.adjacency == ((0,), (0, 1), (1,))

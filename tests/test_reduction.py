@@ -53,6 +53,15 @@ class TestMakeMcqEndpoints:
             make_mcq(2, 2, [1, 2], [edge])
 
 
+class TestMakeMcqEdgeShape:
+    # Indexing or unpacking such an item raises a bare IndexError, TypeError
+    # or ValueError, or (for (0, 1, 2, 3)) quietly reads only (0, 1).
+    @pytest.mark.parametrize("edge", [(0,), 5, (0, 1, 2, 3)])
+    def test_rejects_edge_that_is_not_a_pair(self, edge):
+        with pytest.raises(InputError, match=r"edge must be a pair \(u, v\)"):
+            make_mcq(2, 2, [1, 2], [edge])
+
+
 class TestStructuralInvariants:
     def test_budget_identities(self):
         for k in (1, 2, 3, 4):
