@@ -17,8 +17,8 @@ from .graph import (LEFT, RIGHT, Bipartition, Graph, Matching, NotBipartite,
                     bipartition, coverage, edge_subgraph, make_graph, max_matching,
                     min_vertex_cover, weighted_degree, weighted_degrees)
 from .instance import (CoverSolution, SolveReport, Variant, WpvcInstance, infer_variant,
-                       is_trivial, make_instance, make_solution, prune_unaffordable,
-                       residual, validate)
+                       make_instance, make_solution, prune_unaffordable, residual,
+                       validate)
 from .oracle import (McqVerdict, oracle_fractional, oracle_mcq, oracle_pvcbm,
                      oracle_wpvc)
 from .pvcbm import solve_pvcbm

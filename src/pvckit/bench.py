@@ -91,9 +91,26 @@ def _run_one(alg: str, seed: int, value: int, degree_bound: int) -> BenchRow:
     )
 
 
+def _check_run(entry) -> None:
+    """Raise InputError unless ``entry`` is a run of a suite config."""
+    if not isinstance(entry, dict) or "alg" not in entry:
+        raise InputError("each bench run must be an object with an 'alg'")
+    for key in ("grid", "seeds"):
+        if not (isinstance(entry.get(key), list) and all(type(x) is int for x in entry[key])):
+            raise InputError("bench run needs %r, a list of integers" % key)
+    bound = entry.get("degree_bound", 3)
+    if type(bound) is not int or bound < 0:
+        raise InputError("bench run 'degree_bound' must be a non-negative integer")
+
+
 def run_config(config: dict) -> list[BenchRow]:
+    runs = config.get("runs", []) if isinstance(config, dict) else None
+    if not isinstance(runs, list):
+        raise InputError("bench config must be an object whose 'runs' is a list")
+    for entry in runs:
+        _check_run(entry)
     rows = []
-    for entry in config.get("runs", []):
+    for entry in runs:
         alg = entry["alg"]
         degree_bound = entry.get("degree_bound", 3)
         for value in entry["grid"]:

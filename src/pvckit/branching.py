@@ -140,13 +140,16 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, t0: float) -> SolveRepor
     return SolveReport(True, sol, nodes, deepest, time.perf_counter() - t0)
 
 
-def _with_live_neighbors(g: Graph, kernel, forced, min_profit: int) -> list[int]:
-    """The kernel plus every vertex joined to it by a live edge of enough profit."""
+def _with_live_neighbors(g: Graph, kernel, forced) -> list[int]:
+    """The kernel plus every vertex joined to it by a live edge of positive
+    profit. A neighbor across a zero-profit edge adds nothing to either
+    rule's swap argument, and spreading to one could branch on a zero-cost
+    vertex that covers nothing, a step that spends no budget."""
     spread = set(kernel)
     for u in kernel:
         for e in g.adjacency[u]:
             v = g.other_end(e, u)
-            if g.profit(e) >= min_profit and not forced[v]:
+            if g.profit(e) and not forced[v]:
                 spread.add(v)
     return sorted(spread)
 
@@ -192,11 +195,12 @@ def solve_wpvc_bounded_degree(inst: WpvcInstance, degree_bound: int) -> SolveRep
     """Decide a weighted instance on a degree-bounded graph, parameterized by budget.
 
     The kernel keeps, for each cost value up to the residual budget, the vertex
-    of that cost with the largest residual coverage, plus all neighbors of
-    those picks. A feasible cover avoiding the kernel could swap any member
-    for its cost class's top pick without losing coverage or raising cost, so
-    the kernel intersects some feasible cover. Kernel size stays within
-    (degree_bound + 1) times the residual budget.
+    of that cost with the largest residual coverage, plus every vertex joined
+    to those picks by a live positive-profit edge. A feasible cover avoiding
+    the kernel could swap any member for its cost class's top pick without
+    losing coverage or raising cost, so the kernel intersects some feasible
+    cover. Kernel size stays within (degree_bound + 1) times the residual
+    budget.
     """
     t0 = time.perf_counter()
     _require_valid(inst)
@@ -218,7 +222,7 @@ def solve_wpvc_bounded_degree(inst: WpvcInstance, degree_bound: int) -> SolveRep
         if not best_per_cost:
             # Every affordable vertex covers zero residual profit.
             return None
-        branch = _with_live_neighbors(g, best_per_cost.values(), forced, 0)
+        branch = _with_live_neighbors(g, best_per_cost.values(), forced)
         assert len(branch) <= (degree_bound + 1) * budget
         return None, branch
 
@@ -254,7 +258,7 @@ def solve_wpvc_by_L(inst: WpvcInstance) -> SolveReport:
             # All affordable vertices cover zero residual profit (one
             # covering the target alone would have ended the node in the loop).
             return None
-        branch = _with_live_neighbors(g, cheapest_per_value.values(), forced, 1)
+        branch = _with_live_neighbors(g, cheapest_per_value.values(), forced)
         assert len(branch) < target * target
         return None, branch
 

@@ -23,7 +23,7 @@ from .fractional import solve_wpvcbfd
 from .formats import parse_mcq, parse_wpvc, sniff_format, write_mcq, write_wpvc
 from .generators import random_bipartite_graph, random_bounded_degree_graph, random_mcq
 from .graph import coverage
-from .instance import Variant, WpvcInstance, infer_variant, make_solution
+from .instance import Variant, WpvcInstance, _require_valid, infer_variant, make_solution
 from .oracle import DEFAULT_CAP, oracle_fractional, oracle_mcq, oracle_pvcbm, oracle_wpvc
 from .pvcbm import solve_pvcbm
 from .reduction import pendantize, reduce_mcq_to_wpvcbd
@@ -218,6 +218,7 @@ def _cmd_gen(args) -> int:
                                             cost_max=args.cost_max,
                                             profit_max=args.profit_max)
         inst = WpvcInstance(g, args.budget, args.target, infer_variant(g), False)
+        _require_valid(inst)  # write only what solve can load
         text = write_wpvc(inst, ["seed %d" % args.seed])
     _write(text, args.out)
     return 0

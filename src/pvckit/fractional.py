@@ -40,15 +40,20 @@ def expand(inst: WpvcInstance) -> tuple[WpvcInstance, SectionMap]:
     odd cycle, then InputError for an edge with a zero-cost endpoint: callers
     take such vertices for free beforehand.
     """
-    g = inst.graph
-    bp = bipartition(g)
+    bp = bipartition(inst.graph)
     if isinstance(bp, NotBipartite):
         raise NotBipartiteError(bp.odd_cycle)
+    _require_positive_ends(inst.graph)
+    return _expand(inst)
+
+
+def _require_positive_ends(g: Graph) -> None:
+    """Raise InputError for an edge with a zero-cost endpoint: such an edge
+    has no copy edges to expand into or rebalance by."""
     for u, v, _ in g.edges:
         if g.costs[u] == 0 or g.costs[v] == 0:
             raise InputError("edge (%d, %d) touches a zero-cost vertex; "
-                             "take such vertices for free before expanding" % (u, v))
-    return _expand(inst)
+                             "take such vertices for free first" % (u, v))
 
 
 def _copy_shares(g: Graph) -> tuple[int, list[int]]:
@@ -101,13 +106,14 @@ def _expanded_profit(g: Graph, scale: int, counts) -> int:
 def rebalance_sections(g: Graph, counts) -> list[int]:
     """Concentrate partial sections until at most one remains partial.
 
-    ``counts[v]`` is how many of the c(v) copies of v are selected. Each copy
-    of v is worth gain(v) = sum over edges uv of share_uv * (c(u) - counts[u]),
-    share_uv being the profit of one copy edge of uv. Each step takes the
-    partial vertex r of largest gain and, among the others, the partial
-    vertex d of smallest gain (ties to the lowest id), and moves
-    t = min(c(r) - counts[r], counts[d]) units from d to r at once, which fills
-    r or empties d. Moving t units changes the expanded profit by
+    ``counts[v]`` is how many of the c(v) copies of v are selected; as in
+    :func:`expand`, an edge with a zero-cost endpoint is an InputError. Each
+    copy of v is worth gain(v) = sum over edges uv of
+    share_uv * (c(u) - counts[u]), share_uv being the profit of one copy edge
+    of uv. Each step takes the partial vertex r of largest gain and, among
+    the others, the partial vertex d of smallest gain (ties to the lowest id),
+    and moves t = min(c(r) - counts[r], counts[d]) units from d to r at once,
+    which fills r or empties d. Moving t units changes the expanded profit by
     t * (gain(r) - gain(d)) + share_rd * t**2 (share_rd is 0 unless rd is an
     edge), which never falls as t grows, since gain(r) >= gain(d). So neither
     the batch nor any unit of it lowers the profit; that is asserted once per
@@ -119,6 +125,7 @@ def rebalance_sections(g: Graph, counts) -> list[int]:
     for v in g.vertices():
         if not 0 <= counts[v] <= g.costs[v]:
             raise InputError("count of vertex %d is outside its section" % v)
+    _require_positive_ends(g)
     partial = [v for v in g.vertices() if 0 < counts[v] < g.costs[v]]
     if len(partial) <= 1:
         return counts

@@ -22,6 +22,12 @@ def _rng(seed) -> random.Random:
     return random.Random(seed)
 
 
+def _require_weight_caps(cost_max, profit_max) -> None:
+    # Checked before the first draw, so valid caps draw what they always drew.
+    if cost_max < 1 or profit_max < 1:
+        raise InputError("cost and profit caps must be at least 1")
+
+
 def random_bipartite_graph(seed, n, m, cost_max=1, profit_max=1) -> Graph:
     """Random bipartite graph; vertices 0..left-1 on one side, the rest opposite.
 
@@ -31,6 +37,7 @@ def random_bipartite_graph(seed, n, m, cost_max=1, profit_max=1) -> Graph:
     only on n and m.
     """
     rng = _rng(seed)
+    _require_weight_caps(cost_max, profit_max)
     if n < 0 or m < 0:
         raise InputError("n and m must be non-negative")
     if n < 2 and m > 0:
@@ -57,6 +64,7 @@ def random_bounded_degree_graph(seed, n, m, degree_bound, cost_max=1, profit_max
     graph simply ends up with fewer edges.
     """
     rng = _rng(seed)
+    _require_weight_caps(cost_max, profit_max)
     if degree_bound < 0:
         raise InputError("degree bound must be non-negative")
     slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -90,6 +98,8 @@ def random_mcq(seed, k, class_size, edge_prob=0.5, plant=True) -> McqInstance:
     sizes = [class_size] * k if isinstance(class_size, int) else list(class_size)
     if len(sizes) != k or any(s < 1 for s in sizes):
         raise InputError("need one positive class size per color")
+    if not 0 <= edge_prob <= 1:  # also rejects nan
+        raise InputError("edge probability must lie in [0, 1], got %r" % (edge_prob,))
     starts = [sum(sizes[:i]) for i in range(k)]
     n = sum(sizes)
     colors = []

@@ -1,5 +1,5 @@
 """Problem instances for the partial-cover variants, residual construction,
-triviality checks, and solution/report records.
+and solution/report records.
 
 Instances are frozen; ``residual`` returns a fresh instance with the same
 vertex-id universe (the forced vertex simply loses all its edges), so a
@@ -118,9 +118,11 @@ def make_instance(n, edges, costs=None, *, budget, target, variant=None,
     from .graph import make_graph
 
     g = make_graph(n, edges, costs)
-    if variant is None:
-        variant = infer_variant(g)
-    inst = WpvcInstance(g, budget, target, Variant(variant), bipartite_required)
+    try:
+        variant = Variant(infer_variant(g) if variant is None else variant)
+    except ValueError:
+        raise InputError("unknown variant %r" % (variant,)) from None
+    inst = WpvcInstance(g, budget, target, variant, bipartite_required)
     _require_valid(inst)
     return inst
 
@@ -192,24 +194,6 @@ def residual(inst: WpvcInstance, v: int) -> WpvcInstance:
     kept = [g.edges[e] for e in range(g.m) if e not in drop]
     return replace(inst, graph=_derived_graph(g, g.n, kept, g.costs),
                    budget=inst.budget - g.costs[v], target=max(0, inst.target - gain))
-
-
-def is_trivial(inst: WpvcInstance):
-    """Shared base cases: True (empty set suffices), False (infeasible), or None.
-
-    A zero target is always feasible, even with a zero budget. A zero budget
-    with a positive target is infeasible, as is a target beyond the total
-    profit of all remaining edges. Callers must deal with zero-cost vertices
-    before relying on the zero-budget rule; the branching solvers force such
-    vertices into the solution first.
-    """
-    if inst.target == 0:
-        return True
-    if inst.budget == 0:
-        return False
-    if inst.graph.total_profit() < inst.target:
-        return False
-    return None
 
 
 def prune_unaffordable(inst: WpvcInstance) -> WpvcInstance:

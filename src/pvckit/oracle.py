@@ -1,12 +1,17 @@
 """Brute-force deciders used as ground truth in tests and for `--verify`.
 
-Subsets are enumerated by increasing size, then lexicographically, so witnesses
-are canonical. Only vertices the budget can afford are ever enumerated; the
-size caps below count those selectable vertices, which keeps pendant-heavy
-gadget instances (thousands of unaffordable degree-1 vertices) in reach.
+The three cover oracles share one enumerator, :func:`_covers`. It yields each
+subset of the selectable vertices whose total cost is within the budget, by
+increasing size and then lexicographically, so witnesses are canonical, and
+with each subset the bitmask of the edges it covers (one bit per edge id).
+Each oracle keeps only its own test of one subset. Only vertices the budget
+can afford are enumerated; the size caps below count those selectable
+vertices, which keeps pendant-heavy gadget instances (thousands of
+unaffordable degree-1 vertices) in reach.
 
 In oracle reports, ``nodes_expanded`` is the number of subsets examined and
-``max_depth`` the largest subset size tried.
+``max_depth`` the largest subset size tried, which is the size of the last
+one, since sizes never fall.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, NotBipartiteError, OracleScaleError
-from .graph import Graph, NotBipartite, bipartition, coverage, edge_subgraph, max_matching
+from .graph import Graph, NotBipartite, bipartition, edge_subgraph, max_matching
 from .instance import CoverSolution, SolveReport, WpvcInstance, make_solution
 
 DEFAULT_CAP = 20
@@ -33,17 +38,44 @@ def _candidates(inst: WpvcInstance, cap: int) -> list[int]:
     return cands
 
 
-def _incidence_masks(g: Graph, vertices) -> dict[int, int]:
-    # One bit per edge id; unions and popcounts stay cheap even for the
+def _covers(g: Graph, cands, costs, budget):
+    """Yield ``(subset, mask)`` for each subset of ``cands`` whose total cost
+    is within ``budget``, by (size, lex); ``mask`` has bit e set for every
+    edge e the subset covers."""
+    # Per-vertex incidence masks; unions and popcounts stay cheap even for the
     # 20k-edge pendantized gadgets.
     nbytes = (g.m + 7) // 8
     masks = {}
-    for v in vertices:
+    for v in cands:
         buf = bytearray(nbytes)
         for e in g.adjacency[v]:
             buf[e >> 3] |= 1 << (e & 7)
         masks[v] = int.from_bytes(buf, "little")
-    return masks
+    cheapest = min((costs[v] for v in cands), default=0)
+    max_size = min(len(cands), budget // cheapest) if cheapest > 0 else len(cands)
+    for size in range(max_size + 1):
+        for combo in itertools.combinations(cands, size):
+            if sum(costs[v] for v in combo) <= budget:
+                mask = 0
+                for v in combo:
+                    mask |= masks[v]
+                yield combo, mask
+
+
+def _edge_ids(mask: int) -> list[int]:
+    """The ids of the edges in ``mask``, ascending."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids
+
+
+def _profits(g: Graph):
+    """Per-edge profits, and the common profit when all edges share one."""
+    profits = [p for _, _, p in g.edges]
+    return profits, profits[0] if profits and all(p == profits[0] for p in profits) else None
 
 
 def _mask_profit(mask: int, profits, uniform) -> int:
@@ -57,47 +89,23 @@ def _mask_profit(mask: int, profits, uniform) -> int:
     return total
 
 
-def _subsets(cands, costs, budget):
-    """Subsets of cands with total cost within budget, by (size, lex)."""
-    if cands and min(costs[v] for v in cands) > 0:
-        max_size = min(len(cands), budget // min(costs[v] for v in cands))
-    else:
-        max_size = len(cands)
-    for size in range(max_size + 1):
-        for combo in itertools.combinations(cands, size):
-            if sum(costs[v] for v in combo) <= budget:
-                yield combo
-
-
 def oracle_wpvc(inst: WpvcInstance, cap: int = DEFAULT_CAP) -> SolveReport:
     """Exhaustive decision of a weighted instance.
 
-    Witness is the first feasible subset in (size, lex) order.
+    Witness is the first feasible subset in (size, lex) order. When the whole
+    graph's profit is below the target, no subset is examined.
     """
     t0 = time.perf_counter()
     cands = _candidates(inst, cap)
     g = inst.graph
-    profits = [p for _, _, p in g.edges]
-    uniform = profits[0] if profits and all(p == profits[0] for p in profits) else None
-    masks = _incidence_masks(g, cands)
-    examined = 0
-    deepest = 0
-    found = None
+    profits, uniform = _profits(g)
+    examined, combo = 0, ()
     if g.total_profit() >= inst.target:
-        for combo in _subsets(cands, g.costs, inst.budget):
-            examined += 1
-            deepest = max(deepest, len(combo))
-            mask = 0
-            for v in combo:
-                mask |= masks[v]
+        for examined, (combo, mask) in enumerate(_covers(g, cands, g.costs, inst.budget), 1):
             if _mask_profit(mask, profits, uniform) >= inst.target:
-                found = combo
-                break
-    elapsed = time.perf_counter() - t0
-    if found is None:
-        return SolveReport(False, None, examined, deepest, elapsed)
-    sol = make_solution(g, found)
-    return SolveReport(True, sol, examined, deepest, elapsed)
+                return SolveReport(True, make_solution(g, combo), examined, len(combo),
+                                   time.perf_counter() - t0)
+    return SolveReport(False, None, examined, len(combo), time.perf_counter() - t0)
 
 
 def oracle_fractional(inst: WpvcInstance, cap: int = DEFAULT_CAP) -> SolveReport:
@@ -111,27 +119,26 @@ def oracle_fractional(inst: WpvcInstance, cap: int = DEFAULT_CAP) -> SolveReport
     t0 = time.perf_counter()
     cands = _candidates(inst, cap)
     g = inst.graph
-    examined = 0
-    deepest = 0
-    for combo in _subsets(cands, g.costs, inst.budget):
-        examined += 1
-        deepest = max(deepest, len(combo))
-        covered, profit = coverage(g, combo)
+    profits, uniform = _profits(g)
+    examined, combo = 0, ()
+    for examined, (combo, mask) in enumerate(_covers(g, cands, g.costs, inst.budget), 1):
+        profit = _mask_profit(mask, profits, uniform)
         if profit >= inst.target:
-            sol = make_solution(g, combo)
-            return SolveReport(True, sol, examined, deepest, time.perf_counter() - t0)
+            return SolveReport(True, make_solution(g, combo), examined, len(combo),
+                               time.perf_counter() - t0)
         spare = inst.budget - sum(g.costs[v] for v in combo)
         if spare <= 0:
             continue
+        covered = set(_edge_ids(mask))
         for w in g.vertices():
             if w in combo or g.costs[w] <= spare:
                 continue  # affordable vertices are covered by integral enumeration
             extent = Fraction(spare, g.costs[w])
-            sole = sum(g.profit(e) for e in g.adjacency[w] if e not in covered)
+            sole = sum(profits[e] for e in g.adjacency[w] if e not in covered)
             if profit + extent * sole >= inst.target:
-                sol = make_solution(g, combo, (w, extent))
-                return SolveReport(True, sol, examined, deepest, time.perf_counter() - t0)
-    return SolveReport(False, None, examined, deepest, time.perf_counter() - t0)
+                return SolveReport(True, make_solution(g, combo, (w, extent)), examined,
+                                   len(combo), time.perf_counter() - t0)
+    return SolveReport(False, None, examined, len(combo), time.perf_counter() - t0)
 
 
 def oracle_pvcbm(g: Graph, k1: int, k2: int, k3: int, cap: int = DEFAULT_CAP) -> SolveReport:
@@ -139,6 +146,7 @@ def oracle_pvcbm(g: Graph, k1: int, k2: int, k3: int, cap: int = DEFAULT_CAP) ->
 
     Yes iff some set of at most k1 vertices covers at least k2 edges whose
     subgraph has a matching of size at least k3 (checked with Hopcroft-Karp).
+    Every vertex counts once against k1, whatever its cost.
     """
     t0 = time.perf_counter()
     if min(k1, k2, k3) < 0:
@@ -148,21 +156,17 @@ def oracle_pvcbm(g: Graph, k1: int, k2: int, k3: int, cap: int = DEFAULT_CAP) ->
     bp = bipartition(g)
     if isinstance(bp, NotBipartite):
         raise NotBipartiteError(bp.odd_cycle)
-    examined = 0
-    for size in range(min(k1, g.n) + 1):
-        for combo in itertools.combinations(range(g.n), size):
-            examined += 1
-            covered, _ = coverage(g, combo)
-            if len(covered) < k2:
-                continue
-            sub, back = edge_subgraph(g, covered)
-            mat = max_matching(sub, bp)
-            if mat.size >= k3:
-                sol = CoverSolution(frozenset(combo), None, len(combo), len(covered))
-                ids = frozenset(back[e] for e in mat.edge_ids)
-                return SolveReport(True, sol, examined, size,
-                                   time.perf_counter() - t0, matching_edge_ids=ids)
-    return SolveReport(False, None, examined, min(k1, g.n), time.perf_counter() - t0)
+    examined, combo = 0, ()
+    for examined, (combo, mask) in enumerate(_covers(g, g.vertices(), (1,) * g.n, k1), 1):
+        if mask.bit_count() < k2:
+            continue
+        sub, back = edge_subgraph(g, _edge_ids(mask))
+        mat = max_matching(sub, bp)
+        if mat.size >= k3:
+            sol = CoverSolution(frozenset(combo), None, len(combo), mask.bit_count())
+            return SolveReport(True, sol, examined, len(combo), time.perf_counter() - t0,
+                               matching_edge_ids=frozenset(back[e] for e in mat.edge_ids))
+    return SolveReport(False, None, examined, len(combo), time.perf_counter() - t0)
 
 
 @dataclass(frozen=True)

@@ -110,6 +110,17 @@ class TestBoundedDegree:
         assert rep.verdict
         assert 0 in rep.witness.vertices
 
+    def test_zero_profit_edge_does_not_spread_the_kernel(self):
+        # The kernel pick 1 has a zero-profit edge to the zero-cost vertex 0.
+        # Branching on 0 would spend no budget, so the search would go deeper
+        # than the budget; the kernel spreads over positive-profit edges only.
+        g = make_graph(3, [(0, 1, 0), (1, 2, 3)], costs=[0, 1, 1])
+        inst = WpvcInstance(g, 1, 1, Variant.WPVC)
+        rep = solve_wpvc_bounded_degree(inst, 2)
+        assert rep.verdict and rep.witness.vertices == frozenset({1})
+        assert rep.max_depth <= inst.budget
+        assert oracle_wpvc(inst).witness == rep.witness
+
     def test_matches_oracle_with_depth_bound(self):
         for seed in range(120):
             inst = bounded_degree_case(seed)

@@ -67,6 +67,14 @@ class TestSolve:
             ["solve", "--alg", "bounded-degree", "--verify", str(f)], capsys)
         assert code == 0 and "verify=ok" in out
 
+    def test_bounded_degree_zero_cost_vertex_on_zero_profit_edge(self, tmp_path, capsys):
+        f = tmp_path / "zero.wpvc"
+        f.write_text("p wpvc 3 2 1 1\nv 0 0\ne 0 1 0\ne 1 2 3\n")
+        code, out, err = run_cli(
+            ["solve", "--alg", "bounded-degree", "--verify", str(f)], capsys)
+        assert (code, err) == (0, "")
+        assert "witness=1" in out and "verify=ok" in out
+
     def test_pvcbm_needs_k3(self, tmp_path, capsys):
         f = tmp_path / "path3.wpvc"
         f.write_text(PATH3)
@@ -249,6 +257,25 @@ class TestGenCmd:
              "--seed", "0"], capsys)
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("flag", ["--cost-max", "--profit-max"])
+    def test_gen_weight_cap_below_one_is_input_error(self, capsys, flag):
+        code, out, err = run_cli(["gen", "bipartite-random", "--seed", "0", flag, "0"],
+                                 capsys)
+        assert (code, out) == (2, "") and err.startswith("error:")
+
+    @pytest.mark.parametrize("flag", ["--budget", "--target"])
+    def test_gen_writes_no_instance_that_solve_rejects(self, tmp_path, capsys, flag):
+        f = tmp_path / "neg.wpvc"
+        code, _, err = run_cli(["gen", "bipartite-random", "--seed", "0", flag, "-3",
+                                "--out", str(f)], capsys)
+        assert code == 2 and err.startswith("error:") and not f.exists()
+
+    @pytest.mark.parametrize("prob", ["2", "-0.5", "nan"])
+    def test_gen_edge_probability_outside_unit_interval(self, capsys, prob):
+        code, out, err = run_cli(["gen", "mcq-planted", "--seed", "0", "--edge-prob", prob],
+                                 capsys)
+        assert (code, out) == (2, "") and err.startswith("error:")
+
     def test_gen_mcq_planted_solves_yes(self, tmp_path, capsys):
         f = tmp_path / "planted.mcq"
         code, _, _ = run_cli(
@@ -278,6 +305,22 @@ class TestBenchCmd:
         code, out, _ = run_cli(["bench", "--config", str(cfg)], capsys)
         assert code == 0
         assert out.count("by-L") == 2 and "epvcbd" not in out
+
+
+    @pytest.mark.parametrize("config", [
+        {"runs": [{"alg": "by-L", "seeds": [0]}]},
+        [{"alg": "by-L", "grid": [2], "seeds": [0]}],
+        {"runs": [{"alg": "by-L", "grid": [2], "seeds": ["0"]}]},
+        {"runs": {"alg": "by-L"}},
+        {"runs": [{"alg": "bounded-degree", "grid": [2], "seeds": [0],
+                   "degree_bound": -1}]},
+    ], ids=["no-grid", "top-level-list", "string-seed", "runs-not-a-list",
+            "negative-degree-bound"])
+    def test_malformed_config_is_input_error(self, tmp_path, capsys, config):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(["bench", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "") and err.startswith("error:")
 
 
 def test_console_entry_point_runs():

@@ -102,6 +102,12 @@ class TestRebalance:
         with pytest.raises(InputError):
             rebalance_sections(g, [3, 0])
 
+    def test_rejects_edge_with_zero_cost_endpoint(self):
+        # Such an edge has no copy edges, so there is no share to rebalance by.
+        g = make_graph(4, [(0, 1, 1), (2, 3, 1)], [2, 0, 2, 1])
+        with pytest.raises(InputError, match="zero-cost"):
+            rebalance_sections(g, [1, 0, 1, 0])
+
 
 class TestSolveFractional:
     def test_half_vertex_witness(self):

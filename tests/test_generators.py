@@ -41,6 +41,21 @@ def test_degree_bound_infeasible_is_error():
         random_bounded_degree_graph(0, 3, 4, 1)
 
 
+@pytest.mark.parametrize("caps", [(0, 1), (1, 0), (-2, 3)])
+def test_weight_caps_below_one_are_errors(caps):
+    cost_max, profit_max = caps
+    with pytest.raises(InputError):
+        random_bipartite_graph(0, 6, 4, cost_max=cost_max, profit_max=profit_max)
+    with pytest.raises(InputError):
+        random_bounded_degree_graph(0, 6, 4, 3, cost_max=cost_max, profit_max=profit_max)
+
+
+@pytest.mark.parametrize("edge_prob", [2.0, -0.1, float("nan"), float("inf")])
+def test_mcq_edge_probability_outside_unit_interval_is_error(edge_prob):
+    with pytest.raises(InputError):
+        random_mcq(0, k=2, class_size=2, edge_prob=edge_prob)
+
+
 def test_mcq_planted_is_yes():
     for seed in range(10):
         mcq = random_mcq(seed, k=3, class_size=2, edge_prob=0.2, plant=True)

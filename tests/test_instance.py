@@ -3,9 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_force_verdict, path3, random_instance, star, triangle
-from pvckit import (InputError, Variant, WpvcInstance, infer_variant, is_trivial,
-                    make_graph, make_instance, make_solution, prune_unaffordable,
-                    residual, validate)
+from pvckit import (InputError, Variant, WpvcInstance, infer_variant, make_graph,
+                    make_instance, make_solution, prune_unaffordable, residual, validate)
 from pvckit.oracle import oracle_wpvc
 
 
@@ -37,6 +36,10 @@ class TestValidate:
         inst = WpvcInstance(triangle(), 1, 1, Variant.PVC, bipartite_required=True)
         problems = validate(inst)
         assert any("odd cycle" in p for p in problems)
+
+    def test_make_instance_rejects_unknown_variant(self):
+        with pytest.raises(InputError, match="unknown variant 'x'"):
+            make_instance(2, [(0, 1)], budget=1, target=1, variant="x")
 
     def test_make_instance_raises_on_violation(self):
         with pytest.raises(InputError):
@@ -89,20 +92,6 @@ class TestResidual:
             return
         v = data.draw(st.sampled_from(affordable))
         assert validate(residual(inst, v)) == []
-
-
-class TestIsTrivial:
-    def test_zero_target_is_yes(self):
-        assert is_trivial(path3(budget=0, target=0)) is True
-
-    def test_zero_budget_positive_target_is_no(self):
-        assert is_trivial(path3(budget=0, target=1)) is False
-
-    def test_target_above_total_profit_is_no(self):
-        assert is_trivial(path3(budget=3, target=3)) is False
-
-    def test_otherwise_undecided(self):
-        assert is_trivial(path3(budget=1, target=2)) is None
 
 
 class TestPruneUnaffordable:
