@@ -5,13 +5,17 @@ how a node's kernel (the small set some feasible cover must intersect) is
 computed from the residual weighted degrees. A search node is the input graph
 plus a mask of the vertices forced into the solution so far; an edge is live
 while neither endpoint is forced. Branching is on kernel members in ascending
-vertex id. The search keeps its frames on an explicit stack, so its depth is
-bounded by memory, not by Python's recursion limit. Depth and fan-out bounds
-are hard assertions, not hopes.
+vertex id. Before the rule runs, a fractional-knapsack bound on the live
+profit settles every node whose budget cannot reach its target, so the rules
+only see nodes that may still have a feasible completion. The search keeps
+its frames on an explicit stack, so its depth is bounded by memory, not by
+Python's recursion limit. Depth and fan-out bounds are hard assertions, not
+hopes.
 """
 
 from __future__ import annotations
 
+import math
 import time
 
 from .errors import InputError, NotBipartiteError, VariantError
@@ -73,11 +77,15 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, t0: float) -> SolveRepor
     costs O(deg v), and every node sees exactly what :func:`residual` would
     give. The target is the instance target less the profit already covered.
     A zero target is a yes; a zero budget or a target above the live profit
-    is a no. Otherwise ``rule(wdeg, budget, target, forced)`` returns None
-    for a no, ``(take, None)`` when the vertices ``take`` finish the cover,
-    or ``(None, branch)`` to try each vertex of ``branch`` in turn, skipping
-    those the node cannot afford. Rules read ``wdeg`` and ``forced`` and must
-    not write to either: the search owns that state across nodes.
+    is a no, and so is a node whose profit bound (see :func:`_profit_bound`)
+    is below its target: no affordable set of unforced vertices can cover the
+    target, so the bound never cuts a node that has a feasible completion, and
+    the depth-first order reaches the same first witness with no more nodes.
+    Only nodes the bound admits reach ``rule(wdeg, budget, target, forced)``,
+    which returns ``(take, None)`` when the vertices ``take`` finish the
+    cover, or ``(None, branch)`` to try each vertex of ``branch`` in turn,
+    skipping those the node cannot afford. Rules read ``wdeg`` and ``forced``
+    and must not write to either: the search owns that state across nodes.
     """
     g = inst.graph
     edges, costs, adjacency = g.edges, g.costs, g.adjacency
@@ -90,6 +98,10 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, t0: float) -> SolveRepor
             wdeg[u] += p
             wdeg[w] += p
             live += p
+    # No zero-cost vertex keeps positive live profit past the free pass, and
+    # forcing only lowers wdeg, so every item of the profit bound costs >= 1.
+    assert 0 not in costs or not any(w and not costs[v] for v, w in enumerate(wdeg))
+    scale = _ratio_scale(costs, inst.budget)
     slack = g.total_profit() - inst.target  # live profit that may stay uncovered
     stack = []  # one frame per branching node: (branch iterator, chain length, budget)
     budget = inst.budget
@@ -100,7 +112,8 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, t0: float) -> SolveRepor
         target = max(0, live - slack)
         if target == 0:
             break
-        found = rule(wdeg, budget, target, forced) if 0 < budget and target <= live else None
+        found = (rule(wdeg, budget, target, forced) if 0 < budget and target <= live
+                 and _profit_bound(wdeg, costs, scale, budget) >= target else None)
         if found is not None:
             take, branch = found
             if take is not None:
@@ -140,6 +153,46 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, t0: float) -> SolveRepor
     return SolveReport(True, sol, nodes, deepest, time.perf_counter() - t0)
 
 
+def _ratio_scale(costs, budget: int) -> dict[int, int] | None:
+    """None when every cost is 1. Otherwise a map from each cost c of 1 to
+    ``budget`` that some vertex has to the factor lcm // c, where lcm is the
+    lcm of those costs."""
+    if costs.count(1) == len(costs):
+        return None
+    affordable = [c for c in set(costs) if 0 < c <= budget]
+    lcm = math.lcm(*affordable)
+    return {c: lcm // c for c in affordable}
+
+
+def _profit_bound(wdeg, costs, scale, budget: int) -> int:
+    """The most live profit an affordable set of unforced vertices could
+    cover, rounded down: the LP relaxation of the knapsack whose items are the
+    vertices with ``0 < wdeg[v]`` and ``costs[v] <= budget``, of value
+    ``wdeg[v]`` and weight ``costs[v]``, at capacity ``budget`` (Dantzig
+    1957). A set covers at most the sum of its members' ``wdeg``, so a node
+    whose bound is below its target has no feasible completion.
+
+    ``scale`` is None when every cost is 1; the bound is then the sum of the
+    ``budget`` largest ``wdeg``. Otherwise ``scale[c] * c`` is one common
+    multiple of the affordable costs, so ``wdeg[v] * scale[costs[v]]`` orders
+    the items by value per unit of cost exactly, in integers. Items are taken
+    whole in that order, and the first that does not fit is taken in part.
+    Every item costs at least 1, so the loop runs at most ``budget + 1``
+    times.
+    """
+    if scale is None:
+        return sum(sorted(wdeg)[-budget:])
+    items = sorted(((w * scale[c], w, c) for w, c in zip(wdeg, costs)
+                    if w and c <= budget), reverse=True)
+    bound = 0
+    for _, w, c in items:
+        if c > budget:
+            return bound + budget * w // c
+        bound += w
+        budget -= c
+    return bound
+
+
 def _with_live_neighbors(g: Graph, kernel, forced) -> list[int]:
     """The kernel plus every vertex joined to it by a live edge of positive
     profit. A neighbor across a zero-profit edge adds nothing to either
@@ -163,7 +216,9 @@ def solve_epvcbd(inst: WpvcInstance) -> SolveReport:
     means one side of the bipartition holds budget-many independent high-yield
     vertices whose joint coverage settles the node. A smaller pool must be hit
     by any feasible cover, so we branch on it. Depth stays within the budget
-    and fan-out below twice the residual budget.
+    and fan-out below twice the residual budget. A node whose budget largest
+    residual degrees sum below the target is a no before the pool is built,
+    so the pool is never empty.
     """
     t0 = time.perf_counter()
     return _solve_epvcbd(inst, _require_bipartite(inst, unit_costs=True).side, t0)
@@ -175,10 +230,9 @@ def _solve_epvcbd(inst: WpvcInstance, side, t0: float) -> SolveReport:
 
     def rule(wdeg, budget, target, forced):
         pool = [v for v, w in enumerate(wdeg) if w * budget >= target]
-        if not pool:
-            # No single vertex reaches target/budget, so no affordable set
-            # reaches the target.
-            return None
+        # The budget largest wdeg reach the target, so the largest reaches
+        # target/budget.
+        assert pool
         if len(pool) >= 2 * budget:
             lefts = [v for v in pool if side[v] == LEFT]
             rights = [v for v in pool if side[v] == RIGHT]
@@ -200,7 +254,9 @@ def solve_wpvc_bounded_degree(inst: WpvcInstance, degree_bound: int) -> SolveRep
     the kernel could swap any member for its cost class's top pick without
     losing coverage or raising cost, so the kernel intersects some feasible
     cover. Kernel size stays within (degree_bound + 1) times the residual
-    budget.
+    budget. A node whose fractional-knapsack bound on the residual coverage
+    (value per unit of cost, greedily, within the budget) is below the target
+    is a no before the kernel is built, so the kernel is never empty.
     """
     t0 = time.perf_counter()
     _require_valid(inst)
@@ -219,9 +275,7 @@ def solve_wpvc_bounded_degree(inst: WpvcInstance, degree_bound: int) -> SolveRep
                 held = best_per_cost.get(c)
                 if held is None or (w, -v) > (wdeg[held], -held):
                     best_per_cost[c] = v
-        if not best_per_cost:
-            # Every affordable vertex covers zero residual profit.
-            return None
+        assert best_per_cost  # the bound saw an affordable vertex of positive wdeg
         branch = _with_live_neighbors(g, best_per_cost.values(), forced)
         assert len(branch) <= (degree_bound + 1) * budget
         return None, branch
@@ -240,6 +294,8 @@ def solve_wpvc_by_L(inst: WpvcInstance) -> SolveReport:
     Swapping any cover member for its coverage class's cheapest pick preserves
     feasibility, so the kernel intersects some feasible cover. Fan-out stays
     below the residual target squared and depth below twice the root target.
+    A node whose fractional-knapsack bound on the residual coverage is below
+    the target is a no before the rule runs, so the kernel is never empty.
     """
     t0 = time.perf_counter()
     _require_valid(inst)
@@ -254,10 +310,9 @@ def solve_wpvc_by_L(inst: WpvcInstance) -> SolveReport:
                 held = cheapest_per_value.get(w)
                 if held is None or (g.costs[v], v) < (g.costs[held], held):
                     cheapest_per_value[w] = v
-        if not cheapest_per_value:
-            # All affordable vertices cover zero residual profit (one
-            # covering the target alone would have ended the node in the loop).
-            return None
+        # The bound saw an affordable vertex of positive wdeg; one covering
+        # the target alone would have ended the node in the loop.
+        assert cheapest_per_value
         branch = _with_live_neighbors(g, cheapest_per_value.values(), forced)
         assert len(branch) < target * target
         return None, branch

@@ -243,6 +243,7 @@ def bipartition(g: Graph):
     an odd cycle as witness. Deterministic: the same graph always yields the
     same labeling.
     """
+    edges, adjacency = g.edges, g.adjacency
     side = [-1] * g.n
     parent = [-1] * g.n
     for root in range(g.n):
@@ -252,13 +253,16 @@ def bipartition(g: Graph):
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for e in g.adjacency[v]:
-                w = g.other_end(e, v)
+            here = side[v]
+            there = RIGHT if here == LEFT else LEFT
+            for e in adjacency[v]:
+                a, b, _ = edges[e]
+                w = b if a == v else a
                 if side[w] == -1:
-                    side[w] = RIGHT if side[v] == LEFT else LEFT
+                    side[w] = there
                     parent[w] = v
                     queue.append(w)
-                elif side[w] == side[v]:
+                elif side[w] == here:
                     return NotBipartite(odd_cycle=_odd_cycle(parent, v, w))
     return Bipartition(side=tuple(side))
 

@@ -6,8 +6,9 @@ from collections import deque
 from itertools import combinations
 from math import lcm
 
-from pvckit import LEFT, Matching, WpvcInstance, coverage, infer_variant, make_graph
-from pvckit.graph import _check_bipartition
+from pvckit import (LEFT, RIGHT, Bipartition, Matching, NotBipartite, WpvcInstance, coverage,
+                    infer_variant, make_graph)
+from pvckit.graph import _check_bipartition, _odd_cycle
 
 
 def path3(budget=1, target=2):
@@ -165,6 +166,29 @@ def max_matching_reference(g, bp):
             a, b = (u, pair[u]) if u < pair[u] else (pair[u], u)
             ids.add(index[(a, b)])
     return Matching(edge_ids=frozenset(ids), size=size)
+
+
+def bipartition_reference(g):
+    """``bipartition`` as it was before its BFS unpacked edges itself: one
+    ``other_end`` call per edge."""
+    side = [-1] * g.n
+    parent = [-1] * g.n
+    for root in range(g.n):
+        if side[root] != -1:
+            continue
+        side[root] = LEFT
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for e in g.adjacency[v]:
+                w = g.other_end(e, v)
+                if side[w] == -1:
+                    side[w] = RIGHT if side[v] == LEFT else LEFT
+                    parent[w] = v
+                    queue.append(w)
+                elif side[w] == side[v]:
+                    return NotBipartite(odd_cycle=_odd_cycle(parent, v, w))
+    return Bipartition(side=tuple(side))
 
 
 def long_augmenting_path(k):

@@ -12,6 +12,9 @@ The corpus is the criterion 1-4 acceptance instances, the bench grids, deep
 unit paths, and seeded trees of 30-100 vertices at the yes/no boundary. The
 acceptance instances hardly branch; the trees are kept only if the solve
 expands at least ``MIN_NODES`` nodes, so the corpus exercises backtracking.
+The recorded trees were picked by the node counts of the search before its
+profit bound, and only their node fields were recorded again after it; so
+running this script now would pick other trees, not just rewrite counts.
 
 The matching-constrained solver has its own records, which also hold the
 reported matching: the criterion 5 instances, and the first ``GROWTH_CASES``

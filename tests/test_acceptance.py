@@ -181,9 +181,10 @@ def test_criterion_8_bench_grids_within_node_bounds():
     rows = run_config(default_config())
     assert rows, "default suite must not be empty"
     for r in rows:
-        assert r.ok, "row %s seed=%d %s=%d: %d nodes above bound %d" % (
-            r.alg, r.seed, r.param, r.value, r.nodes_expanded, r.bound)
-        assert r.nodes_expanded <= r.bound
+        base, exponent = r.bound
+        assert r.ok, "row %s seed=%d %s=%d: %d nodes above bound %d^%d" % (
+            r.alg, r.seed, r.param, r.value, r.nodes_expanded, base, exponent)
+        assert r.nodes_expanded <= base ** exponent
     _announce("8 bound conformance", "%d bench rows within bounds" % len(rows))
 
 

@@ -306,6 +306,17 @@ class TestBenchCmd:
         assert code == 0
         assert out.count("by-L") == 2 and "epvcbd" not in out
 
+    @pytest.mark.parametrize("alg, value, bound", [
+        ("by-L", 500, "500^2000"), ("epvcbd", 1300, "2600^1300"),
+        ("bounded-degree", 100000, "400000^100000")])
+    def test_large_node_bound_prints_as_a_power(self, tmp_path, capsys, alg, value, bound):
+        # Expanded, each bound has more digits than int-to-str conversion allows.
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({"runs": [{"alg": alg, "grid": [value], "seeds": [0]}]}))
+        code, out, err = run_cli(["bench", "--config", str(cfg)], capsys)
+        assert (code, err) == (0, "")
+        row = out.splitlines()[1].split()
+        assert row[0] == alg and row[9] == bound and row[-1] == "ok"
 
     @pytest.mark.parametrize("config", [
         {"runs": [{"alg": "by-L", "seeds": [0]}]},

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (brute_force_cover_number, brute_force_matching_size, c4,
-                     check_graph_reference, long_augmenting_path, max_matching_reference,
-                     star)
+from helpers import (bipartition_reference, brute_force_cover_number,
+                     brute_force_matching_size, c4, check_graph_reference,
+                     long_augmenting_path, max_matching_reference, star)
 from pvckit import (LEFT, RIGHT, Bipartition, Graph, InputError, NotBipartite, bipartition,
                     coverage, edge_subgraph, make_graph, max_matching, min_vertex_cover,
                     weighted_degree, weighted_degrees)
@@ -176,6 +176,22 @@ class TestBipartition:
             pairs = {(u, v) for u, v, _ in g.edges} | {(v, u) for u, v, _ in g.edges}
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 assert (a, b) in pairs
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        # Mostly bipartite by construction, so the labeling is compared too;
+        # a few extra edges may close odd cycles.
+        n = data.draw(st.integers(min_value=0, max_value=30))
+        side = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        cross = [(i, j) for i in range(n) for j in range(i + 1, n) if side[i] != side[j]]
+        rest = [(i, j) for i in range(n) for j in range(i + 1, n) if side[i] == side[j]]
+        picked = data.draw(st.lists(st.sampled_from(cross), unique=True, max_size=40)
+                           if cross else st.just([]))
+        picked += data.draw(st.lists(st.sampled_from(rest), unique=True, max_size=2)
+                            if rest else st.just([]))
+        g = make_graph(n, data.draw(st.permutations(picked)))
+        assert bipartition(g) == bipartition_reference(g)
 
 
 class TestMatchingAndCover:

@@ -7,24 +7,33 @@ rule, and every node it settles or branches on is checked by brute force
 against the node's feasible completions: sets of unforced vertices within the
 residual budget that cover the residual target of live profit. Only vertices
 on a live positive-profit edge are enumerated; dropping any other vertex from
-a completion keeps it feasible. Three checks:
+a completion keeps it feasible. Two checks:
 
-* a rule that returns None is right that the node has no feasible completion;
 * every ``take`` a rule returns is a feasible completion;
 * when the node has a feasible completion, the affordable part of the branch
   list meets at least one of them.
+
+The search's profit bound settles, before any rule runs, every node on which
+a rule's kernel would be empty (no affordable vertex of positive residual
+degree, or with unit costs none reaching target/budget). So the rules never
+return None; they assert that their kernel is not empty. The gate cannot see
+the nodes the bound cuts, so the bound has its own gate below: it admits
+every node that has a feasible completion, and it equals an independent LP
+value.
 
 The instances have at most 9 vertices and draw zero-cost vertices and
 zero-profit edges.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from pvckit import (Variant, WpvcInstance, branching, infer_variant, make_graph,
-                    solve_epvcbd, solve_wpvc_bounded_degree, solve_wpvc_by_L)
+                    oracle_wpvc, solve_epvcbd, solve_wpvc_bounded_degree,
+                    solve_wpvc_by_L)
 
 CASES = 1500
 
@@ -50,9 +59,6 @@ def gated(inst, rule, calls):
         found = rule(wdeg, budget, target, forced)
         feasible = completions(g, forced, budget, target)
         calls.append(found)
-        if found is None:
-            assert not feasible, "rule said no at a node with a feasible completion"
-            return found
         take, branch = found
         if take is not None:
             chosen = set(take)
@@ -135,3 +141,77 @@ def test_profit_target_kernel(rule_calls):
         rep = solve_wpvc_by_L(inst)
         assert inst.target == 0 or rep.max_depth < 2 * inst.target
     assert len(rule_calls) > 300
+
+
+def random_node(rng, unit_costs):
+    """A search node of a random instance with positive budget: a random
+    forced mask, then the free pass, as at the search's root. Returns the
+    graph, the mask, the live ``wdeg``, the instance's ratio scale and a node
+    budget up to the instance budget."""
+    inst = random_case(rng, unit_costs=unit_costs)
+    while inst.budget == 0:
+        inst = random_case(rng, unit_costs=unit_costs)
+    g = inst.graph
+    forced = [rng.random() < 0.3 for _ in range(g.n)]
+    branching._force_free(g, forced)
+    wdeg = [0] * g.n
+    for u, w, p in g.edges:
+        if not (forced[u] or forced[w]):
+            wdeg[u] += p
+            wdeg[w] += p
+    scale = branching._ratio_scale(g.costs, inst.budget)
+    return g, forced, wdeg, scale, rng.randint(1, inst.budget)
+
+
+def lp_value(wdeg, costs, budget):
+    """The knapsack LP optimum by brute force: some optimal point takes a set
+    of items whole and at most one more in part, so try every set within the
+    budget with every extra item, in ``Fraction`` ratios."""
+    items = [(w, costs[v]) for v, w in enumerate(wdeg) if w and costs[v] <= budget]
+    best = Fraction(0)
+    for size in range(len(items) + 1):
+        for pick in combinations(range(len(items)), size):
+            room = budget - sum(items[i][1] for i in pick)
+            if room < 0:
+                continue
+            whole = sum(items[i][0] for i in pick)
+            best = max([best, Fraction(whole)]
+                       + [whole + min(Fraction(1), Fraction(room, c)) * w
+                          for i, (w, c) in enumerate(items) if i not in pick])
+    return best
+
+
+@pytest.mark.parametrize("unit_costs", [True, False], ids=["unit", "weighted"])
+def test_profit_bound_admits_feasible_nodes_and_is_the_lp_value(unit_costs):
+    rng = random.Random(104 + unit_costs)
+    for _ in range(CASES):
+        g, forced, wdeg, scale, budget = random_node(rng, unit_costs)
+        assert scale is None or not unit_costs
+        bound = branching._profit_bound(wdeg, g.costs, scale, budget)
+        assert bound == int(lp_value(wdeg, g.costs, budget))
+        covers = [sum(p for u, w, p in g.edges if not (forced[u] or forced[w])
+                      and (u in chosen or w in chosen))
+                  for chosen in completions(g, forced, budget, 0)]
+        assert bound >= max(covers), "the bound cuts a node with a feasible completion"
+
+
+def test_profit_bound_is_exact_past_float_range():
+    # Profits near 10**400 overflow a float key, and the ratios big + 1 and
+    # big differ far below a float's precision. Taking vertex 0 (ratio big)
+    # before vertex 2 (ratio big + 1) at budget 2 would give 2*big + 1.
+    big = 10 ** 400
+    g = make_graph(4, [(0, 1, big), (2, 3, 2 * big + 2)], [1, 3, 2, 3])
+    wdeg = [big, big, 2 * big + 2, 2 * big + 2]
+    with pytest.raises(OverflowError):
+        big / 1
+    for budget in range(1, 7):
+        scale = branching._ratio_scale(g.costs, budget)
+        bound = branching._profit_bound(wdeg, g.costs, scale, budget)
+        assert bound == int(lp_value(wdeg, g.costs, budget))
+    assert branching._profit_bound(wdeg, g.costs, branching._ratio_scale(g.costs, 2), 2) \
+        == 2 * big + 2
+    for target, yes in ((2 * big + 2, True), (2 * big + 3, False)):
+        inst = WpvcInstance(g, 2, target, Variant.WPVC)
+        assert solve_wpvc_bounded_degree(inst, 1).verdict is yes
+        assert solve_wpvc_by_L(inst).verdict is yes
+        assert oracle_wpvc(inst).verdict is yes
