@@ -110,8 +110,8 @@ def _check_run(entry) -> None:
         if not (isinstance(entry.get(key), list) and all(type(x) is int for x in entry[key])):
             raise InputError("bench run needs %r, a list of integers" % key)
     bound = entry.get("degree_bound", 3)
-    if type(bound) is not int or bound < 0:
-        raise InputError("bench run 'degree_bound' must be a non-negative integer")
+    if type(bound) is not int or bound < 1:
+        raise InputError("bench run 'degree_bound' must be a positive integer")
 
 
 def run_config(config: dict) -> list[BenchRow]:

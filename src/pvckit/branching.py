@@ -20,7 +20,8 @@ import time
 
 from .errors import InputError, NotBipartiteError, VariantError
 from .graph import LEFT, RIGHT, Graph, NotBipartite, bipartition
-from .instance import SolveReport, Variant, WpvcInstance, _require_valid, make_solution
+from .instance import (SolveReport, Variant, WpvcInstance, _require_valid, _witness_problem,
+                       make_solution)
 from .instance import residual  # noqa: F401  perfbench/tracing.py checks this binding
 
 
@@ -149,7 +150,8 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, t0: float) -> SolveRepor
         else:
             return SolveReport(False, None, nodes, deepest, time.perf_counter() - t0)
     sol = make_solution(g, chain)
-    assert sol.cost <= inst.budget and sol.profit >= inst.target
+    problem = _witness_problem(g, inst.budget, inst.target, sol)
+    assert problem is None, problem
     return SolveReport(True, sol, nodes, deepest, time.perf_counter() - t0)
 
 

@@ -22,8 +22,8 @@ from .errors import (FormatError, InputError, NotBipartiteError, OracleScaleErro
 from .fractional import solve_wpvcbfd
 from .formats import parse_mcq, parse_wpvc, sniff_format, write_mcq, write_wpvc
 from .generators import random_bipartite_graph, random_bounded_degree_graph, random_mcq
-from .graph import coverage
-from .instance import Variant, WpvcInstance, _require_valid, infer_variant, make_solution
+from .instance import (Variant, WpvcInstance, _require_valid, _witness_problem, infer_variant,
+                       make_solution)
 from .oracle import DEFAULT_CAP, oracle_fractional, oracle_mcq, oracle_pvcbm, oracle_wpvc
 from .pvcbm import solve_pvcbm
 from .reduction import pendantize, reduce_mcq_to_wpvcbd
@@ -122,25 +122,17 @@ def _oracle(kind: str, inst: WpvcInstance, ks, cap: int):
 
 
 def _verify_witness(inst: WpvcInstance, rep, ks=None) -> None:
-    """Re-check a yes witness against the graph: cost within the budget and
-    profit up to the target (k1 and k2 when pvcbm's ``ks`` is given) and,
-    given ``ks``, at least k3 pairwise disjoint reported matching edges, all
-    of them covered by the witness."""
+    """Re-check a yes witness against the graph with the solvers' own check,
+    :func:`pvckit.instance._witness_problem`: at the header's budget and
+    target or, given pvcbm's ``ks``, at k1 and k2 and with the reported
+    matching against k3."""
     if rep.witness is None:
         return
-    budget, target, k3 = ks or (inst.budget, inst.target, None)
-    w = rep.witness
-    g = inst.graph
-    sol = make_solution(g, w.vertices, w.fractional)
-    ok = sol.cost <= budget and sol.profit >= target
-    if k3 is not None:
-        matched = rep.matching_edge_ids or frozenset()
-        ends = [v for e in matched & coverage(g, w.vertices)[0] for v in g.edges[e][:2]]
-        # Every matched edge covered, no endpoint shared, and k3 of them.
-        ok = ok and len(set(ends)) == len(ends) == 2 * len(matched) >= 2 * k3
-    if not ok:
-        raise InputError("witness failed re-verification (cost=%s profit=%s)"
-                         % (sol.cost, sol.profit))
+    budget, target, k3 = ks or (inst.budget, inst.target, 0)
+    sol = make_solution(inst.graph, rep.witness.vertices, rep.witness.fractional)
+    problem = _witness_problem(inst.graph, budget, target, sol, rep.matching_edge_ids, k3)
+    if problem is not None:
+        raise InputError("witness failed re-verification (%s)" % problem)
 
 
 def _cmd_solve(args) -> int:

@@ -17,9 +17,9 @@ from itertools import accumulate
 from math import lcm
 
 from .branching import _force_free, _require_bipartite, _solve_epvcbd
-from .errors import InputError, NotBipartiteError
-from .graph import Graph, NotBipartite, _derived_graph, bipartition
-from .instance import SolveReport, WpvcInstance, infer_variant, make_solution
+from .errors import InputError
+from .graph import Graph, _derived_graph
+from .instance import SolveReport, WpvcInstance, _witness_problem, infer_variant, make_solution
 
 
 @dataclass(frozen=True)
@@ -36,13 +36,12 @@ def expand(inst: WpvcInstance) -> tuple[WpvcInstance, SectionMap]:
     For an edge uv of profit p the expansion holds one copy-edge per pair of
     copies, each worth p / (c(u) * c(v)); scaling every profit (and the target)
     by the lcm of those denominators keeps all arithmetic integral. Isolated
-    zero-cost vertices get an empty section. Raises NotBipartiteError for an
-    odd cycle, then InputError for an edge with a zero-cost endpoint: callers
-    take such vertices for free beforehand.
+    zero-cost vertices get an empty section. Raises InputError for an instance
+    the solvers reject, NotBipartiteError for an odd cycle, then InputError for
+    an edge with a zero-cost endpoint: callers take such vertices for free
+    beforehand.
     """
-    bp = bipartition(inst.graph)
-    if isinstance(bp, NotBipartite):
-        raise NotBipartiteError(bp.odd_cycle)
+    _require_bipartite(inst)
     _require_positive_ends(inst.graph)
     return _expand(inst)
 
@@ -123,8 +122,8 @@ def rebalance_sections(g: Graph, counts) -> list[int]:
     if len(counts) != g.n:
         raise InputError("counts must have one entry per vertex")
     for v in g.vertices():
-        if not 0 <= counts[v] <= g.costs[v]:
-            raise InputError("count of vertex %d is outside its section" % v)
+        if not (isinstance(counts[v], int) and 0 <= counts[v] <= g.costs[v]):
+            raise InputError("count of vertex %d is not an integer within its section" % v)
     _require_positive_ends(g)
     partial = [v for v in g.vertices() if 0 < counts[v] < g.costs[v]]
     if len(partial) <= 1:
@@ -177,8 +176,7 @@ def solve_wpvcbfd(inst: WpvcInstance) -> SolveReport:
     expanded, smap = _expand(cur)
     rep = _solve_epvcbd(expanded, tuple(bp.side[v] for v in smap.origin), t0)
     if not rep.verdict:
-        return SolveReport(False, None, rep.nodes_expanded, rep.max_depth,
-                           time.perf_counter() - t0)
+        return rep
     counts = [0] * cur.graph.n
     for copy in rep.witness.vertices:
         counts[smap.origin[copy]] += 1
@@ -190,6 +188,6 @@ def solve_wpvcbfd(inst: WpvcInstance) -> SolveReport:
     assert len(partial) <= 1
     sol = make_solution(inst.graph, set(prefix) | set(whole),
                         partial[0] if partial else None)
-    assert sol.cost <= inst.budget and sol.profit >= inst.target
-    return SolveReport(True, sol, rep.nodes_expanded, rep.max_depth,
-                       time.perf_counter() - t0)
+    problem = _witness_problem(inst.graph, inst.budget, inst.target, sol)
+    assert problem is None, problem
+    return SolveReport(True, sol, rep.nodes_expanded, rep.max_depth, time.perf_counter() - t0)

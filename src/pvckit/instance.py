@@ -112,6 +112,26 @@ def make_solution(g: Graph, vertices, fractional=None) -> CoverSolution:
     return CoverSolution(vertices=vertices, fractional=fractional, cost=cost, profit=profit)
 
 
+def _witness_problem(g: Graph, budget, target, sol, matching=None, k3=0) -> str | None:
+    """Why ``sol``, a :func:`make_solution` result on ``g``, is no yes witness,
+    or None when it is one. Its cost must be within ``budget`` and its profit
+    reach ``target``. ``matching`` (edge ids), needed when ``k3`` is positive,
+    must hold at least ``k3`` pairwise disjoint edges of ``g``, each with an
+    end in ``sol.vertices``."""
+    if sol.cost > budget or sol.profit < target:
+        return "cost=%s profit=%s" % (sol.cost, sol.profit)
+    if matching is None:
+        return "no matching reported" if k3 else None
+    pairs = [g.edges[e][:2] for e in matching if isinstance(e, int) and 0 <= e < g.m]
+    if len(pairs) < len(matching) or any(sol.vertices.isdisjoint(pair) for pair in pairs):
+        return "a matching edge id is not an edge the witness covers"
+    if len({v for pair in pairs for v in pair}) < 2 * len(pairs):
+        return "matching edges share a vertex"
+    if len(pairs) < k3:
+        return "matching has %d edges, below k3=%d" % (len(pairs), k3)
+    return None
+
+
 def make_instance(n, edges, costs=None, *, budget, target, variant=None,
                   bipartite_required=False) -> WpvcInstance:
     """Build a validated instance; the variant tag is inferred when omitted."""

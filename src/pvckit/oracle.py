@@ -31,6 +31,9 @@ _MCQ_CLASS_CAP = 8
 
 
 def _candidates(inst: WpvcInstance, cap: int) -> list[int]:
+    if not (isinstance(inst.budget, int) and isinstance(inst.target, int)
+            and inst.budget >= 0 and inst.target >= 0):
+        raise InputError("budget and target must be non-negative integers")
     cands = [v for v in inst.graph.vertices() if inst.graph.costs[v] <= inst.budget]
     if len(cands) > cap:
         raise OracleScaleError(
@@ -149,8 +152,8 @@ def oracle_pvcbm(g: Graph, k1: int, k2: int, k3: int, cap: int = DEFAULT_CAP) ->
     Every vertex counts once against k1, whatever its cost.
     """
     t0 = time.perf_counter()
-    if min(k1, k2, k3) < 0:
-        raise InputError("parameters must be non-negative")
+    if not all(isinstance(k, int) and k >= 0 for k in (k1, k2, k3)):
+        raise InputError("k1, k2, k3 must be non-negative integers")
     if g.n > cap:
         raise OracleScaleError("graph has %d vertices, oracle cap is %d" % (g.n, cap))
     bp = bipartition(g)

@@ -17,7 +17,13 @@ covered.
 A consequence of the growth stage: once the plain cover question at budget k1
 is a yes, the whole graph has a matching of size k3, and k3 <= k1, the answer
 is always yes. The construction is still carried out in full so that every
-yes comes with an explicit, independently re-checked witness.
+yes comes with an explicit witness, and that witness is checked through the
+matching it reports: at most k1 vertices covering at least k2 edges, and at
+least k3 reported edges that are pairwise disjoint and each covered by the
+witness (:func:`pvckit.instance._witness_problem`). Such a matching proves
+the yes on its own, so no second Hopcroft-Karp run is needed. The whole
+graph's matching, computed for the no test, doubles as the binary search's
+upper end.
 """
 
 from __future__ import annotations
@@ -26,17 +32,8 @@ import time
 
 from .errors import InputError, VariantError
 from .graph import Graph, coverage, edge_subgraph, max_matching, min_vertex_cover
-from .instance import SolveReport, Variant, WpvcInstance, make_solution
+from .instance import SolveReport, Variant, WpvcInstance, _witness_problem, make_solution
 from .branching import _require_bipartite, _solve_epvcbd
-
-
-def _recheck(g: Graph, bp, vertices, k1: int, k2: int, k3: int) -> None:
-    # Independent verification of every yes witness with the core primitives.
-    assert len(vertices) <= k1
-    covered, _ = coverage(g, vertices)
-    assert len(covered) >= k2
-    sub, _ = edge_subgraph(g, covered)
-    assert max_matching(sub, bp).size >= k3
 
 
 def solve_pvcbm(g: Graph, k1: int, k2: int, k3: int) -> SolveReport:
@@ -51,11 +48,12 @@ def solve_pvcbm(g: Graph, k1: int, k2: int, k3: int) -> SolveReport:
 
     nodes = depth = 0
 
-    def report(vertices, matching_ids) -> SolveReport:
-        _recheck(g, bp, vertices, k1, k2, k3)
+    def report(vertices, matching: frozenset[int]) -> SolveReport:
         sol = make_solution(g, vertices)
+        problem = _witness_problem(g, k1, k2, sol, matching, k3)
+        assert problem is None, problem
         return SolveReport(True, sol, nodes, depth, time.perf_counter() - t0,
-                           matching_edge_ids=frozenset(matching_ids))
+                           matching_edge_ids=matching)
 
     def fail() -> SolveReport:
         return SolveReport(False, None, nodes, depth, time.perf_counter() - t0)
@@ -71,26 +69,24 @@ def solve_pvcbm(g: Graph, k1: int, k2: int, k3: int) -> SolveReport:
     sub, back = edge_subgraph(g, covered)
     mat = max_matching(sub, bp)
     if mat.size >= k3:
-        return report(chosen, (back[e] for e in mat.edge_ids))
-    if max_matching(g, bp).size < k3:
+        return report(chosen, frozenset(back[e] for e in mat.edge_ids))
+    full = max_matching(g, bp)
+    if full.size < k3:
         return fail()
     order = sorted(set(range(g.m)) - covered, key=lambda e: g.edges[e][:2])
-
-    def grown(j):
-        # The covered edges plus the first j uncovered ones, and a maximum matching.
-        sub, back = edge_subgraph(g, covered.union(order[:j]))
-        return sub, back, max_matching(sub, bp)
-
-    lo, hi, top = 0, len(order), None  # matching number below k3 at lo, at least k3 at hi
-    while hi - lo > 1:
+    # The covered edges plus the first hi uncovered ones, and a maximum
+    # matching: at hi = len(order) that is the whole graph.
+    lo, hi, top = 0, len(order), (g, range(g.m), full)
+    while hi - lo > 1:  # matching number below k3 at lo, at least k3 at hi
         mid = (lo + hi) // 2
-        trial = grown(mid)
-        if trial[2].size >= k3:
-            hi, top = mid, trial
+        sub, back = edge_subgraph(g, covered.union(order[:mid]))
+        mat = max_matching(sub, bp)
+        if mat.size >= k3:
+            hi, top = mid, (sub, back, mat)
         else:
             lo = mid
-    sub, back, mat = top or grown(hi)
+    sub, back, mat = top
     assert mat.size == k3
     cover = min_vertex_cover(sub, bp, mat)
     assert len(cover) == k3
-    return report(cover, (back[e] for e in mat.edge_ids))
+    return report(cover, frozenset(back[e] for e in mat.edge_ids))

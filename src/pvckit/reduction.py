@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import InputError, OracleScaleError
 from .graph import Graph, _derived_graph, coverage, make_graph
@@ -196,21 +197,19 @@ def pendantize(out: ReductionOutput) -> ReductionOutput:
     edges = []
     costs = list(g.costs[: 2 * out.source_n])
     roles = list(out.roles[: 2 * out.source_n])
-    next_id = 2 * out.source_n
     for u, v, p in g.edges:
         if u in hubs or v in hubs:
+            # p legs for x, with the next p ids.
             x = v if u in hubs else u
-            for _ in range(p):
-                edges.append((x, next_id, 1))
-                costs.append(pend_cost)
-                roles.append("pendant(%s)" % out.roles[x])
-                next_id += 1
+            edges += zip(repeat(x), range(len(costs), len(costs) + p), repeat(1))
+            costs += repeat(pend_cost, p)
+            roles += repeat("pendant(%s)" % out.roles[x], p)
         else:
             assert p == 1  # copy edges are already unit profit
             edges.append((u, v, p))
     # Pendant ids lie above every copy, so each pendant edge (x, pendant) is
     # normalized and new; the copy edges come from g.
-    graph = _derived_graph(g, next_id, edges, costs)
+    graph = _derived_graph(g, len(costs), edges, costs)
     instance = WpvcInstance(
         graph=graph,
         budget=inst.budget,

@@ -325,8 +325,11 @@ class TestBenchCmd:
         {"runs": {"alg": "by-L"}},
         {"runs": [{"alg": "bounded-degree", "grid": [2], "seeds": [0],
                    "degree_bound": -1}]},
+        # A degree-0 graph has no edges, so no grid case can be drawn.
+        {"runs": [{"alg": "bounded-degree", "grid": [2], "seeds": [0],
+                   "degree_bound": 0}]},
     ], ids=["no-grid", "top-level-list", "string-seed", "runs-not-a-list",
-            "negative-degree-bound"])
+            "negative-degree-bound", "zero-degree-bound"])
     def test_malformed_config_is_input_error(self, tmp_path, capsys, config):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(config))

@@ -72,6 +72,14 @@ class TestExpand:
         with pytest.raises(InputError):
             expand(WpvcInstance(g, 1, 1, Variant.WPVC))
 
+    @pytest.mark.parametrize("budget, target", [(-1, 1), (1, -4), (2.5, 1)])
+    def test_rejects_what_the_solver_rejects(self, budget, target):
+        inst = WpvcInstance(make_graph(2, [(0, 1, 2)], costs=[2, 1]), budget, target,
+                            Variant.WPVC)
+        for entry in (expand, solve_wpvcbfd):
+            with pytest.raises(InputError, match="non-negative integer"):
+                entry(inst)
+
 
 class TestRebalance:
     def test_two_partial_sections_merge_into_one(self):
@@ -101,6 +109,11 @@ class TestRebalance:
         g = make_graph(2, [(0, 1)], costs=[2, 2])
         with pytest.raises(InputError):
             rebalance_sections(g, [3, 0])
+
+    def test_rejects_fractional_count(self):
+        g = make_graph(2, [(0, 1)], costs=[2, 2])
+        with pytest.raises(InputError, match="vertex 1 is not an integer"):
+            rebalance_sections(g, [1, 1.5])
 
     def test_rejects_edge_with_zero_cost_endpoint(self):
         # Such an edge has no copy edges, so there is no share to rebalance by.

@@ -89,6 +89,21 @@ class TestOraclePvcbm:
         assert rep.verdict and rep.witness.vertices == frozenset()
 
 
+class TestOracleInputs:
+    """The oracles reject the budgets and targets the solvers reject."""
+
+    @pytest.mark.parametrize("oracle", [oracle_wpvc, oracle_fractional])
+    @pytest.mark.parametrize("budget, target", [(1, -4), (2.5, 1), (-1, 0), (1, 1.5)])
+    def test_cover_oracles(self, oracle, budget, target):
+        with pytest.raises(InputError, match="non-negative integers"):
+            oracle(WpvcInstance(c4(), budget, target, Variant.PVC))
+
+    @pytest.mark.parametrize("ks", [(1.5, 1, 1), (1, 1.5, 1), (1, 1, 1.5), (1, -1, 1)])
+    def test_matching_oracle(self, ks):
+        with pytest.raises(InputError, match="non-negative integers"):
+            oracle_pvcbm(c4(), *ks)
+
+
 class TestOracleMcq:
     def test_edge_makes_clique(self):
         mcq = make_mcq(2, 2, [1, 2], [(0, 1)])

@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from pvckit import (InputError, OracleScaleError, coverage, gadget_budget, gadget_target,
-                    make_mcq, pendantize, reduce_mcq_to_wpvcbd, verify_reduction,
-                    weighted_degree)
+from pvckit import (InputError, OracleScaleError, Variant, coverage, gadget_budget,
+                    gadget_target, make_mcq, pendantize, reduce_mcq_to_wpvcbd,
+                    verify_reduction, weighted_degree)
 from pvckit.generators import random_mcq
 from pvckit.oracle import oracle_mcq, oracle_wpvc
 from pvckit.reduction import class_yield
@@ -123,6 +123,29 @@ class TestPendantize:
         assert all(p == 1 for _, _, p in g.edges)
         assert all(g.costs[x] == 32 for x in range(4, g.n))
         assert out.instance.budget == 30 and out.instance.target == 870
+
+    def test_legs_take_consecutive_ids_per_hub_edge(self):
+        out = reduce_mcq_to_wpvcbd(two_class_pair(True))
+        legs = pendantize(out)
+        # Leg at a time: the hubs z1 = 4 and z2 = 5 carry the largest ids, so
+        # a hub edge is (x, hub).
+        edges, roles, next_id = [], [], 4
+        for x, z, p in out.instance.graph.edges:
+            if z < 4:
+                edges.append((x, z, p))
+                continue
+            for _ in range(p):
+                edges.append((x, next_id, 1))
+                roles.append("pendant(%s)" % out.roles[x])
+                next_id += 1
+        assert legs.instance.graph.edges == tuple(edges)
+        assert legs.roles == out.roles[:4] + tuple(roles)
+        assert legs.instance.graph.costs == out.instance.graph.costs[:4] + (32,) * len(roles)
+
+    def test_empty_source_pendantizes_to_pvc(self):
+        # No vertex and no edge: unit costs and profits hold vacuously.
+        legs = pendantize(reduce_mcq_to_wpvcbd(make_mcq(0, 1, [], [])))
+        assert legs.instance.graph.n == 0 and legs.instance.variant is Variant.PVC
 
     def test_copy_edges_survive_unpendantized(self):
         out = pendantize(reduce_mcq_to_wpvcbd(two_class_pair(False)))
