@@ -11,6 +11,10 @@ only see nodes that may still have a feasible completion. The search keeps
 its frames on an explicit stack, so its depth is bounded by memory, not by
 Python's recursion limit. Depth and fan-out bounds are hard assertions, not
 hopes.
+
+A search returns only the vertices it forced and its node statistics. A yes
+is built and checked in one place, :func:`pvckit.instance._report`, which
+each public solver calls once, as it returns.
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ import time
 
 from .errors import InputError, NotBipartiteError, VariantError
 from .graph import LEFT, RIGHT, Graph, NotBipartite, bipartition
-from .instance import (SolveReport, Variant, WpvcInstance, _require_valid, _witness_problem,
-                       make_solution)
+from .instance import SolveReport, Variant, WpvcInstance, _report, _require_valid
 from .instance import residual  # noqa: F401  perfbench/tracing.py checks this binding
 
 
@@ -62,8 +65,13 @@ def _force_free(g: Graph, forced) -> list[int]:
     return taken
 
 
-def _search(inst: WpvcInstance, rule, depth_bound: int, t0: float) -> SolveReport:
-    """Depth-first search over masks of forced vertices.
+def _search(inst: WpvcInstance, rule, depth_bound: int):
+    """Depth-first search over masks of forced vertices; returns ``(chain,
+    nodes, depth)``: the forced vertices of the first witness found (None on
+    a no), the number of nodes that branched, and the largest depth reached.
+    It builds no report and checks no witness: the public solver on top reads
+    its vertices off the chain and hands them to
+    :func:`pvckit.instance._report`, which does both on the solver's input.
 
     The root first forces the zero-cost vertices that cover positive profit
     (see :func:`_force_free`). No node below it has another such vertex,
@@ -148,11 +156,8 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, t0: float) -> SolveRepor
                 break
             stack.pop()
         else:
-            return SolveReport(False, None, nodes, deepest, time.perf_counter() - t0)
-    sol = make_solution(g, chain)
-    problem = _witness_problem(g, inst.budget, inst.target, sol)
-    assert problem is None, problem
-    return SolveReport(True, sol, nodes, deepest, time.perf_counter() - t0)
+            return None, nodes, deepest
+    return chain, nodes, deepest
 
 
 def _ratio_scale(costs, budget: int) -> dict[int, int] | None:
@@ -223,12 +228,13 @@ def solve_epvcbd(inst: WpvcInstance) -> SolveReport:
     so the pool is never empty.
     """
     t0 = time.perf_counter()
-    return _solve_epvcbd(inst, _require_bipartite(inst, unit_costs=True).side, t0)
+    return _report(inst, t0, *_solve_epvcbd(inst, _require_bipartite(inst, unit_costs=True).side))
 
 
-def _solve_epvcbd(inst: WpvcInstance, side, t0: float) -> SolveReport:
+def _solve_epvcbd(inst: WpvcInstance, side):
     """The search of :func:`solve_epvcbd` on a valid unit-cost instance whose
-    bipartition sides ``side`` the caller already holds."""
+    bipartition sides ``side`` the caller already holds; returns what
+    :func:`_search` returns."""
 
     def rule(wdeg, budget, target, forced):
         pool = [v for v, w in enumerate(wdeg) if w * budget >= target]
@@ -244,7 +250,7 @@ def _solve_epvcbd(inst: WpvcInstance, side, t0: float) -> SolveReport:
         assert len(pool) < 2 * budget
         return None, pool
 
-    return _search(inst, rule, inst.budget, t0)
+    return _search(inst, rule, inst.budget)
 
 
 def solve_wpvc_bounded_degree(inst: WpvcInstance, degree_bound: int) -> SolveReport:
@@ -282,7 +288,7 @@ def solve_wpvc_bounded_degree(inst: WpvcInstance, degree_bound: int) -> SolveRep
         assert len(branch) <= (degree_bound + 1) * budget
         return None, branch
 
-    return _search(inst, rule, inst.budget, t0)
+    return _report(inst, t0, *_search(inst, rule, inst.budget))
 
 
 def solve_wpvc_by_L(inst: WpvcInstance) -> SolveReport:
@@ -319,4 +325,4 @@ def solve_wpvc_by_L(inst: WpvcInstance) -> SolveReport:
         assert len(branch) < target * target
         return None, branch
 
-    return _search(inst, rule, max(2 * inst.target - 1, 0), t0)
+    return _report(inst, t0, *_search(inst, rule, max(2 * inst.target - 1, 0)))

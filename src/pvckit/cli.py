@@ -139,6 +139,8 @@ def _cmd_solve(args) -> int:
     kind = _ORACLE_KIND[args.alg]
     inst = _load(_read(args.file), args, kind)
     ks = _ks(args, kind, "--alg", inst)
+    if args.degree_bound is not None and args.alg != "bounded-degree":
+        raise InputError("--degree-bound applies only to --alg bounded-degree")
     if args.alg == "epvcbd":
         rep = solve_epvcbd(inst)
     elif args.alg == "bounded-degree":

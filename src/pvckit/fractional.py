@@ -5,7 +5,10 @@ edge profits are split across copy pairs, scaled to integers by a common
 denominator. The unit-cost solver decides the expanded instance; a partial
 section then means a fractionally-taken vertex, and a rebalancing pass moves
 section mass around until at most one partial section remains, never losing
-profit.
+profit. The search returns only the copies it took; the section counts are
+read off their ids, and no witness is built on the expansion. The one yes
+witness is built and checked on the input graph, by
+:func:`pvckit.instance._report`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from math import lcm
 from .branching import _force_free, _require_bipartite, _solve_epvcbd
 from .errors import InputError
 from .graph import Graph, _derived_graph
-from .instance import SolveReport, WpvcInstance, _witness_problem, infer_variant, make_solution
+from .instance import SolveReport, WpvcInstance, _report, infer_variant
 
 
 @dataclass(frozen=True)
@@ -174,20 +177,18 @@ def solve_wpvcbfd(inst: WpvcInstance) -> SolveReport:
         cur = replace(inst, graph=_derived_graph(g, g.n, kept, g.costs),
                       target=max(0, inst.target - gain))
     expanded, smap = _expand(cur)
-    rep = _solve_epvcbd(expanded, tuple(bp.side[v] for v in smap.origin), t0)
-    if not rep.verdict:
-        return rep
-    counts = [0] * cur.graph.n
-    for copy in rep.witness.vertices:
-        counts[smap.origin[copy]] += 1
-    counts = rebalance_sections(cur.graph, counts)
-    costs = cur.graph.costs
-    whole = [v for v in cur.graph.vertices() if costs[v] > 0 and counts[v] == costs[v]]
-    partial = [(v, Fraction(counts[v], costs[v]))
-               for v in cur.graph.vertices() if 0 < counts[v] < costs[v]]
-    assert len(partial) <= 1
-    sol = make_solution(inst.graph, set(prefix) | set(whole),
-                        partial[0] if partial else None)
-    problem = _witness_problem(inst.graph, inst.budget, inst.target, sol)
-    assert problem is None, problem
-    return SolveReport(True, sol, rep.nodes_expanded, rep.max_depth, time.perf_counter() - t0)
+    chain, *stats = _solve_epvcbd(expanded, tuple(bp.side[v] for v in smap.origin))
+    vertices = fractional = None
+    if chain is not None:
+        counts = [0] * cur.graph.n
+        for copy in chain:  # distinct copy ids: the search forces each at most once
+            counts[smap.origin[copy]] += 1
+        counts = rebalance_sections(cur.graph, counts)
+        costs = cur.graph.costs
+        vertices = prefix + [v for v in cur.graph.vertices()
+                             if costs[v] > 0 and counts[v] == costs[v]]
+        partial = [(v, Fraction(counts[v], costs[v]))
+                   for v in cur.graph.vertices() if 0 < counts[v] < costs[v]]
+        assert len(partial) <= 1
+        fractional = partial[0] if partial else None
+    return _report(inst, t0, vertices, *stats, fractional)

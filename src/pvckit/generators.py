@@ -34,7 +34,9 @@ def random_bipartite_graph(seed, n, m, cost_max=1, profit_max=1) -> Graph:
     Draws, in order: the left size, the m edge slots (sorted sample), one
     profit per edge, one cost per vertex. When the drawn split is too lopsided
     for m edges, the balanced split is used instead, so feasibility depends
-    only on n and m.
+    only on n and m. Slots are sampled as indices into the row-major list of
+    ``(left vertex, right vertex)`` pairs, so that list is never built: the
+    draws are the same, and memory grows with m, not with n squared.
     """
     rng = _rng(seed)
     _require_weight_caps(cost_max, profit_max)
@@ -45,12 +47,13 @@ def random_bipartite_graph(seed, n, m, cost_max=1, profit_max=1) -> Graph:
     left = rng.randint(1, n - 1) if n >= 2 else n
     if m > left * (n - left):
         left = n // 2
-    slots = [(i, j) for i in range(left) for j in range(left, n)]
-    if m > len(slots):
+    width = n - left
+    if m > left * width:
         raise InputError("m=%d exceeds the %d bipartite slots of the balanced split"
-                         % (m, len(slots)))
-    chosen = sorted(rng.sample(slots, m))
-    edges = [(u, v, rng.randint(1, profit_max)) for u, v in chosen]
+                         % (m, left * width))
+    chosen = sorted(rng.sample(range(left * width), m))
+    edges = [(i, left + j, rng.randint(1, profit_max))
+             for i, j in (divmod(x, width) for x in chosen)]
     costs = [rng.randint(1, cost_max) for _ in range(n)]
     return make_graph(n, edges, costs)
 

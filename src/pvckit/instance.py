@@ -1,5 +1,7 @@
 """Problem instances for the partial-cover variants, residual construction,
-and solution/report records.
+and solution/report records. :func:`_report` is the only place a solver
+makes its report: each public solver calls it once, as it returns, and it
+builds and checks the yes witness there.
 
 Instances are frozen; ``residual`` returns a fresh instance with the same
 vertex-id universe (the forced vertex simply loses all its edges), so a
@@ -18,6 +20,7 @@ built by hand as ``Graph(...)``; every solver validates its input on entry.
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -130,6 +133,25 @@ def _witness_problem(g: Graph, budget, target, sol, matching=None, k3=0) -> str 
     if len(pairs) < k3:
         return "matching has %d edges, below k3=%d" % (len(pairs), k3)
     return None
+
+
+def _report(inst: WpvcInstance, t0: float, vertices, nodes: int, depth: int, fractional=None,
+            matching=None, k3: int = 0) -> SolveReport:
+    """The one place a solver makes its :class:`SolveReport`, called once at
+    the end of each public solver, with ``t0`` taken on its entry.
+
+    ``vertices`` None is a no. Otherwise the witness is built from them (and
+    ``fractional``) by :func:`make_solution` on the input graph, and checked
+    by :func:`_witness_problem` at the instance's budget and target (and
+    against ``k3`` with ``matching``, edge ids): a witness that fails is an
+    assertion error, never a yes.
+    """
+    if vertices is None:
+        return SolveReport(False, None, nodes, depth, time.perf_counter() - t0)
+    sol = make_solution(inst.graph, vertices, fractional)
+    problem = _witness_problem(inst.graph, inst.budget, inst.target, sol, matching, k3)
+    assert problem is None, problem
+    return SolveReport(True, sol, nodes, depth, time.perf_counter() - t0, matching)
 
 
 def make_instance(n, edges, costs=None, *, budget, target, variant=None,

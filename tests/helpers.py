@@ -277,3 +277,19 @@ def rebalance_sections_reference(g, counts):
             counts[donor] -= 1
             counts[receiver] += 1
             assert expanded_profit() >= before
+
+
+def random_bipartite_graph_reference(seed, n, m, cost_max=1, profit_max=1):
+    """``random_bipartite_graph`` as it was when it sampled from the full list
+    of slot pairs: the same draws in the same order, with memory that grows
+    with n squared. Keep n small."""
+    rng = random.Random(seed)
+    left = rng.randint(1, n - 1) if n >= 2 else n
+    if m > left * (n - left):
+        left = n // 2
+    slots = [(i, j) for i in range(left) for j in range(left, n)]
+    assert m <= len(slots)
+    chosen = sorted(rng.sample(slots, m))
+    edges = [(u, v, rng.randint(1, profit_max)) for u, v in chosen]
+    costs = [rng.randint(1, cost_max) for _ in range(n)]
+    return make_graph(n, edges, costs)

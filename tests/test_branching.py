@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from helpers import path3, relabeled, star, triangle
 from test_trust import instances
-from pvckit import (InputError, NotBipartiteError, Variant, VariantError, WpvcInstance,
-                    coverage, infer_variant, make_graph, make_instance, solve_epvcbd,
-                    solve_pvcbm, solve_wpvc_bounded_degree, solve_wpvc_by_L, solve_wpvcbfd)
+from pvckit import (InputError, NotBipartiteError, SolveReport, Variant, VariantError,
+                    WpvcInstance, coverage, infer_variant, make_graph, make_instance,
+                    make_solution, solve_epvcbd, solve_pvcbm, solve_wpvc_bounded_degree,
+                    solve_wpvc_by_L, solve_wpvcbfd)
 from pvckit.branching import _search
 from pvckit.generators import (bounded_degree_case, general_graph_case,
                                unit_cost_bipartite_case)
@@ -194,11 +195,11 @@ class TestSearchState:
             # search that backtracks through every affordable set.
             return None, [v for v, w in enumerate(wdeg) if w > 0]
 
-        rep = _search(inst, rule, g.n, 0.0)
-        assert rep.verdict == oracle_wpvc(inst).verdict
-        assert rep.nodes_expanded == len(nodes)
-        if rep.verdict:
-            check_yes_witness(inst, rep)
+        chain, nodes_expanded, _ = _search(inst, rule, g.n)
+        assert (chain is not None) == oracle_wpvc(inst).verdict
+        assert nodes_expanded == len(nodes)
+        if chain is not None:
+            check_yes_witness(inst, SolveReport(True, make_solution(g, chain), 0, 0, 0.0))
 
     @settings(max_examples=200, deadline=None)
     @given(instances())

@@ -95,6 +95,17 @@ class TestSolve:
         assert err == ("error: %s applies only to --alg pvcbm; the instance header"
                        " gives the budget and target\n" % flag)
 
+    @pytest.mark.parametrize("alg", ["epvcbd", "by-L", "fractional", "pvcbm"])
+    def test_degree_bound_without_bounded_degree_exits_two(self, tmp_path, capsys, alg):
+        # The path is a yes for every algorithm, so an ignored bound would exit 0.
+        f = tmp_path / "path3.wpvc"
+        f.write_text(PATH3)
+        k3 = ["--k3", "1"] if alg == "pvcbm" else []
+        code, out, err = run_cli(["solve", "--alg", alg, "--degree-bound", "0", *k3, str(f)],
+                                 capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: --degree-bound applies only to --alg bounded-degree\n"
+
     def test_internal_error_exit_two(self, tmp_path, capsys, monkeypatch):
         def crash(inst):
             raise RecursionError("maximum recursion depth exceeded")

@@ -1,4 +1,9 @@
+import random
+import tracemalloc
+
 import pytest
+
+from helpers import random_bipartite_graph_reference
 
 from pvckit import InputError, validate, write_mcq, write_wpvc
 from pvckit.generators import (bounded_degree_case, fractional_case,
@@ -27,6 +32,28 @@ def test_bipartite_generator_output_is_bipartite():
 def test_bipartite_generator_rejects_overfull():
     with pytest.raises(InputError):
         random_bipartite_graph(0, 2, 2)  # one slot only
+
+
+def test_bipartite_generator_draws_as_the_slot_list_did():
+    rng = random.Random(2024)
+    for _ in range(2500):
+        n = rng.randint(0, 40)
+        m = rng.randint(0, (n // 2) * (n - n // 2))
+        args = (rng.randrange(10**6), n, m, rng.randint(1, 4), rng.randint(1, 4))
+        assert random_bipartite_graph(*args) == random_bipartite_graph_reference(*args), args
+
+
+def test_bipartite_generator_memory_does_not_grow_with_the_slots():
+    # Seed 0 splits off 1578 left vertices: a list of all 2.2 million slot
+    # pairs would peak at about 200 MiB.
+    tracemalloc.start()
+    try:
+        g = random_bipartite_graph(0, 3000, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.m == 10
+    assert peak < 5 * 2**20
 
 
 def test_degree_bound_is_respected():

@@ -81,8 +81,8 @@ def rule_calls(monkeypatch):
     calls = []
     search = branching._search
 
-    def search_with_gate(inst, rule, depth_bound, t0):
-        return search(inst, gated(inst, rule, calls), depth_bound, t0)
+    def search_with_gate(inst, rule, depth_bound):
+        return search(inst, gated(inst, rule, calls), depth_bound)
 
     monkeypatch.setattr(branching, "_search", search_with_gate)
     return calls
