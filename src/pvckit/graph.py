@@ -135,29 +135,35 @@ def make_graph(n, edges, costs=None) -> Graph:
     return _trusted_graph(n, norm, costs)
 
 
-def _trusted_graph(n: int, edges, costs) -> Graph:
+def _trusted_graph(n: int, edges, costs, adjacency=None) -> Graph:
     """Build a graph, marked checked, from data that is valid by construction.
 
     ``edges`` must be (u, v, profit) triples with 0 <= u < v < n, pairwise
     distinct and with non-negative int profits; ``costs`` must be n
-    non-negative ints. Nothing here re-checks that: callers either checked it
+    non-negative ints. A caller that already has the adjacency (per vertex,
+    the ids of its edges in increasing order) may pass it, and it is used
+    as given. Nothing here re-checks that: callers either checked it
     themselves or derive the data from a graph that carries the mark.
     """
     edges = tuple(edges)
-    adjacency = [[] for _ in range(n)]
-    for e, (u, v, _) in enumerate(edges):
-        adjacency[u].append(e)
-        adjacency[v].append(e)
+    if adjacency is None:
+        adjacency = [[] for _ in range(n)]
+        for e, (u, v, _) in enumerate(edges):
+            adjacency[u].append(e)
+            adjacency[v].append(e)
     g = Graph(n=n, edges=edges, costs=tuple(costs),
               adjacency=tuple(tuple(a) for a in adjacency))
     object.__setattr__(g, "_checked", True)
     return g
 
 
-def _derived_graph(source: Graph, n: int, edges, costs) -> Graph:
-    """A graph built from parts of ``source``: trusted when ``source`` carries
-    the checked mark, fully validated by :func:`make_graph` when it does not."""
-    return (_trusted_graph if source._checked else make_graph)(n, edges, costs)
+def _derived_graph(source: Graph, n: int, edges, costs, adjacency=None) -> Graph:
+    """A graph built from parts of ``source``: trusted (with ``adjacency``, if
+    given) when ``source`` carries the checked mark, fully validated by
+    :func:`make_graph` when it does not."""
+    if source._checked:
+        return _trusted_graph(n, edges, costs, adjacency)
+    return make_graph(n, edges, costs)
 
 
 def check_graph(g: Graph) -> list[str]:

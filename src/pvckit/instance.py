@@ -154,16 +154,21 @@ def _report(inst: WpvcInstance, t0: float, vertices, nodes: int, depth: int, fra
     return SolveReport(True, sol, nodes, depth, time.perf_counter() - t0, matching)
 
 
+def _as_variant(tag) -> Variant:
+    """The Variant a caller names by member or value; InputError for any other tag."""
+    try:
+        return Variant(tag)
+    except ValueError:
+        raise InputError("unknown variant %r" % (tag,)) from None
+
+
 def make_instance(n, edges, costs=None, *, budget, target, variant=None,
                   bipartite_required=False) -> WpvcInstance:
     """Build a validated instance; the variant tag is inferred when omitted."""
     from .graph import make_graph
 
     g = make_graph(n, edges, costs)
-    try:
-        variant = Variant(infer_variant(g) if variant is None else variant)
-    except ValueError:
-        raise InputError("unknown variant %r" % (variant,)) from None
+    variant = infer_variant(g) if variant is None else _as_variant(variant)
     inst = WpvcInstance(g, budget, target, variant, bipartite_required)
     _require_valid(inst)
     return inst

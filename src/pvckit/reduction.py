@@ -197,19 +197,26 @@ def pendantize(out: ReductionOutput) -> ReductionOutput:
     edges = []
     costs = list(g.costs[: 2 * out.source_n])
     roles = list(out.roles[: 2 * out.source_n])
+    # Built as the edges are emitted, so each list holds its edge ids in order.
+    adjacency = [[] for _ in costs]
     for u, v, p in g.edges:
+        e0 = len(edges)
         if u in hubs or v in hubs:
-            # p legs for x, with the next p ids.
+            # p legs for x, with the next p ids; a leg's list is its one edge.
             x = v if u in hubs else u
             edges += zip(repeat(x), range(len(costs), len(costs) + p), repeat(1))
+            adjacency[x] += range(e0, e0 + p)
+            adjacency += zip(range(e0, e0 + p))
             costs += repeat(pend_cost, p)
             roles += repeat("pendant(%s)" % out.roles[x], p)
         else:
             assert p == 1  # copy edges are already unit profit
             edges.append((u, v, p))
+            adjacency[u].append(e0)
+            adjacency[v].append(e0)
     # Pendant ids lie above every copy, so each pendant edge (x, pendant) is
     # normalized and new; the copy edges come from g.
-    graph = _derived_graph(g, len(costs), edges, costs)
+    graph = _derived_graph(g, len(costs), edges, costs, adjacency)
     instance = WpvcInstance(
         graph=graph,
         budget=inst.budget,

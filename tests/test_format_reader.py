@@ -1,13 +1,16 @@
 """The line checks of both instance formats: one single-fault input per
-``FormatError`` raised in ``pvckit.formats``, with its exact message, and a
+``FormatError`` raised in ``pvckit.formats``, with its exact message, a
 fuzz test that no line soup makes a parser raise anything but a toolkit
-error."""
+error, and a differential test of the reader against a frozen copy of its
+earlier version."""
 
+import frozen_reader
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvckit import FormatError, InputError, PvckitError, Variant, parse_mcq, parse_wpvc
+from pvckit import formats
 from pvckit.formats import sniff_format
 
 WPVC_HEADER = "line 1: expected header 'p wpvc <n> <m> <budget> <target>'"
@@ -153,3 +156,156 @@ def test_line_soup_raises_only_toolkit_errors(text, prune, variant):
     _returns_or_raises_toolkit_error(parse_wpvc, text, variant=variant, prune=prune)
     _returns_or_raises_toolkit_error(parse_mcq, text)
     _returns_or_raises_toolkit_error(sniff_format, text)
+
+
+# Differential check against a frozen copy of the reader before it became one
+# lean loop: on any text the current reader returns the same header, vertex
+# values (in file order) and edges, or raises a FormatError with the same
+# message.
+
+def _outcome(read, text, fmt):
+    try:
+        header, values, edges = read(text, fmt)
+    except FormatError as err:
+        assert type(err) is FormatError
+        return "error", str(err)
+    return header, list(values.items()), edges
+
+
+def assert_reads_as_frozen(text):
+    for fmt in ("wpvc", "mcq"):
+        assert _outcome(formats._read, text, fmt) == _outcome(frozen_reader._read, text, fmt)
+    first = next(frozen_reader._tokenized(text), (0, [""]))[1]
+    if first[0] == "p" and len(first) >= 2 and first[1] in ("wpvc", "mcq"):
+        assert sniff_format(text) == first[1]
+    else:
+        with pytest.raises(FormatError):
+            sniff_format(text)
+
+
+ARABIC_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def spellings(value):
+    """Tokens that int() reads as ``value``: plain, signed, zero-padded,
+    with an underscore, and in Arabic-Indic digits."""
+    digits = str(abs(value))
+    forms = [digits, "0" + digits, "00" + digits, digits.translate(ARABIC_DIGITS)]
+    if len(digits) > 1:
+        forms.append(digits[0] + "_" + digits[1:])
+    signs = ["-"] if value < 0 else ["", "+"]
+    return st.sampled_from([sign + form for sign in signs for form in forms])
+
+
+# Mostly small values, so that many lines pass; costs and profits above 2**64.
+ODD_VALUES = st.sampled_from([-1, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1, 3 ** 80])
+NUMBER = st.integers(0, 9).flatmap(
+    lambda roll: st.integers(0, 4) if roll else ODD_VALUES).flatmap(spellings)
+ANY = st.one_of(NUMBER, NUMBER, JUNK)
+SPACE = st.sampled_from([" ", " ", "\t", "  ", " \t ", "\u3000"])
+BREAK = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x1c", "\u2028"])
+COMMENTS = [[], ["#"], ["#", "note"], ["#note"], ["##", "e", "0", "1"]]
+ROW = st.one_of(
+    st.lists(NUMBER, min_size=2, max_size=3).map(lambda ends: ["e"] + ends),
+    st.lists(NUMBER, min_size=2, max_size=2).map(lambda pair: ["v"] + pair),
+    st.lists(NUMBER, min_size=2, max_size=2).map(lambda pair: ["c"] + pair),
+    st.builds(lambda kind, rest: [kind] + rest,
+              st.sampled_from(["e", "v", "c", "#", "#x", "p", "q"]), st.lists(ANY, max_size=4)),
+    st.sampled_from(COMMENTS),
+)
+FIELDS = {"wpvc": 4, "mcq": 3}
+
+
+def _render(draw, rows):
+    """The rows of tokens as text: each line indented or not, its tokens
+    joined by runs of spaces and tabs, and ended by any line break
+    ``str.splitlines`` knows."""
+    out = []
+    for row in rows:
+        out.append(draw(st.sampled_from(["", "", " ", "\t"])))
+        out.append("".join(tok + draw(SPACE) for tok in row[:-1]) + "".join(row[-1:]))
+        out.append(draw(BREAK))
+    return "".join(out)
+
+
+@st.composite
+def line_soups(draw):
+    """A header that usually fits one format over lines of any kind, odd
+    integer spellings and huge values."""
+    rows = draw(st.lists(ROW, max_size=10))
+    fmt = draw(st.sampled_from(["wpvc", "mcq"]))
+    m = sum(row[:1] == ["e"] for row in rows) + draw(st.sampled_from([0, 0, 0, 1]))
+    header = ["p", fmt, draw(st.sampled_from([5, 3, 0]).flatmap(spellings)), str(m)]
+    header += draw(st.lists(NUMBER, min_size=FIELDS[fmt] - 2, max_size=FIELDS[fmt] - 2))
+    if draw(st.integers(0, 9)) == 0:
+        header = draw(st.lists(ANY, max_size=6))
+    rows.insert(0 if draw(st.integers(0, 9)) else len(rows) // 2, header)
+    rows[0:0] = draw(st.lists(st.sampled_from(COMMENTS), max_size=2))
+    return _render(draw, rows)
+
+
+@st.composite
+def spaced_instances(draw):
+    """A valid instance of either format, then at most one spoiled line: a
+    stray token, a repeated line, a stray line or a last value of 0 or k + 1."""
+    fmt = draw(st.sampled_from(["wpvc", "mcq"]))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 3))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    picked = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))
+                  if pairs else st.just([]))
+    value = st.integers(0, 4) | ODD_VALUES.filter(lambda x: x >= 0) if fmt == "wpvc" \
+        else st.integers(1, k)
+    ids = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)) if fmt == "wpvc" \
+        else draw(st.permutations(range(n)))
+
+    def number(x):
+        return draw(spellings(x))
+
+    rows = [["p", fmt] + [number(x) for x in [n, len(picked), k, k][:FIELDS[fmt]]]]
+    rows += [["cv"[fmt == "wpvc"], number(v), number(draw(value))] for v in ids]
+    for u, v in picked:
+        ends = [number(u), number(v)][::draw(st.sampled_from([1, -1]))]
+        profit = [number(draw(value))] if fmt == "wpvc" and draw(st.booleans()) else []
+        rows.append(["e"] + ends + profit)
+    spoil = draw(st.integers(0, 4))
+    if spoil == 1:
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(ANY)
+    elif spoil == 2:
+        rows.append(list(draw(st.sampled_from(rows))))
+    elif spoil == 3:
+        rows.insert(draw(st.integers(0, len(rows))), draw(ROW))
+    elif spoil == 4 and len(rows) > 1:
+        # A cost or color at the edge of its range.
+        rows[draw(st.integers(1, len(rows) - 1))][-1] = number(draw(st.sampled_from([0, k + 1])))
+    return _render(draw, rows)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(line_soups(), spaced_instances(), SOUP))
+def test_reader_matches_frozen_reader(text):
+    assert_reads_as_frozen(text)
+
+
+# 'v 0 1' and 'e 1 0' repeat lines of the valid text and are faults only
+# after them.
+REPEATS = ["v 0 1", "e 1 0"]
+LINE_FAULTS = ["e 0 0", "e 1 9", "e 0", "e 0 1 1 1", "e x 1", "e -1 2", "e 0 1 -3",
+               "v 9 1", "v 1", "v 2 y", "v 3 -1", "q 1", "c 0 1"] + REPEATS
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(LINE_FAULTS), st.sampled_from(LINE_FAULTS), st.data())
+def test_first_of_two_faulty_lines_is_reported(first, second, data):
+    lines = ["p wpvc 4 2 3 2", "v 0 1", "v 1 2", "v 2 3", "e 0 1 2", "e 2 3 1"]
+    lowest = lines.index("e 0 1 2") + 1 if first in REPEATS else 1
+    i = data.draw(st.integers(lowest, len(lines)), label="first at")
+    j = data.draw(st.integers(i + 1, len(lines) + 1), label="second at")
+    lines.insert(i, first)
+    lines.insert(j, second)
+    text = "\n".join(lines) + "\n"
+    assert_reads_as_frozen(text)
+    with pytest.raises(FormatError) as info:
+        parse_wpvc(text)
+    assert str(info.value).startswith("line %d: " % (i + 1))

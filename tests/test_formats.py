@@ -1,6 +1,7 @@
 import pytest
 
-from pvckit import FormatError, Variant, parse_mcq, parse_wpvc, write_mcq, write_wpvc
+from pvckit import (FormatError, InputError, Variant, make_mcq, parse_mcq, parse_wpvc, write_mcq,
+                    write_wpvc)
 from pvckit.formats import sniff_format
 from pvckit.generators import random_mcq
 from helpers import random_instance
@@ -30,6 +31,13 @@ class TestParseWpvc:
     def test_variant_override(self):
         inst = parse_wpvc(PATH3, variant=Variant.EPVC)
         assert inst.variant is Variant.EPVC
+
+    @pytest.mark.parametrize("variant", ["x", 3])
+    def test_unknown_variant_is_input_error(self, variant):
+        with pytest.raises(InputError) as info:
+            parse_wpvc(PATH3, variant=variant)
+        assert type(info.value) is InputError
+        assert str(info.value) == "unknown variant %r" % (variant,)
 
     def test_missing_header(self):
         with pytest.raises(FormatError):
@@ -102,3 +110,26 @@ def test_sniff_format():
     assert sniff_format("p mcq 1 0 1\nc 0 1\n") == "mcq"
     with pytest.raises(FormatError):
         sniff_format("nonsense\n")
+
+
+# A comment holding a line break is written as one '#' line per part, so the
+# text still parses and the instance survives the round trip.
+BROKEN_COMMENTS = ["two\nlines", "a\r\nb", "x\ry", "c\x1cd", "e\u2028f", "tail\n", ""]
+
+
+@pytest.mark.parametrize("comment", BROKEN_COMMENTS)
+def test_wpvc_comment_with_line_breaks_round_trips(comment):
+    inst = parse_wpvc("p wpvc 3 2 2 3\nv 0 2\ne 0 1 2\ne 1 2\n")
+    text = write_wpvc(inst, comments=[comment, "after"])
+    assert parse_wpvc(text) == inst
+    assert text.splitlines()[1:] == (["# %s" % part for part in comment.splitlines() or [""]]
+                                     + ["# after"] + write_wpvc(inst).splitlines()[1:])
+
+
+@pytest.mark.parametrize("comment", BROKEN_COMMENTS)
+def test_mcq_comment_with_line_breaks_round_trips(comment):
+    mcq = make_mcq(3, 2, [1, 2, 1], [(0, 1), (1, 2)])
+    text = write_mcq(mcq, comments=[comment])
+    assert parse_mcq(text) == mcq
+    assert text.splitlines() == (["# %s" % part for part in comment.splitlines() or [""]]
+                                 + write_mcq(mcq).splitlines())

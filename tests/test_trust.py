@@ -53,6 +53,15 @@ def instances(draw, bipartite=False, cost_min=0):
     return WpvcInstance(g, budget, target, infer_variant(g), bipartite)
 
 
+def _gadget_sample():
+    """Every other k=2 case of the criterion-6 corpus and its first k=3 case,
+    one vertex per class (a gadget of about 20k vertices)."""
+    from test_acceptance import _reduction_corpus
+
+    corpus = _reduction_corpus()
+    return [mcq for mcq in corpus if mcq.k == 2][::2] + [next(m for m in corpus if m.k == 3)]
+
+
 class TestDerivedGraphsAreValid:
     @settings(max_examples=150)
     @given(instances())
@@ -96,6 +105,11 @@ class TestDerivedGraphsAreValid:
     def test_pendantize(self, seed, plant):
         mcq = generators.random_mcq(seed, 2, 2, edge_prob=0.5, plant=plant)
         assert_trusted_sound(pendantize(reduce_mcq_to_wpvcbd(mcq)).instance.graph)
+
+    def test_pendantize_on_the_gadget_corpus(self):
+        # pendantize builds the adjacency as it emits the edges.
+        for mcq in _gadget_sample():
+            assert_trusted_sound(pendantize(reduce_mcq_to_wpvcbd(mcq)).instance.graph)
 
     @settings(max_examples=150)
     @given(instances())
@@ -173,6 +187,20 @@ class TestGadgetPendantizeGuard:
                                                                        graph=joined))
         with pytest.raises(InputError):
             pendantize(forged)
+
+    def test_hand_built_source_with_a_parallel_copy_edge_is_rejected(self):
+        out = reduce_mcq_to_wpvcbd(make_mcq(2, 2, [1, 2], []))
+        g = out.instance.graph
+        copy_edge = next(edge for edge in g.edges if max(edge[:2]) < 2 * out.source_n)
+        edges = g.edges + (copy_edge,)
+        adjacency = [[] for _ in range(g.n)]
+        for e, (u, v, _) in enumerate(edges):
+            adjacency[u].append(e)
+            adjacency[v].append(e)
+        forged = Graph(g.n, edges, g.costs, tuple(map(tuple, adjacency)))
+        source = dataclasses.replace(out, instance=dataclasses.replace(out.instance, graph=forged))
+        with pytest.raises(InputError, match="parallel edge"):
+            pendantize(source)
 
 
 class TestEdgeSubgraphIds:
