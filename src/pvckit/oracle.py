@@ -150,6 +150,10 @@ def oracle_pvcbm(g: Graph, k1: int, k2: int, k3: int, cap: int = DEFAULT_CAP) ->
     Yes iff some set of at most k1 vertices covers at least k2 edges whose
     subgraph has a matching of size at least k3 (checked with Hopcroft-Karp).
     Every vertex counts once against k1, whatever its cost.
+
+    A subset of fewer than k3 vertices is passed over without a matching
+    run: every covered edge touches it, so no matching among its covered
+    edges has more edges than it has vertices. It still counts as examined.
     """
     t0 = time.perf_counter()
     if not all(isinstance(k, int) and k >= 0 for k in (k1, k2, k3)):
@@ -161,7 +165,7 @@ def oracle_pvcbm(g: Graph, k1: int, k2: int, k3: int, cap: int = DEFAULT_CAP) ->
         raise NotBipartiteError(bp.odd_cycle)
     examined, combo = 0, ()
     for examined, (combo, mask) in enumerate(_covers(g, g.vertices(), (1,) * g.n, k1), 1):
-        if mask.bit_count() < k2:
+        if len(combo) < k3 or mask.bit_count() < k2:
             continue
         sub, back = edge_subgraph(g, _edge_ids(mask))
         mat = max_matching(sub, bp)
