@@ -12,15 +12,20 @@ its frames on an explicit stack, so its depth is bounded by memory, not by
 Python's recursion limit. Depth and fan-out bounds are hard assertions, not
 hopes.
 
-A search returns only the vertices it forced and its node statistics. A yes
-is built and checked in one place, :func:`pvckit.instance._report`, which
-each public solver calls once, as it returns.
+The same search also runs over sections, for the fractional solver: each
+vertex then stands for a number of interchangeable unit-cost copies, and the
+mask becomes a count of copies taken per vertex (see :func:`_search`).
+
+A search returns only what it took and its node statistics. A yes is built
+and checked in one place, :func:`pvckit.instance._report`, which each public
+solver calls once, as it returns.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from operator import mul
 
 from .errors import InputError, NotBipartiteError, VariantError
 from .graph import LEFT, RIGHT, Graph, NotBipartite, bipartition
@@ -65,53 +70,82 @@ def _force_free(g: Graph, forced) -> list[int]:
     return taken
 
 
-def _search(inst: WpvcInstance, rule, depth_bound: int):
-    """Depth-first search over masks of forced vertices; returns ``(chain,
-    nodes, depth)``: the forced vertices of the first witness found (None on
-    a no), the number of nodes that branched, and the largest depth reached.
-    It builds no report and checks no witness: the public solver on top reads
-    its vertices off the chain and hands them to
+def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None):
+    """Depth-first search over masks of forced vertices, or over counts of
+    taken copies; returns ``(chosen, nodes, depth)``: what the first witness
+    found takes (None on a no), the number of nodes that branched, and the
+    largest depth reached. It builds no report and checks no witness: the
+    public solver on top reads its vertices off ``chosen`` and hands them to
     :func:`pvckit.instance._report`, which does both on the solver's input.
+
+    Vertex v has ``copies[v]`` interchangeable copies (its section), each of
+    cost ``costs[v]``, and an edge of profit p joins every copy of one end to
+    every copy of the other by a copy edge of profit p. Without ``copies``
+    every vertex has one copy, ``taken`` reads as a mask of forced vertices,
+    a rule's ``take`` lists vertices, and ``chosen`` is the forced vertices in
+    the order taken. With ``copies``, every cost must be 1, and the search
+    decides the unit-cost expansion of the sections without building it: a
+    ``take`` maps vertices to numbers of their copies left, and ``chosen`` is
+    the count taken per vertex. The copies of one vertex that are left are
+    twins, so a count per vertex is the whole state, a step takes one copy,
+    and a branch tries each vertex once.
 
     The root first forces the zero-cost vertices that cover positive profit
     (see :func:`_force_free`). No node below it has another such vertex,
     since forcing only lowers live profit, and backtracking never un-forces
     the root's vertices, which sit below every frame's chain base.
 
-    The weighted degrees ``wdeg`` and the live profit are computed once, after
-    the root's free vertices are forced, and then kept up to date: forcing a
-    vertex subtracts each of its live edges (other end not forced) from both
-    endpoints' ``wdeg`` and from the live profit, and backtracking adds them
-    back as it pops vertices off the chain, in reverse chain order. So a step
-    costs O(deg v), and every node sees exactly what :func:`residual` would
-    give. The target is the instance target less the profit already covered.
-    A zero target is a yes; a zero budget or a target above the live profit
-    is a no, and so is a node whose profit bound (see :func:`_profit_bound`)
-    is below its target: no affordable set of unforced vertices can cover the
-    target, so the bound never cuts a node that has a feasible completion, and
-    the depth-first order reaches the same first witness with no more nodes.
-    Only nodes the bound admits reach ``rule(wdeg, budget, target, forced)``,
-    which returns ``(take, None)`` when the vertices ``take`` finish the
-    cover, or ``(None, branch)`` to try each vertex of ``branch`` in turn,
-    skipping those the node cannot afford. Rules read ``wdeg`` and ``forced``
+    The weighted degrees ``wdeg`` of one copy of each vertex and the live
+    profit (over copy edges with both ends left) are computed once, after the
+    root's free vertices are forced, and then kept up to date. Taking a copy
+    of v lowers the live profit by ``wdeg[v]`` and ``wdeg[x]`` by the edge
+    profit for each neighbor x with copies left; ``wdeg[v]`` drops to 0 only
+    when v's last copy is taken. Backtracking undoes the steps as it pops
+    them off the chain, in reverse chain order. So a step costs O(deg v), and
+    with one copy per vertex every node sees exactly what :func:`residual`
+    would give. The target is the instance target less the profit already
+    covered. A zero target is a yes; a zero budget or a target above the live
+    profit is a no, and so is a node whose profit bound (see
+    :func:`_profit_bound` and :func:`_section_bound`) is below its target: no
+    affordable set of the copies left can cover the target, so the bound never
+    cuts a node that has a feasible completion, and the depth-first order
+    reaches the same first witness with no more nodes. Only nodes the bound
+    admits reach ``rule(wdeg, budget, target, taken)``, which returns
+    ``(take, None)`` when the copies ``take`` finish the cover, or
+    ``(None, branch)`` to try one copy of each vertex of ``branch`` in turn,
+    skipping those the node cannot afford. Rules read ``wdeg`` and ``taken``
     and must not write to either: the search owns that state across nodes.
     """
     g = inst.graph
     edges, costs, adjacency = g.edges, g.costs, g.adjacency
-    forced = [False] * g.n
-    chain = _force_free(g, forced)
+    counted = copies is not None
+    if counted:
+        assert costs.count(1) == g.n
+        sections = any(c > 1 for c in copies)
+        left = list(copies)  # copies left per vertex
+    else:
+        sections = False
+        left = [1] * g.n
+    taken = [0] * g.n
+    chain = _force_free(g, taken)
+    for v in chain:
+        left[v] = 0
     wdeg = [0] * g.n
-    live = 0
     for u, w, p in edges:
-        if not (forced[u] or forced[w]):
-            wdeg[u] += p
-            wdeg[w] += p
-            live += p
+        lu, lw = left[u], left[w]
+        if lu and lw:
+            wdeg[u] += p * lw
+            wdeg[w] += p * lu
+    # Each live copy pair is counted once from either end.
+    live = sum(map(mul, wdeg, left)) // 2
+    # Every copy pair is live unless the free pass took a vertex, and it only
+    # finds one without sections, where the pairs are the edges.
+    total = g.total_profit() if chain else live
     # No zero-cost vertex keeps positive live profit past the free pass, and
     # forcing only lowers wdeg, so every item of the profit bound costs >= 1.
     assert 0 not in costs or not any(w and not costs[v] for v, w in enumerate(wdeg))
     scale = _ratio_scale(costs, inst.budget)
-    slack = g.total_profit() - inst.target  # live profit that may stay uncovered
+    slack = total - inst.target  # live profit that may stay uncovered
     stack = []  # one frame per branching node: (branch iterator, chain length, budget)
     budget = inst.budget
     nodes = deepest = 0
@@ -121,12 +155,20 @@ def _search(inst: WpvcInstance, rule, depth_bound: int):
         target = max(0, live - slack)
         if target == 0:
             break
-        found = (rule(wdeg, budget, target, forced) if 0 < budget and target <= live
-                 and _profit_bound(wdeg, costs, scale, budget) >= target else None)
+        if 0 < budget and target <= live:
+            bound = (_section_bound(wdeg, left, budget) if sections
+                     else _profit_bound(wdeg, costs, scale, budget))
+            found = rule(wdeg, budget, target, taken) if bound >= target else None
+        else:
+            found = None
         if found is not None:
             take, branch = found
             if take is not None:
-                chain += take
+                if counted:
+                    for v, k in take.items():
+                        taken[v] += k
+                else:
+                    chain += take
                 break
             nodes += 1
             stack.append((iter(branch), len(chain), budget))
@@ -134,30 +176,37 @@ def _search(inst: WpvcInstance, rule, depth_bound: int):
             branch, base, budget = stack[-1]
             while len(chain) > base:
                 v = chain.pop()
-                forced[v] = False
+                taken[v] -= 1
+                left[v] += 1
+                weight = 0  # of one copy of v
                 for e in adjacency[v]:
                     u, w, p = edges[e]
-                    if not forced[w if u == v else u]:
-                        wdeg[u] += p
-                        wdeg[w] += p
-                        live += p
+                    x = w if u == v else u
+                    if left[x]:
+                        wdeg[x] += p
+                        weight += p * left[x]
+                wdeg[v] = weight
+                live += weight
             v = next((v for v in branch if costs[v] <= budget), None)
             if v is not None:
-                assert not forced[v]
+                assert left[v]
+                live -= wdeg[v]  # the live pairs of one copy of v
                 for e in adjacency[v]:
                     u, w, p = edges[e]
-                    if not forced[w if u == v else u]:
-                        wdeg[u] -= p
-                        wdeg[w] -= p
-                        live -= p
-                forced[v] = True
+                    x = w if u == v else u
+                    if left[x]:
+                        wdeg[x] -= p
+                taken[v] += 1
+                left[v] -= 1
+                if not left[v]:
+                    wdeg[v] = 0
                 chain.append(v)
                 budget -= costs[v]
                 break
             stack.pop()
         else:
             return None, nodes, deepest
-    return chain, nodes, deepest
+    return taken if counted else chain, nodes, deepest
 
 
 def _ratio_scale(costs, budget: int) -> dict[int, int] | None:
@@ -200,6 +249,39 @@ def _profit_bound(wdeg, costs, scale, budget: int) -> int:
     return bound
 
 
+def _section_bound(wdeg, left, budget: int) -> int:
+    """:func:`_profit_bound` when every copy costs 1 and a vertex may have
+    several: the sum of the ``budget`` largest weights among the copies left,
+    ``left[v]`` copies of weight ``wdeg[v]`` for each vertex v. Vertices are
+    walked in ``wdeg`` order, taking min(copies left, budget left) copies of
+    each."""
+    bound = 0
+    for v in sorted(range(len(wdeg)), key=wdeg.__getitem__, reverse=True):
+        if not wdeg[v]:
+            break
+        k = min(left[v], budget)
+        bound += k * wdeg[v]
+        budget -= k
+        if not budget:
+            break
+    return bound
+
+
+def _copy_prefix(lefts, rights, left, budget: int) -> dict[int, int]:
+    """The ``budget`` lowest-id copies on the side with more copies left, as
+    a map from vertex to a count: the sides ``lefts`` and ``rights`` list
+    vertices in ascending id, and vertex v has ``left[v]`` copies left, so
+    the copies come as a prefix of whole sections and a part of one more."""
+    picks = lefts if sum(map(left.get, lefts)) >= sum(map(left.get, rights)) else rights
+    take = {}
+    for v in picks:
+        take[v] = min(left[v], budget)
+        budget -= take[v]
+        if not budget:
+            break
+    return take
+
+
 def _with_live_neighbors(g: Graph, kernel, forced) -> list[int]:
     """The kernel plus every vertex joined to it by a live edge of positive
     profit. A neighbor across a zero-profit edge adds nothing to either
@@ -231,26 +313,35 @@ def solve_epvcbd(inst: WpvcInstance) -> SolveReport:
     return _report(inst, t0, *_solve_epvcbd(inst, _require_bipartite(inst, unit_costs=True).side))
 
 
-def _solve_epvcbd(inst: WpvcInstance, side):
+def _solve_epvcbd(inst: WpvcInstance, side, copies=None):
     """The search of :func:`solve_epvcbd` on a valid unit-cost instance whose
     bipartition sides ``side`` the caller already holds; returns what
-    :func:`_search` returns."""
+    :func:`_search` returns. With ``copies``, the section sizes of
+    :func:`_search`, it decides the unit-cost expansion of the sections, each
+    copy on its vertex's side: the pool counts each vertex once per copy it
+    has left, and branches on each vertex once."""
 
-    def rule(wdeg, budget, target, forced):
+    def rule(wdeg, budget, target, taken):
         pool = [v for v, w in enumerate(wdeg) if w * budget >= target]
-        # The budget largest wdeg reach the target, so the largest reaches
-        # target/budget.
+        # The budget largest copy weights reach the target, so the largest
+        # reaches target/budget.
         assert pool
-        if len(pool) >= 2 * budget:
+        # With sections, each pool vertex counts once per copy it has left.
+        left = None if copies is None else {v: copies[v] - taken[v] for v in pool}
+        if (len(pool) if left is None else sum(left.values())) >= 2 * budget:
             lefts = [v for v in pool if side[v] == LEFT]
             rights = [v for v in pool if side[v] == RIGHT]
-            take = (lefts if len(lefts) >= len(rights) else rights)[:budget]
-            assert sum(wdeg[v] for v in take) >= target  # independent picks, profits add up
+            if left is None:
+                take = (lefts if len(lefts) >= len(rights) else rights)[:budget]
+                assert sum(wdeg[v] for v in take) >= target  # independent picks, profits add up
+            else:
+                take = _copy_prefix(lefts, rights, left, budget)
+                assert sum(wdeg[v] * k for v, k in take.items()) >= target
             return take, None
         assert len(pool) < 2 * budget
         return None, pool
 
-    return _search(inst, rule, inst.budget)
+    return _search(inst, rule, inst.budget, copies)
 
 
 def solve_wpvc_bounded_degree(inst: WpvcInstance, degree_bound: int) -> SolveReport:
@@ -275,7 +366,7 @@ def solve_wpvc_bounded_degree(inst: WpvcInstance, degree_bound: int) -> SolveRep
         raise InputError("graph has a vertex of degree %d, above the bound %d"
                          % (g.max_degree(), degree_bound))
 
-    def rule(wdeg, budget, target, forced):
+    def rule(wdeg, budget, target, taken):
         best_per_cost: dict[int, int] = {}
         for v, w in enumerate(wdeg):
             c = g.costs[v]
@@ -284,7 +375,7 @@ def solve_wpvc_bounded_degree(inst: WpvcInstance, degree_bound: int) -> SolveRep
                 if held is None or (w, -v) > (wdeg[held], -held):
                     best_per_cost[c] = v
         assert best_per_cost  # the bound saw an affordable vertex of positive wdeg
-        branch = _with_live_neighbors(g, best_per_cost.values(), forced)
+        branch = _with_live_neighbors(g, best_per_cost.values(), taken)
         assert len(branch) <= (degree_bound + 1) * budget
         return None, branch
 
@@ -309,7 +400,7 @@ def solve_wpvc_by_L(inst: WpvcInstance) -> SolveReport:
     _require_valid(inst)
     g = inst.graph
 
-    def rule(wdeg, budget, target, forced):
+    def rule(wdeg, budget, target, taken):
         cheapest_per_value: dict[int, int] = {}
         for v, w in enumerate(wdeg):
             if w >= target and g.costs[v] <= budget:
@@ -321,7 +412,7 @@ def solve_wpvc_by_L(inst: WpvcInstance) -> SolveReport:
         # The bound saw an affordable vertex of positive wdeg; one covering
         # the target alone would have ended the node in the loop.
         assert cheapest_per_value
-        branch = _with_live_neighbors(g, cheapest_per_value.values(), forced)
+        branch = _with_live_neighbors(g, cheapest_per_value.values(), taken)
         assert len(branch) < target * target
         return None, branch
 

@@ -1,20 +1,23 @@
 """Solver for the bipartite variant that may take a single vertex fractionally.
 
-Every vertex is expanded into cost-many unit-cost copies (its section) and the
-edge profits are split across copy pairs, scaled to integers by a common
-denominator. The unit-cost solver decides the expanded instance; a partial
+The variant is decided on the unit-cost expansion: every vertex becomes
+cost-many unit-cost copies (its section), and the profit of each edge is
+split across its copy pairs, scaled to integers by a common denominator. The
+solver never builds that expansion. It searches sections: the unit-cost
+search of :func:`pvckit.branching._solve_epvcbd` keeps a count of copies
+taken per vertex, with one share of each edge's profit per copy pair, so its
+time and memory follow the budget and the graph, not the costs. A partial
 section then means a fractionally-taken vertex, and a rebalancing pass moves
 section mass around until at most one partial section remains, never losing
-profit. The search returns only the copies it took; the section counts are
-read off their ids, and no witness is built on the expansion. The one yes
-witness is built and checked on the input graph, by
-:func:`pvckit.instance._report`.
+profit. The one yes witness is built and checked on the input graph, by
+:func:`pvckit.instance._report`. :func:`expand` builds the expansion itself,
+as a reference for tests.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
@@ -42,38 +45,14 @@ def expand(inst: WpvcInstance) -> tuple[WpvcInstance, SectionMap]:
     zero-cost vertices get an empty section. Raises InputError for an instance
     the solvers reject, NotBipartiteError for an odd cycle, then InputError for
     an edge with a zero-cost endpoint: callers take such vertices for free
-    beforehand.
+    beforehand. Sections are numbered in vertex order, and every copy can
+    take its origin's side, so a bipartition of the graph 2-colors the
+    expansion through ``SectionMap.origin``.
     """
     _require_bipartite(inst)
-    _require_positive_ends(inst.graph)
-    return _expand(inst)
-
-
-def _require_positive_ends(g: Graph) -> None:
-    """Raise InputError for an edge with a zero-cost endpoint: such an edge
-    has no copy edges to expand into or rebalance by."""
-    for u, v, _ in g.edges:
-        if g.costs[u] == 0 or g.costs[v] == 0:
-            raise InputError("edge (%d, %d) touches a zero-cost vertex; "
-                             "take such vertices for free first" % (u, v))
-
-
-def _copy_shares(g: Graph) -> tuple[int, list[int]]:
-    """The expansion's scale, the lcm of c(u) * c(v) over the edges uv, and
-    per edge the scaled profit of each of its c(u) * c(v) copy edges. Every
-    edge endpoint must have a positive cost."""
-    scale = lcm(*(g.costs[u] * g.costs[v] for u, v, _ in g.edges))
-    return scale, [scale * p // (g.costs[u] * g.costs[v]) for u, v, p in g.edges]
-
-
-def _expand(inst: WpvcInstance) -> tuple[WpvcInstance, SectionMap]:
-    """The expansion of :func:`expand`, for a caller that already knows the
-    graph is bipartite and that no edge has a zero-cost endpoint (the solver's
-    free pass and edge filter leave none). Every copy can take its origin's
-    side, so a bipartition of the graph 2-colors the expansion through
-    ``SectionMap.origin``."""
     g = inst.graph
-    scale, share = _copy_shares(g)
+    _require_positive_ends(g)
+    scale, share = _copy_shares(g.edges, g.costs)
     origin = [v for v in g.vertices() for _ in range(g.costs[v])]
     start = list(accumulate(g.costs, initial=0))
     sections = [tuple(range(start[v], start[v + 1])) for v in g.vertices()]
@@ -82,8 +61,8 @@ def _expand(inst: WpvcInstance) -> tuple[WpvcInstance, SectionMap]:
         for a in sections[u]:
             for b in sections[v]:
                 copy_edges.append((a, b, s))
-    # Sections are numbered in vertex order, so u < v puts every copy of u
-    # below every copy of v: copy edges come out normalized and distinct.
+    # u < v puts every copy of u below every copy of v: copy edges come out
+    # normalized and distinct.
     expanded_graph = _derived_graph(g, len(origin), copy_edges, (1,) * len(origin))
     expanded = WpvcInstance(
         graph=expanded_graph,
@@ -95,14 +74,29 @@ def _expand(inst: WpvcInstance) -> tuple[WpvcInstance, SectionMap]:
     return expanded, SectionMap(tuple(sections), tuple(origin))
 
 
-def _expanded_profit(g: Graph, scale: int, counts) -> int:
-    """Profit of a section selection in the expanded instance, without
-    building it, with profits scaled by ``scale`` (a multiple of the
-    expansion's own scale)."""
-    own, share = _copy_shares(g)
-    total = sum(s * (counts[u] * g.costs[v] + counts[v] * g.costs[u] - counts[u] * counts[v])
-                for (u, v, _), s in zip(g.edges, share))
-    return total * scale // own
+def _require_positive_ends(g: Graph) -> None:
+    """Raise InputError for an edge with a zero-cost endpoint: such an edge
+    has no copy edges to expand into or rebalance by."""
+    for u, v, _ in g.edges:
+        if g.costs[u] == 0 or g.costs[v] == 0:
+            raise InputError("edge (%d, %d) touches a zero-cost vertex; "
+                             "take such vertices for free first" % (u, v))
+
+
+def _copy_shares(edges, costs) -> tuple[int, list[int]]:
+    """The expansion's scale, the lcm of c(u) * c(v) over the edges uv, and
+    per edge the scaled profit of each of its c(u) * c(v) copy edges. Every
+    edge endpoint must have a positive cost."""
+    scale = lcm(*(costs[u] * costs[v] for u, v, _ in edges))
+    return scale, [scale * p // (costs[u] * costs[v]) for u, v, p in edges]
+
+
+def _expanded_profit(g: Graph, sizes, share, counts) -> int:
+    """Profit of a section selection in the expansion, without building it:
+    ``counts[v]`` of the ``sizes[v]`` copies of each vertex v of ``g``, and
+    ``share[e]`` the profit of one copy edge of edge e."""
+    return sum(s * (counts[u] * sizes[v] + counts[v] * sizes[u] - counts[u] * counts[v])
+               for (u, v, _), s in zip(g.edges, share))
 
 
 def rebalance_sections(g: Graph, counts) -> list[int]:
@@ -128,39 +122,47 @@ def rebalance_sections(g: Graph, counts) -> list[int]:
         if not (isinstance(counts[v], int) and 0 <= counts[v] <= g.costs[v]):
             raise InputError("count of vertex %d is not an integer within its section" % v)
     _require_positive_ends(g)
-    partial = [v for v in g.vertices() if 0 < counts[v] < g.costs[v]]
-    if len(partial) <= 1:
-        return counts
-    scale, share = _copy_shares(g)
+    return _rebalance(g, g.costs, _copy_shares(g.edges, g.costs)[1], counts)
+
+
+def _rebalance(g: Graph, sizes, share, counts: list[int]) -> list[int]:
+    """The loop of :func:`rebalance_sections` on valid ``counts``, which it
+    updates in place and returns: ``sizes[v]`` is the section size of vertex v
+    of ``g`` and ``share[e]`` the profit of one copy edge of edge e, so the
+    profits of ``g``'s own edges are not read."""
+    partial = [v for v in g.vertices() if 0 < counts[v] < sizes[v]]
 
     def per_copy_gain(v: int) -> int:
-        return sum(share[e] * (g.costs[u] - counts[u])
+        return sum(share[e] * (sizes[u] - counts[u])
                    for e in g.adjacency[v] for u in g.edges[e][:2] if u != v)
 
     while len(partial) > 1:
         receiver = max(partial, key=lambda v: (per_copy_gain(v), -v))
         donor = min((v for v in partial if v != receiver),
                     key=lambda v: (per_copy_gain(v), v))
-        moves = min(g.costs[receiver] - counts[receiver], counts[donor])
-        before = _expanded_profit(g, scale, counts)
+        moves = min(sizes[receiver] - counts[receiver], counts[donor])
+        before = _expanded_profit(g, sizes, share, counts)
         counts[donor] -= moves
         counts[receiver] += moves
-        assert _expanded_profit(g, scale, counts) >= before
+        assert _expanded_profit(g, sizes, share, counts) >= before
         # Only the donor and the receiver changed, and one of them filled or emptied.
-        partial = [v for v in partial if 0 < counts[v] < g.costs[v]]
+        partial = [v for v in partial if 0 < counts[v] < sizes[v]]
     return counts
 
 
 def solve_wpvcbfd(inst: WpvcInstance) -> SolveReport:
     """Decide a weighted bipartite instance with at most one fractional vertex.
 
-    One pass derives the instance to expand: zero-cost vertices that cover
-    positive profit are taken for free, and the edges they cover go together
-    with the zero-profit ones, lowering the target by the profit won (the
-    graph is rebuilt only when an edge goes). That instance is expanded to
-    unit costs and decided exactly, and the section counts are rebalanced
-    back into an at-most-one-fractional solution. The input is 2-colored
-    once; every copy in the expansion keeps its origin's side.
+    Zero-cost vertices that cover positive profit are taken for free, and
+    the edges they cover go together with the zero-profit ones, lowering the
+    target by the profit won. What is left is decided exactly as its
+    unit-cost expansion (see :func:`expand`) without building it: one graph
+    on the same vertices, with unit costs and each kept edge's profit replaced
+    by the share of one of its copy pairs, is searched by section, with the
+    vertex costs as section sizes and the target times the expansion's scale.
+    The search's section counts are rebalanced into an at-most-one-fractional
+    solution. The input is 2-colored once; every copy keeps its vertex's
+    side.
     """
     t0 = time.perf_counter()
     bp = _require_bipartite(inst)
@@ -169,26 +171,23 @@ def solve_wpvcbfd(inst: WpvcInstance) -> SolveReport:
     prefix = _force_free(g, forced)
     # Zero-profit edges are irrelevant to feasibility, and any zero-cost
     # vertex the free pass left has only such edges; dropping them with the
-    # covered ones keeps the expansion free of zero-cost endpoints.
+    # covered ones leaves no zero-cost endpoint to expand.
     kept = [(u, w, p) for u, w, p in g.edges if p > 0 and not (forced[u] or forced[w])]
-    cur = inst
-    if len(kept) < g.m:
-        gain = g.total_profit() - sum(p for _, _, p in kept)
-        cur = replace(inst, graph=_derived_graph(g, g.n, kept, g.costs),
-                      target=max(0, inst.target - gain))
-    expanded, smap = _expand(cur)
-    chain, *stats = _solve_epvcbd(expanded, tuple(bp.side[v] for v in smap.origin))
+    gain = g.total_profit() - sum(p for _, _, p in kept)
+    costs = g.costs
+    scale, share = _copy_shares(kept, costs)
+    # With no edge dropped, the edge ids and so the adjacency stay the same.
+    per_copy = _derived_graph(g, g.n, [(u, w, s) for (u, w, _), s in zip(kept, share)],
+                              (1,) * g.n, g.adjacency if len(kept) == g.m else None)
+    target = max(0, inst.target - gain) * scale
+    searched = WpvcInstance(per_copy, inst.budget, target, infer_variant(per_copy), True)
+    counts, *stats = _solve_epvcbd(searched, bp.side, costs)
     vertices = fractional = None
-    if chain is not None:
-        counts = [0] * cur.graph.n
-        for copy in chain:  # distinct copy ids: the search forces each at most once
-            counts[smap.origin[copy]] += 1
-        counts = rebalance_sections(cur.graph, counts)
-        costs = cur.graph.costs
-        vertices = prefix + [v for v in cur.graph.vertices()
-                             if costs[v] > 0 and counts[v] == costs[v]]
+    if counts is not None:
+        counts = _rebalance(per_copy, costs, share, counts)
+        vertices = prefix + [v for v in g.vertices() if costs[v] > 0 and counts[v] == costs[v]]
         partial = [(v, Fraction(counts[v], costs[v]))
-                   for v in cur.graph.vertices() if 0 < counts[v] < costs[v]]
+                   for v in g.vertices() if 0 < counts[v] < costs[v]]
         assert len(partial) <= 1
         fractional = partial[0] if partial else None
     return _report(inst, t0, vertices, *stats, fractional)

@@ -15,6 +15,9 @@ expands at least ``MIN_NODES`` nodes, so the corpus exercises backtracking.
 The recorded trees were picked by the node counts of the search before its
 profit bound, and only their node fields were recorded again after it; so
 running this script now would pick other trees, not just rewrite counts.
+The fractional records' node fields were recorded once more when the
+fractional solver began to search sections instead of the expansion's
+copies (fewer nodes; every other field unchanged).
 
 The matching-constrained solver has its own records, which also hold the
 reported matching: the criterion 5 instances, and the first ``GROWTH_CASES``

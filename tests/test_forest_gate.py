@@ -118,6 +118,13 @@ class TestSolvers:
         at_the_optimum(solve_wpvcbfd, inst)
 
     @SOLVER_RUNS
+    @given(forests(50, 300, cost_min=1, cost_max=20, profit_max=3), st.integers(0, 8))
+    def test_fractional_large_sections(self, g, budget):
+        # Sections of up to 20 copies, searched as counts, not copies.
+        inst = instance(g, budget, fractional_optimum(g, budget), bipartite=True)
+        at_the_optimum(solve_wpvcbfd, inst)
+
+    @SOLVER_RUNS
     @given(forests(50, 300, cost_min=1, cost_max=1, profit_min=1, profit_max=1),
            st.integers(0, 5), st.integers(0, 6))
     def test_pvcbm(self, g, k1, k3):

@@ -1,5 +1,9 @@
 import random
+import time
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +12,10 @@ from hypothesis import strategies as st
 import pvckit.fractional
 from helpers import random_instance, rebalance_sections_reference, triangle
 from pvckit import (InputError, NotBipartiteError, Variant, WpvcInstance, expand,
-                    make_graph, make_instance, rebalance_sections, solve_epvcbd,
-                    solve_wpvcbfd)
-from pvckit.fractional import _expanded_profit
+                    infer_variant, make_graph, make_instance, rebalance_sections,
+                    solve_epvcbd, solve_wpvcbfd)
+from pvckit.branching import _force_free
+from pvckit.fractional import _copy_shares, _expanded_profit
 from pvckit.generators import fractional_case
 from pvckit.oracle import oracle_fractional
 
@@ -95,11 +100,10 @@ class TestRebalance:
             inst = random_instance(seed, n_max=6, bipartite=True, profit_min=1)
             g = inst.graph
             counts = [rng.randint(0, g.costs[v]) for v in range(g.n)]
-            from math import lcm
-            scale = lcm(*(g.costs[u] * g.costs[v] for u, v, _ in g.edges)) if g.edges else 1
-            before = _expanded_profit(g, scale, counts)
+            _, share = _copy_shares(g.edges, g.costs)
+            before = _expanded_profit(g, g.costs, share, counts)
             after_counts = rebalance_sections(g, counts)
-            after = _expanded_profit(g, scale, after_counts)
+            after = _expanded_profit(g, g.costs, share, after_counts)
             assert after >= before
             assert sum(after_counts) == sum(counts)
             partial = [v for v in range(g.n) if 0 < after_counts[v] < g.costs[v]]
@@ -186,6 +190,87 @@ class TestSolveFractional:
             assert rep.witness.cost == 0 and rep.witness.profit == n - 1
 
 
+def solve_on_the_expansion(inst):
+    """The fractional solve on the explicit expansion: the free pass and edge
+    filter of :func:`solve_wpvcbfd`, then :func:`solve_epvcbd` on
+    :func:`expand` of what is left, with the section counts read off the
+    witness's copies and rebalanced. Returns the verdict, the integral
+    vertices, the fractional part and the node count."""
+    g = inst.graph
+    forced = [False] * g.n
+    prefix = _force_free(g, forced)
+    kept = [(u, w, p) for u, w, p in g.edges if p > 0 and not (forced[u] or forced[w])]
+    cur = make_graph(g.n, kept, g.costs)
+    target = max(0, inst.target - (g.total_profit() - cur.total_profit()))
+    expanded, smap = expand(WpvcInstance(cur, inst.budget, target, infer_variant(cur), True))
+    rep = solve_epvcbd(expanded)
+    if not rep.verdict:
+        return False, None, None, rep.nodes_expanded
+    counts = [0] * g.n
+    for copy in rep.witness.vertices:
+        counts[smap.origin[copy]] += 1
+    counts = rebalance_sections(cur, counts)
+    vertices = frozenset(prefix).union(v for v in g.vertices()
+                                       if g.costs[v] and counts[v] == g.costs[v])
+    partial = [(v, Fraction(counts[v], g.costs[v]))
+               for v in g.vertices() if 0 < counts[v] < g.costs[v]]
+    return True, vertices, partial[0] if partial else None, rep.nodes_expanded
+
+
+class TestSectionSearchMatchesTheExpansion:
+    def test_verdict_witness_and_fraction_equal_with_no_more_nodes(self):
+        # Costs 0-6 and profits 0-4: zero-cost vertices and zero-profit edges
+        # occur, and sections hold up to 6 copies. Budgets up to 11 and the
+        # whole profit as target make the searches backtrack.
+        fewer = 0
+        for seed in range(900):
+            inst = random_instance(seed, n_max=7, cost_min=0, cost_max=6, bipartite=True)
+            for target, budget in product((inst.target, inst.graph.total_profit()),
+                                          (inst.budget, inst.budget + 6)):
+                case = replace(inst, target=target, budget=budget)
+                rep = solve_wpvcbfd(case)
+                verdict, vertices, fractional, nodes = solve_on_the_expansion(case)
+                assert rep.verdict == verdict, seed
+                if verdict:
+                    assert rep.witness.vertices == vertices, seed
+                    assert rep.witness.fractional == fractional, seed
+                assert rep.nodes_expanded <= nodes, seed
+                fewer += rep.nodes_expanded < nodes
+        assert fewer > 0
+
+
+class TestLargeSections:
+    """The search's time and memory follow the budget and the graph, not the
+    costs: the expansion of a cost-c path has c copies per vertex and c**2
+    copy edges per edge."""
+
+    @staticmethod
+    def path(c, target):
+        # Six vertices of cost c, profit 5 per edge, budget 2c: two whole
+        # vertices cover at most 4 edges.
+        g = make_graph(6, [(i, i + 1, 5) for i in range(5)], [c] * 6)
+        return WpvcInstance(g, 2 * c, target, infer_variant(g), True)
+
+    @pytest.mark.parametrize("target, verdict", [(20, True), (21, False)])
+    def test_million_copy_sections(self, target, verdict):
+        start = time.perf_counter()
+        rep = solve_wpvcbfd(self.path(10 ** 6, target))
+        assert time.perf_counter() - start < 1
+        assert rep.verdict is verdict
+        if verdict:
+            assert rep.witness.cost == 2 * 10 ** 6 and rep.witness.profit == 20
+
+    def test_peak_memory_does_not_follow_the_costs(self):
+        peaks = {}
+        for c in (10, 10 ** 6):
+            tracemalloc.start()
+            for target in (20, 21):
+                solve_wpvcbfd(self.path(c, target))
+            peaks[c] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peaks[10 ** 6] <= 2 * peaks[10]
+
+
 @st.composite
 def sectioned_bipartite_graphs(draw):
     """A bipartite graph with costs 1..100 and a count per vertex in 0..c(v)."""
@@ -223,40 +308,41 @@ class TestRebalanceInBatches:
 
 
 class TestExpandPrecondition:
-    """The solver's free pass and edge filter leave no zero-cost endpoint, so
-    the private expansion never needs the public one's check."""
+    """The solver's free pass and edge filter leave no edge with a zero-cost
+    endpoint, the precondition of :func:`expand`, so every edge the section
+    search sees has copies at both ends."""
 
     @pytest.fixture
-    def expansions(self, monkeypatch):
+    def searches(self, monkeypatch):
         seen = []
-        original = pvckit.fractional._expand
+        original = pvckit.fractional._solve_epvcbd
 
-        def checked(inst):
+        def checked(inst, side, copies):
             g = inst.graph
-            assert all(g.costs[u] and g.costs[v] for u, v, _ in g.edges)
+            assert all(copies[u] and copies[v] for u, v, _ in g.edges)
             seen.append(g.n)
-            return original(inst)
+            return original(inst, side, copies)
 
-        monkeypatch.setattr(pvckit.fractional, "_expand", checked)
+        monkeypatch.setattr(pvckit.fractional, "_solve_epvcbd", checked)
         return seen
 
-    def test_criterion_4_seeds(self, expansions):
+    def test_criterion_4_seeds(self, searches):
         for seed in range(300):
             solve_wpvcbfd(fractional_case(seed))
-        assert len(expansions) == 300
+        assert len(searches) == 300
 
     @pytest.mark.parametrize("extra", [0, 1])
-    def test_free_pass_path(self, expansions, extra):
+    def test_free_pass_path(self, searches, extra):
         n = 2000
         g = make_graph(n, [(i, i + 1, 1) for i in range(n - 1)],
                        costs=[(i + 1) % 2 for i in range(n)])
         solve_wpvcbfd(WpvcInstance(g, 0, n - 1 + extra, Variant.VPVC, True))
-        assert expansions == [n]
+        assert searches == [n]
 
-    def test_zero_costs_and_zero_profits(self, expansions):
+    def test_zero_costs_and_zero_profits(self, searches):
         # The criterion 4 recipe draws neither; here a third of the vertices
         # cost 0 and a fifth of the edges earn 0.
         for seed in range(200):
             solve_wpvcbfd(random_instance(seed, n_max=7, cost_min=0, cost_max=2,
                                           bipartite=True))
-        assert len(expansions) == 200
+        assert len(searches) == 200

@@ -1,4 +1,4 @@
-"""Node-level gate for the three branching rules.
+"""Node-level gate for the three branching rules and the section search.
 
 A test of the final verdict cannot see a kernel that misses every feasible
 cover at one node, since a sibling branch may still find the right answer.
@@ -21,21 +21,29 @@ the nodes the bound cuts, so the bound has its own gate below: it admits
 every node that has a feasible completion, and it equals an independent LP
 value.
 
-The instances have at most 9 vertices and draw zero-cost vertices and
-zero-profit edges.
+The fractional solver's search runs over sections: a count of copies taken
+per vertex, every copy of cost 1, in the scaled units of the copy-pair
+shares. Its gate enumerates completions as counts of the copies left per
+vertex, and checks its takes and branch lists the same way, and its profit
+bound at every node it computes: the bound reaches the most live profit
+that any completion within the budget covers.
+
+The instances have at most 9 vertices (6 for the section search, with costs
+up to 3) and draw zero-cost vertices and zero-profit edges.
 """
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from pvckit import (Variant, WpvcInstance, branching, infer_variant, make_graph,
-                    oracle_wpvc, solve_epvcbd, solve_wpvc_bounded_degree,
-                    solve_wpvc_by_L)
+                    oracle_fractional, oracle_wpvc, solve_epvcbd, solve_wpvc_bounded_degree,
+                    solve_wpvc_by_L, solve_wpvcbfd)
 
 CASES = 1500
+SECTION_CASES = 3000
 
 
 def completions(g, forced, budget, target):
@@ -75,14 +83,68 @@ def gated(inst, rule, calls):
     return checked
 
 
+def section_completions(g, left, budget, target):
+    """A section search node's feasible completions, as maps from vertex to
+    the number of its ``left`` copies to take: at most ``budget`` copies (each
+    costs 1) that cover ``target`` of the live profit, in the scaled units of
+    the shares on ``g``'s edges. Taking k_u of u's l_u copies left and k_w of
+    w's l_w covers l_u l_w - (l_u - k_u)(l_w - k_w) live copy pairs of uw."""
+    live = [(u, w, p) for u, w, p in g.edges if p and left[u] and left[w]]
+    useful = sorted({v for u, w, _ in live for v in (u, w)})
+    found = []
+    for ks in product(*(range(min(left[v], budget) + 1) for v in useful)):
+        if sum(ks) > budget:
+            continue
+        k = dict(zip(useful, ks))
+        covered = sum(p * (left[u] * left[w] - (left[u] - k[u]) * (left[w] - k[w]))
+                      for u, w, p in live)
+        if covered >= target:
+            found.append(({v: kv for v, kv in k.items() if kv}, covered))
+    return found
+
+
+def section_gated(inst, rule, copies, calls):
+    g = inst.graph
+
+    def checked(wdeg, budget, target, taken):
+        found = rule(wdeg, budget, target, taken)
+        feasible = [k for k, _ in section_completions(
+            g, [c - t for c, t in zip(copies, taken)], budget, target)]
+        calls.append(found)
+        take, branch = found
+        if take is not None:
+            assert take in feasible, "take %s is not feasible" % (take,)
+            return found
+        assert not feasible or any(set(k) & set(branch) for k in feasible), \
+            "branch %s misses every feasible completion" % (branch,)
+        return found
+
+    return checked
+
+
 @pytest.fixture
 def rule_calls(monkeypatch):
-    """Route every search through the gate; yields the rules' results."""
+    """Route every search through the gate; yields the rules' results. A
+    section search's profit bound is gated too: at every node it is computed,
+    it must reach the most live profit any completion within the budget
+    covers."""
     calls = []
     search = branching._search
+    section_bound = branching._section_bound
 
-    def search_with_gate(inst, rule, depth_bound):
-        return search(inst, gated(inst, rule, calls), depth_bound)
+    def search_with_gate(inst, rule, depth_bound, copies=None):
+        if copies is None:
+            return search(inst, gated(inst, rule, calls), depth_bound)
+
+        def bound_with_gate(wdeg, left, budget):
+            bound = section_bound(wdeg, left, budget)
+            best = max(covered for _, covered in
+                       section_completions(inst.graph, left, budget, 0))
+            assert bound >= best, "the bound cuts a node with a feasible completion"
+            return bound
+
+        monkeypatch.setattr(branching, "_section_bound", bound_with_gate)
+        return search(inst, section_gated(inst, rule, copies, calls), depth_bound, copies)
 
     monkeypatch.setattr(branching, "_search", search_with_gate)
     return calls
@@ -141,6 +203,28 @@ def test_profit_target_kernel(rule_calls):
         rep = solve_wpvc_by_L(inst)
         assert inst.target == 0 or rep.max_depth < 2 * inst.target
     assert len(rule_calls) > 300
+
+
+def test_section_search(rule_calls):
+    # Costs up to 3 give sections of up to 3 copies; costs of 0 and profits
+    # of 0 exercise the free pass and the edge filter.
+    rng = random.Random(106)
+    sections = 0
+    for _ in range(SECTION_CASES):
+        n = rng.randint(1, 6)
+        left = rng.randint(0, n)
+        slots = [(i, j) for i in range(left) for j in range(left, n)]
+        picked = rng.sample(slots, rng.randint(0, len(slots)))
+        edges = [(u, v, rng.randint(0, 3)) for u, v in picked]
+        g = make_graph(n, edges, [rng.randint(0, 3) for _ in range(n)])
+        target = rng.choice([rng.randint(0, g.total_profit() + 1), g.total_profit()])
+        inst = WpvcInstance(g, rng.randint(0, 5), target, infer_variant(g), True)
+        rep = solve_wpvcbfd(inst)
+        assert rep.verdict == oracle_fractional(inst).verdict
+        assert rep.max_depth <= inst.budget
+        sections += max(g.costs) > 1
+    assert len(rule_calls) > 500 and sections > SECTION_CASES // 2
+    assert any(take is not None for take, _ in rule_calls)
 
 
 def random_node(rng, unit_costs):

@@ -23,7 +23,6 @@ from pvckit import (Graph, InputError, Variant, WpvcInstance, bipartition, edge_
                     solve_pvcbm, solve_wpvc_bounded_degree, solve_wpvc_by_L, solve_wpvcbfd,
                     validate, weighted_degrees, write_wpvc)
 from pvckit.branching import _force_free
-from pvckit.fractional import _expand
 from pvckit.graph import check_graph
 from test_graph_core import malformed_graphs
 
@@ -86,7 +85,6 @@ class TestDerivedGraphsAreValid:
     def test_expand_with_and_without_sides(self, inst):
         expanded, smap = expand(inst)
         assert_trusted_sound(expanded.graph)
-        assert _expand(inst) == (expanded, smap)
         bp = bipartition(inst.graph)
         side = tuple(bp.side[v] for v in smap.origin)
         assert all(side[a] != side[b] for a, b, _ in expanded.graph.edges)
@@ -297,12 +295,12 @@ class TestOnePassPerSolve:
         assert solve_pvcbm(g, 3, k2, k3).verdict
         assert len(sides) == 1 and checks == [] and len(validations) == 1
 
-    @pytest.mark.parametrize("zero_cost, zero_profit, builds", [
-        (False, False, 1), (True, False, 2), (False, True, 2), (True, True, 2)])
-    def test_wpvcbfd_derives_in_one_pass(self, monkeypatch, zero_cost, zero_profit, builds):
+    @pytest.mark.parametrize("zero_cost, zero_profit", [
+        (False, False), (True, False), (False, True), (True, True)])
+    def test_wpvcbfd_derives_in_one_pass(self, monkeypatch, zero_cost, zero_profit):
         # Vertex 5 costing 0 is taken free; edge (1, 2) of profit 0 is dropped.
-        # Either drop costs one rebuild, both together still one; the
-        # expansion is always built.
+        # One graph is built either way: the searched one, holding the kept
+        # edges with their copy-pair shares. No expansion is built.
         g = make_graph(6, [(0, 1, 2), (1, 2, 0 if zero_profit else 1), (2, 3, 3),
                            (3, 4, 1), (4, 5, 2)],
                        costs=[1, 2, 3, 1, 2, 0 if zero_cost else 1])
@@ -311,7 +309,7 @@ class TestOnePassPerSolve:
         sides = count_calls(monkeypatch, "bipartition")
         rechecks = count_calls(monkeypatch, "_check_bipartition")
         assert solve_wpvcbfd(inst).verdict
-        assert len(graphs) == builds and len(sides) == 1 and rechecks == []
+        assert len(graphs) == 1 and len(sides) == 1 and rechecks == []
 
     def test_hand_built_graph_is_checked_once(self, monkeypatch):
         g = self.fractional_instance(True).graph
