@@ -83,7 +83,7 @@ def _run_one(alg: str, seed: int, value: int, degree_bound: int) -> BenchRow:
         rep = solve_wpvc_by_L(inst)
         param = "target"
         bound = profit_target_node_bound(value)
-        depth_ok = rep.max_depth < 2 * value
+        depth_ok = rep.max_depth <= max(2 * value - 1, 0)
     else:
         raise InputError("unknown bench algorithm %r" % alg)
     return BenchRow(

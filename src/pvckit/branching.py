@@ -3,18 +3,19 @@
 The three solvers share one depth-first search and differ only in their rule:
 how a node's kernel (the small set some feasible cover must intersect) is
 computed from the residual weighted degrees. A search node is the input graph
-plus a mask of the vertices forced into the solution so far; an edge is live
-while neither endpoint is forced. Branching is on kernel members in ascending
-vertex id. Before the rule runs, a fractional-knapsack bound on the live
-profit settles every node whose budget cannot reach its target, so the rules
-only see nodes that may still have a feasible completion. The search keeps
-its frames on an explicit stack, so its depth is bounded by memory, not by
-Python's recursion limit. Depth and fan-out bounds are hard assertions, not
-hopes.
+plus the number of copies left of each vertex: one copy per vertex, so 1 or
+0, for these solvers, and a section of several unit-cost copies per vertex
+for the fractional solver. An edge is live while both endpoints have copies
+left. Branching is on kernel members in ascending vertex id, and a rule that
+settles a node returns a map from vertex to the number of copies it takes.
+Before the rule runs, a fractional-knapsack bound on the live profit settles
+every node whose budget cannot reach its target, so the rules only see nodes
+that may still have a feasible completion. The search keeps its frames on an
+explicit stack, so its depth is bounded by memory, not by Python's recursion
+limit. Depth and fan-out bounds are hard assertions, not hopes.
 
-The same search also runs over sections, for the fractional solver: each
-vertex then stands for a number of interchangeable unit-cost copies, and the
-mask becomes a count of copies taken per vertex (see :func:`_search`).
+A search with sections differs from one without in three places, the bound,
+the epvcbd rule's pool size and the result (see :func:`_search`).
 
 A search returns only what it took and its node statistics. A yes is built
 and checked in one place, :func:`pvckit.instance._report`, which each public
@@ -52,43 +53,42 @@ def _require_bipartite(inst: WpvcInstance, unit_costs: bool = False):
     return bp
 
 
-def _force_free(g: Graph, forced) -> list[int]:
+def _force_free(g: Graph, left) -> list[int]:
     """Force every zero-cost vertex that still covers positive live profit.
 
     Free coverage can never hurt, and clearing such vertices up front is what
     makes the zero-budget base case sound. One ascending pass finds them:
     forcing a vertex only lowers the others' live profit, so a vertex passed
     over never qualifies later, not even after more vertices are forced.
-    Marks them in ``forced`` and returns them in the order taken.
+    ``left[v]`` is the number of copies of v left, 0 once v is forced; the
+    pass sets it to 0 for the vertices it forces and returns them in the
+    order taken.
     """
-    taken = []
+    freed = []
     for v in g.vertices():
-        if g.costs[v] == 0 and any(g.profit(e) and not forced[g.other_end(e, v)]
+        if g.costs[v] == 0 and any(g.profit(e) and left[g.other_end(e, v)]
                                    for e in g.adjacency[v]):
-            forced[v] = True
-            taken.append(v)
-    return taken
+            left[v] = 0
+            freed.append(v)
+    return freed
 
 
 def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None):
-    """Depth-first search over masks of forced vertices, or over counts of
-    taken copies; returns ``(chosen, nodes, depth)``: what the first witness
-    found takes (None on a no), the number of nodes that branched, and the
-    largest depth reached. It builds no report and checks no witness: the
-    public solver on top reads its vertices off ``chosen`` and hands them to
+    """Depth-first search over the copies left per vertex; returns
+    ``(chosen, nodes, depth)``: what the first witness found takes (None on a
+    no), the number of nodes that branched, and the largest depth reached. It
+    builds no report and checks no witness: the public solver on top reads
+    its vertices off ``chosen`` and hands them to
     :func:`pvckit.instance._report`, which does both on the solver's input.
 
     Vertex v has ``copies[v]`` interchangeable copies (its section), each of
     cost ``costs[v]``, and an edge of profit p joins every copy of one end to
     every copy of the other by a copy edge of profit p. Without ``copies``
-    every vertex has one copy, ``taken`` reads as a mask of forced vertices,
-    a rule's ``take`` lists vertices, and ``chosen`` is the forced vertices in
-    the order taken. With ``copies``, every cost must be 1, and the search
-    decides the unit-cost expansion of the sections without building it: a
-    ``take`` maps vertices to numbers of their copies left, and ``chosen`` is
-    the count taken per vertex. The copies of one vertex that are left are
-    twins, so a count per vertex is the whole state, a step takes one copy,
-    and a branch tries each vertex once.
+    every vertex has one copy. The one per-vertex state is ``left``, the
+    copies of each vertex left: forcing a vertex takes one of its copies, and
+    the copies of one vertex that are left are twins, so a branch tries each
+    vertex once. With ``copies``, every cost must be 1, and the search decides
+    the unit-cost expansion of the sections without building it.
 
     The root first forces the zero-cost vertices that cover positive profit
     (see :func:`_force_free`). No node below it has another such vertex,
@@ -105,31 +105,28 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None):
     with one copy per vertex every node sees exactly what :func:`residual`
     would give. The target is the instance target less the profit already
     covered. A zero target is a yes; a zero budget or a target above the live
-    profit is a no, and so is a node whose profit bound (see
-    :func:`_profit_bound` and :func:`_section_bound`) is below its target: no
-    affordable set of the copies left can cover the target, so the bound never
-    cuts a node that has a feasible completion, and the depth-first order
-    reaches the same first witness with no more nodes. Only nodes the bound
-    admits reach ``rule(wdeg, budget, target, taken)``, which returns
-    ``(take, None)`` when the copies ``take`` finish the cover, or
-    ``(None, branch)`` to try one copy of each vertex of ``branch`` in turn,
-    skipping those the node cannot afford. Rules read ``wdeg`` and ``taken``
-    and must not write to either: the search owns that state across nodes.
+    profit is a no, and so is a node whose profit bound is below its target:
+    no affordable set of the copies left can cover the target, so the bound
+    never cuts a node that has a feasible completion, and the depth-first
+    order reaches the same first witness with no more nodes. Only nodes the
+    bound admits reach ``rule(wdeg, budget, target, left)``, which returns
+    ``(take, None)`` when ``take``, a map from vertex to a number of its
+    copies left, finishes the cover, or ``(None, branch)`` to try one copy of
+    each vertex of ``branch`` in turn, skipping those the node cannot afford.
+    Rules read ``wdeg`` and ``left`` and must not write to either: the search
+    owns that state across nodes.
+
+    A search with ``copies`` differs from one without in three places only:
+    the bound (:func:`_section_bound` rather than :func:`_profit_bound`), the
+    pool size of the epvcbd rule (copies left rather than vertices), and
+    ``chosen``, which is the count taken per vertex rather than the forced
+    vertices in the order taken.
     """
     g = inst.graph
     edges, costs, adjacency = g.edges, g.costs, g.adjacency
-    counted = copies is not None
-    if counted:
-        assert costs.count(1) == g.n
-        sections = any(c > 1 for c in copies)
-        left = list(copies)  # copies left per vertex
-    else:
-        sections = False
-        left = [1] * g.n
-    taken = [0] * g.n
-    chain = _force_free(g, taken)
-    for v in chain:
-        left[v] = 0
+    assert copies is None or costs.count(1) == g.n
+    left = [1] * g.n if copies is None else list(copies)
+    chain = _force_free(g, left)
     wdeg = [0] * g.n
     for u, w, p in edges:
         lu, lw = left[u], left[w]
@@ -139,7 +136,7 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None):
     # Each live copy pair is counted once from either end.
     live = sum(map(mul, wdeg, left)) // 2
     # Every copy pair is live unless the free pass took a vertex, and it only
-    # finds one without sections, where the pairs are the edges.
+    # finds one without copies, where the pairs are the edges.
     total = g.total_profit() if chain else live
     # No zero-cost vertex keeps positive live profit past the free pass, and
     # forcing only lowers wdeg, so every item of the profit bound costs >= 1.
@@ -156,19 +153,17 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None):
         if target == 0:
             break
         if 0 < budget and target <= live:
-            bound = (_section_bound(wdeg, left, budget) if sections
-                     else _profit_bound(wdeg, costs, scale, budget))
-            found = rule(wdeg, budget, target, taken) if bound >= target else None
+            bound = (_profit_bound(wdeg, costs, scale, budget) if copies is None
+                     else _section_bound(wdeg, left, budget))
+            found = rule(wdeg, budget, target, left) if bound >= target else None
         else:
             found = None
         if found is not None:
             take, branch = found
             if take is not None:
-                if counted:
-                    for v, k in take.items():
-                        taken[v] += k
-                else:
-                    chain += take
+                for v, k in take.items():
+                    left[v] -= k
+                chain += take
                 break
             nodes += 1
             stack.append((iter(branch), len(chain), budget))
@@ -176,7 +171,6 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None):
             branch, base, budget = stack[-1]
             while len(chain) > base:
                 v = chain.pop()
-                taken[v] -= 1
                 left[v] += 1
                 weight = 0  # of one copy of v
                 for e in adjacency[v]:
@@ -196,7 +190,6 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None):
                     x = w if u == v else u
                     if left[x]:
                         wdeg[x] -= p
-                taken[v] += 1
                 left[v] -= 1
                 if not left[v]:
                     wdeg[v] = 0
@@ -206,7 +199,7 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None):
             stack.pop()
         else:
             return None, nodes, deepest
-    return taken if counted else chain, nodes, deepest
+    return chain if copies is None else [c - k for c, k in zip(copies, left)], nodes, deepest
 
 
 def _ratio_scale(costs, budget: int) -> dict[int, int] | None:
@@ -271,8 +264,11 @@ def _copy_prefix(lefts, rights, left, budget: int) -> dict[int, int]:
     """The ``budget`` lowest-id copies on the side with more copies left, as
     a map from vertex to a count: the sides ``lefts`` and ``rights`` list
     vertices in ascending id, and vertex v has ``left[v]`` copies left, so
-    the copies come as a prefix of whole sections and a part of one more."""
-    picks = lefts if sum(map(left.get, lefts)) >= sum(map(left.get, rights)) else rights
+    the copies come as a prefix of whole sections and a part of one more.
+    With one copy per vertex it is the first ``budget`` vertices of the
+    longer side, ``lefts`` on a tie."""
+    count = left.__getitem__
+    picks = lefts if sum(map(count, lefts)) >= sum(map(count, rights)) else rights
     take = {}
     for v in picks:
         take[v] = min(left[v], budget)
@@ -282,7 +278,7 @@ def _copy_prefix(lefts, rights, left, budget: int) -> dict[int, int]:
     return take
 
 
-def _with_live_neighbors(g: Graph, kernel, forced) -> list[int]:
+def _with_live_neighbors(g: Graph, kernel, left) -> list[int]:
     """The kernel plus every vertex joined to it by a live edge of positive
     profit. A neighbor across a zero-profit edge adds nothing to either
     rule's swap argument, and spreading to one could branch on a zero-cost
@@ -291,7 +287,7 @@ def _with_live_neighbors(g: Graph, kernel, forced) -> list[int]:
     for u in kernel:
         for e in g.adjacency[u]:
             v = g.other_end(e, u)
-            if g.profit(e) and not forced[v]:
+            if g.profit(e) and left[v]:
                 spread.add(v)
     return sorted(spread)
 
@@ -321,22 +317,18 @@ def _solve_epvcbd(inst: WpvcInstance, side, copies=None):
     copy on its vertex's side: the pool counts each vertex once per copy it
     has left, and branches on each vertex once."""
 
-    def rule(wdeg, budget, target, taken):
+    def rule(wdeg, budget, target, left):
         pool = [v for v, w in enumerate(wdeg) if w * budget >= target]
         # The budget largest copy weights reach the target, so the largest
         # reaches target/budget.
         assert pool
         # With sections, each pool vertex counts once per copy it has left.
-        left = None if copies is None else {v: copies[v] - taken[v] for v in pool}
-        if (len(pool) if left is None else sum(left.values())) >= 2 * budget:
+        if (len(pool) if copies is None else sum(map(left.__getitem__, pool))) >= 2 * budget:
             lefts = [v for v in pool if side[v] == LEFT]
             rights = [v for v in pool if side[v] == RIGHT]
-            if left is None:
-                take = (lefts if len(lefts) >= len(rights) else rights)[:budget]
-                assert sum(wdeg[v] for v in take) >= target  # independent picks, profits add up
-            else:
-                take = _copy_prefix(lefts, rights, left, budget)
-                assert sum(wdeg[v] * k for v, k in take.items()) >= target
+            take = _copy_prefix(lefts, rights, left, budget)
+            # Independent picks: their profits add up.
+            assert sum(wdeg[v] * k for v, k in take.items()) >= target
             return take, None
         assert len(pool) < 2 * budget
         return None, pool
@@ -366,7 +358,7 @@ def solve_wpvc_bounded_degree(inst: WpvcInstance, degree_bound: int) -> SolveRep
         raise InputError("graph has a vertex of degree %d, above the bound %d"
                          % (g.max_degree(), degree_bound))
 
-    def rule(wdeg, budget, target, taken):
+    def rule(wdeg, budget, target, left):
         best_per_cost: dict[int, int] = {}
         for v, w in enumerate(wdeg):
             c = g.costs[v]
@@ -375,7 +367,7 @@ def solve_wpvc_bounded_degree(inst: WpvcInstance, degree_bound: int) -> SolveRep
                 if held is None or (w, -v) > (wdeg[held], -held):
                     best_per_cost[c] = v
         assert best_per_cost  # the bound saw an affordable vertex of positive wdeg
-        branch = _with_live_neighbors(g, best_per_cost.values(), taken)
+        branch = _with_live_neighbors(g, best_per_cost.values(), left)
         assert len(branch) <= (degree_bound + 1) * budget
         return None, branch
 
@@ -392,7 +384,8 @@ def solve_wpvc_by_L(inst: WpvcInstance) -> SolveReport:
     positive-profit edge; one ascending pass over the coverages serves both.
     Swapping any cover member for its coverage class's cheapest pick preserves
     feasibility, so the kernel intersects some feasible cover. Fan-out stays
-    below the residual target squared and depth below twice the root target.
+    below the residual target squared and depth within max(2 * target - 1, 0)
+    for the root target: below twice it, and 0 when it is 0.
     A node whose fractional-knapsack bound on the residual coverage is below
     the target is a no before the rule runs, so the kernel is never empty.
     """
@@ -400,11 +393,11 @@ def solve_wpvc_by_L(inst: WpvcInstance) -> SolveReport:
     _require_valid(inst)
     g = inst.graph
 
-    def rule(wdeg, budget, target, taken):
+    def rule(wdeg, budget, target, left):
         cheapest_per_value: dict[int, int] = {}
         for v, w in enumerate(wdeg):
             if w >= target and g.costs[v] <= budget:
-                return [v], None
+                return {v: 1}, None
             if 1 <= w < target:
                 held = cheapest_per_value.get(w)
                 if held is None or (g.costs[v], v) < (g.costs[held], held):
@@ -412,7 +405,7 @@ def solve_wpvc_by_L(inst: WpvcInstance) -> SolveReport:
         # The bound saw an affordable vertex of positive wdeg; one covering
         # the target alone would have ended the node in the loop.
         assert cheapest_per_value
-        branch = _with_live_neighbors(g, cheapest_per_value.values(), taken)
+        branch = _with_live_neighbors(g, cheapest_per_value.values(), left)
         assert len(branch) < target * target
         return None, branch
 

@@ -5,7 +5,7 @@ cost-many unit-cost copies (its section), and the profit of each edge is
 split across its copy pairs, scaled to integers by a common denominator. The
 solver never builds that expansion. It searches sections: the unit-cost
 search of :func:`pvckit.branching._solve_epvcbd` keeps a count of copies
-taken per vertex, with one share of each edge's profit per copy pair, so its
+left per vertex, with one share of each edge's profit per copy pair, so its
 time and memory follow the budget and the graph, not the costs. A partial
 section then means a fractionally-taken vertex, and a rebalancing pass moves
 section mass around until at most one partial section remains, never losing
@@ -167,12 +167,12 @@ def solve_wpvcbfd(inst: WpvcInstance) -> SolveReport:
     t0 = time.perf_counter()
     bp = _require_bipartite(inst)
     g = inst.graph
-    forced = [False] * g.n
-    prefix = _force_free(g, forced)
+    left = [1] * g.n
+    prefix = _force_free(g, left)
     # Zero-profit edges are irrelevant to feasibility, and any zero-cost
     # vertex the free pass left has only such edges; dropping them with the
     # covered ones leaves no zero-cost endpoint to expand.
-    kept = [(u, w, p) for u, w, p in g.edges if p > 0 and not (forced[u] or forced[w])]
+    kept = [(u, w, p) for u, w, p in g.edges if p > 0 and left[u] and left[w]]
     gain = g.total_profit() - sum(p for _, _, p in kept)
     costs = g.costs
     scale, share = _copy_shares(kept, costs)

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .graph import (Graph, NotBipartite, _derived_graph, bipartition, check_graph, coverage,
-                    weighted_degree)
+                    make_graph, weighted_degree)
 
 
 class Variant(str, enum.Enum):
@@ -165,8 +165,6 @@ def _as_variant(tag) -> Variant:
 def make_instance(n, edges, costs=None, *, budget, target, variant=None,
                   bipartite_required=False) -> WpvcInstance:
     """Build a validated instance; the variant tag is inferred when omitted."""
-    from .graph import make_graph
-
     g = make_graph(n, edges, costs)
     variant = infer_variant(g) if variant is None else _as_variant(variant)
     inst = WpvcInstance(g, budget, target, variant, bipartite_required)

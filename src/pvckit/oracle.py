@@ -9,6 +9,9 @@ can afford are enumerated; the size caps below count those selectable
 vertices, which keeps pendant-heavy gadget instances (thousands of
 unaffordable degree-1 vertices) in reach.
 
+Like the solvers, the three cover oracles run ``check_graph`` on a graph built
+by hand as ``Graph(...)`` and raise InputError for a broken one.
+
 In oracle reports, ``nodes_expanded`` is the number of subsets examined and
 ``max_depth`` the largest subset size tried, which is the size of the last
 one, since sizes never fall.
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, NotBipartiteError, OracleScaleError
-from .graph import Graph, NotBipartite, bipartition, edge_subgraph, max_matching
+from .graph import Graph, NotBipartite, bipartition, check_graph, edge_subgraph, max_matching
 from .instance import CoverSolution, SolveReport, WpvcInstance, make_solution
 
 DEFAULT_CAP = 20
@@ -30,7 +33,18 @@ _MCQ_K_CAP = 4
 _MCQ_CLASS_CAP = 8
 
 
+def _require_sound(g: Graph) -> None:
+    """Raise InputError for a graph built by hand as ``Graph(...)`` that
+    breaks a structural invariant, as the solvers do; a graph that carries
+    the checked mark costs one attribute read."""
+    if not g._checked:
+        problems = check_graph(g)
+        if problems:
+            raise InputError("; ".join(problems))
+
+
 def _candidates(inst: WpvcInstance, cap: int) -> list[int]:
+    _require_sound(inst.graph)
     if not (isinstance(inst.budget, int) and isinstance(inst.target, int)
             and inst.budget >= 0 and inst.target >= 0):
         raise InputError("budget and target must be non-negative integers")
@@ -158,6 +172,7 @@ def oracle_pvcbm(g: Graph, k1: int, k2: int, k3: int, cap: int = DEFAULT_CAP) ->
     t0 = time.perf_counter()
     if not all(isinstance(k, int) and k >= 0 for k in (k1, k2, k3)):
         raise InputError("k1, k2, k3 must be non-negative integers")
+    _require_sound(g)
     if g.n > cap:
         raise OracleScaleError("graph has %d vertices, oracle cap is %d" % (g.n, cap))
     bp = bipartition(g)

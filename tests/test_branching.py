@@ -10,7 +10,7 @@ from pvckit import (InputError, NotBipartiteError, SolveReport, Variant, Variant
                     WpvcInstance, coverage, infer_variant, make_graph, make_instance,
                     make_solution, solve_epvcbd, solve_pvcbm, solve_wpvc_bounded_degree,
                     solve_wpvc_by_L, solve_wpvcbfd)
-from pvckit.branching import _search
+from pvckit.branching import _copy_prefix, _search
 from pvckit.generators import (bounded_degree_case, general_graph_case,
                                unit_cost_bipartite_case)
 from pvckit.oracle import oracle_wpvc
@@ -170,6 +170,20 @@ class TestByProfitTarget:
             assert solve_wpvc_by_L(inst).verdict == solve_wpvc_by_L(other).verdict
 
 
+class TestCopyPrefix:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(["left", "right", "out"]), max_size=14),
+           st.integers(min_value=1, max_value=10))
+    def test_one_copy_each_is_a_prefix_of_the_longer_side(self, sides, budget):
+        # The epvcbd rule's large-pool pick on a unit-cost search: the first
+        # budget vertices of the side with more pool vertices, the left on a tie.
+        lefts = [v for v, s in enumerate(sides) if s == "left"]
+        rights = [v for v, s in enumerate(sides) if s == "right"]
+        left = [1] * len(sides)
+        assert list(_copy_prefix(lefts, rights, left, budget)) \
+            == (lefts if len(lefts) >= len(rights) else rights)[:budget]
+
+
 class TestSearchState:
     """The search keeps weighted degrees and live profit across nodes; at
     every node they must equal a recompute from scratch."""
@@ -179,7 +193,8 @@ class TestSearchState:
         g = inst.graph
         nodes = []
 
-        def rule(wdeg, budget, target, forced):
+        def rule(wdeg, budget, target, left):
+            forced = [not k for k in left]
             want = [0] * g.n
             live = 0
             for u, w, p in g.edges:

@@ -317,6 +317,15 @@ class TestBenchCmd:
         assert code == 0
         assert out.count("by-L") == 2 and "epvcbd" not in out
 
+    def test_profit_target_zero_is_within_its_depth_bound(self, tmp_path, capsys):
+        # At target 0 the search stops at the root, depth 0.
+        cfg = tmp_path / "zero.json"
+        cfg.write_text(json.dumps({"runs": [{"alg": "by-L", "grid": [0], "seeds": [0]}]}))
+        code, out, err = run_cli(["bench", "--config", str(cfg)], capsys)
+        assert (code, err) == (0, "")
+        row = out.splitlines()[1].split()
+        assert row[0] == "by-L" and row[5] == "0" and row[-1] == "ok"
+
     @pytest.mark.parametrize("alg, value, bound", [
         ("by-L", 500, "500^2000"), ("epvcbd", 1300, "2600^1300"),
         ("bounded-degree", 100000, "400000^100000")])

@@ -1,7 +1,8 @@
 """Argv soup over every subcommand: no input crashes a command.
 
-Every run exits with 0, 1 or 2; none prints ``internal error``, which is
-kept for faults of the program, not of its input; and every instance file
+Every run exits with 0, 1 or 2, and ``bench`` never with 1, which there
+means a bound violation; none prints ``internal error``, which is kept for
+faults of the program, not of its input; and every instance file
 ``gen`` writes with exit 0 loads again. Sizes stay small (n <= 10, bench
 grids of at most two values), so each run takes milliseconds.
 """
@@ -103,6 +104,8 @@ def test_argv_soup_never_crashes(argv, soup, config):
         (cwd / "bench.json").write_text(json.dumps(config))
         code, out, err = run(argv, cwd)
         assert code in (0, 1, 2), (argv, code, err)
+        # bench exits 1 only on a node or depth bound violation, a fault of the program.
+        assert not (argv[0] == "bench" and code == 1), (argv, config, out)
         assert "internal error" not in err, (argv, err)
         if argv[0] == "gen" and code == 0:
             written = cwd / "gen.out"

@@ -197,8 +197,9 @@ def solve_on_the_expansion(inst):
     witness's copies and rebalanced. Returns the verdict, the integral
     vertices, the fractional part and the node count."""
     g = inst.graph
-    forced = [False] * g.n
-    prefix = _force_free(g, forced)
+    left = [1] * g.n
+    prefix = _force_free(g, left)
+    forced = [not k for k in left]
     kept = [(u, w, p) for u, w, p in g.edges if p > 0 and not (forced[u] or forced[w])]
     cur = make_graph(g.n, kept, g.costs)
     target = max(0, inst.target - (g.total_profit() - cur.total_profit()))

@@ -21,7 +21,7 @@ the nodes the bound cuts, so the bound has its own gate below: it admits
 every node that has a feasible completion, and it equals an independent LP
 value.
 
-The fractional solver's search runs over sections: a count of copies taken
+The fractional solver's search runs over sections: a count of copies left
 per vertex, every copy of cost 1, in the scaled units of the copy-pair
 shares. Its gate enumerates completions as counts of the copies left per
 vertex, and checks its takes and branch lists the same way, and its profit
@@ -63,8 +63,9 @@ def completions(g, forced, budget, target):
 def gated(inst, rule, calls):
     g = inst.graph
 
-    def checked(wdeg, budget, target, forced):
-        found = rule(wdeg, budget, target, forced)
+    def checked(wdeg, budget, target, left):
+        found = rule(wdeg, budget, target, left)
+        forced = [not k for k in left]
         feasible = completions(g, forced, budget, target)
         calls.append(found)
         take, branch = found
@@ -106,10 +107,9 @@ def section_completions(g, left, budget, target):
 def section_gated(inst, rule, copies, calls):
     g = inst.graph
 
-    def checked(wdeg, budget, target, taken):
-        found = rule(wdeg, budget, target, taken)
-        feasible = [k for k, _ in section_completions(
-            g, [c - t for c, t in zip(copies, taken)], budget, target)]
+    def checked(wdeg, budget, target, left):
+        found = rule(wdeg, budget, target, left)
+        feasible = [k for k, _ in section_completions(g, left, budget, target)]
         calls.append(found)
         take, branch = found
         if take is not None:
@@ -228,16 +228,17 @@ def test_section_search(rule_calls):
 
 
 def random_node(rng, unit_costs):
-    """A search node of a random instance with positive budget: a random
-    forced mask, then the free pass, as at the search's root. Returns the
-    graph, the mask, the live ``wdeg``, the instance's ratio scale and a node
-    budget up to the instance budget."""
+    """A search node of a random instance with positive budget: random
+    copies left (1, or 0 for a forced vertex), then the free pass, as at the
+    search's root. Returns the graph, the forced mask, the live ``wdeg``, the
+    instance's ratio scale and a node budget up to the instance budget."""
     inst = random_case(rng, unit_costs=unit_costs)
     while inst.budget == 0:
         inst = random_case(rng, unit_costs=unit_costs)
     g = inst.graph
-    forced = [rng.random() < 0.3 for _ in range(g.n)]
-    branching._force_free(g, forced)
+    left = [int(rng.random() >= 0.3) for _ in range(g.n)]
+    branching._force_free(g, left)
+    forced = [not k for k in left]
     wdeg = [0] * g.n
     for u, w, p in g.edges:
         if not (forced[u] or forced[w]):

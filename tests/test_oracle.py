@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import c4, path3, random_instance, relabeled, star
-from pvckit import (InputError, OracleScaleError, Variant, WpvcInstance, make_graph,
-                    make_instance)
+from pvckit import (Graph, InputError, OracleScaleError, Variant, WpvcInstance, make_graph,
+                    make_instance, solve_pvcbm, solve_wpvc_by_L, solve_wpvcbfd)
 from pvckit.generators import random_mcq
 from pvckit.oracle import (oracle_fractional, oracle_mcq, oracle_pvcbm, oracle_wpvc)
 from pvckit.reduction import make_mcq
@@ -89,8 +89,38 @@ class TestOraclePvcbm:
         assert rep.verdict and rep.witness.vertices == frozenset()
 
 
+# Hand-built graphs the solvers reject: an edge endpoint out of range, and an
+# edge missing from one endpoint's adjacency list.
+MALFORMED = [
+    (Graph(n=2, edges=((0, 5, 1),), costs=(1, 1), adjacency=((0,), ())),
+     "edge 0 has endpoint out of range"),
+    (Graph(n=2, edges=((0, 1, 1),), costs=(1, 1), adjacency=((0,), ())),
+     "edge 0 missing from an endpoint adjacency list"),
+]
+
+
 class TestOracleInputs:
-    """The oracles reject the budgets and targets the solvers reject."""
+    """The oracles reject the graphs, budgets and targets the solvers reject."""
+
+    @pytest.mark.parametrize("g, problem", MALFORMED, ids=["out-of-range", "unlisted"])
+    def test_wpvc_oracle_rejects_malformed_graphs(self, g, problem):
+        inst = WpvcInstance(g, 1, 1, Variant.PVC)
+        for decide in (oracle_wpvc, solve_wpvc_by_L):
+            with pytest.raises(InputError, match=problem):
+                decide(inst)
+
+    @pytest.mark.parametrize("g, problem", MALFORMED, ids=["out-of-range", "unlisted"])
+    def test_fractional_oracle_rejects_malformed_graphs(self, g, problem):
+        inst = WpvcInstance(g, 1, 1, Variant.PVC, bipartite_required=True)
+        for decide in (oracle_fractional, solve_wpvcbfd):
+            with pytest.raises(InputError, match=problem):
+                decide(inst)
+
+    @pytest.mark.parametrize("g, problem", MALFORMED, ids=["out-of-range", "unlisted"])
+    def test_matching_oracle_rejects_malformed_graphs(self, g, problem):
+        for decide in (oracle_pvcbm, solve_pvcbm):
+            with pytest.raises(InputError, match=problem):
+                decide(g, 1, 1, 1)
 
     @pytest.mark.parametrize("oracle", [oracle_wpvc, oracle_fractional])
     @pytest.mark.parametrize("budget, target", [(1, -4), (2.5, 1), (-1, 0), (1, 1.5)])

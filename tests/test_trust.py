@@ -122,8 +122,9 @@ class TestDerivedGraphsAreValid:
             taken.append(v)
             cur = residual(cur, v)
         g = inst.graph
-        forced = [False] * g.n
-        assert _force_free(g, forced) == taken
+        left = [1] * g.n
+        assert _force_free(g, left) == taken
+        forced = [not k for k in left]
         assert forced == [v in taken for v in g.vertices()]
         kept = [(u, w, p) for u, w, p in g.edges if not (forced[u] or forced[w])]
         assert kept == list(cur.graph.edges)
