@@ -28,29 +28,10 @@ import math
 import time
 from operator import mul
 
-from .errors import InputError, NotBipartiteError, VariantError
-from .graph import LEFT, RIGHT, Graph, NotBipartite, bipartition
-from .instance import SolveReport, Variant, WpvcInstance, _report, _require_valid
+from .errors import InputError
+from .graph import LEFT, RIGHT, Graph
+from .instance import SolveReport, WpvcInstance, _report, _require_bipartite, _require_valid
 from .instance import residual  # noqa: F401  perfbench/tracing.py checks this binding
-
-
-def _require_bipartite(inst: WpvcInstance, unit_costs: bool = False):
-    """Validate ``inst`` and 2-color its graph, once; return the Bipartition.
-
-    Raises InputError for an invalid instance (an odd cycle is one when the
-    instance requires a bipartite graph), then VariantError if ``unit_costs``
-    is set and the variant allows other costs, then NotBipartiteError for an
-    odd cycle.
-    """
-    bp = _require_valid(inst)
-    if unit_costs and inst.variant not in (Variant.EPVC, Variant.PVC):
-        raise VariantError("solver needs unit vertex costs, got variant %s"
-                           % inst.variant.value)
-    if bp is None:
-        bp = bipartition(inst.graph)
-    if isinstance(bp, NotBipartite):
-        raise NotBipartiteError(bp.odd_cycle)
-    return bp
 
 
 def _force_free(g: Graph, left) -> list[int]:
@@ -363,8 +344,9 @@ def solve_wpvc_bounded_degree(inst: WpvcInstance, degree_bound: int) -> SolveRep
         for v, w in enumerate(wdeg):
             c = g.costs[v]
             if 1 <= c <= budget and w > 0:
+                # Vertices come in ascending id, so a tie keeps the lower one.
                 held = best_per_cost.get(c)
-                if held is None or (w, -v) > (wdeg[held], -held):
+                if held is None or w > wdeg[held]:
                     best_per_cost[c] = v
         assert best_per_cost  # the bound saw an affordable vertex of positive wdeg
         branch = _with_live_neighbors(g, best_per_cost.values(), left)
@@ -399,8 +381,9 @@ def solve_wpvc_by_L(inst: WpvcInstance) -> SolveReport:
             if w >= target and g.costs[v] <= budget:
                 return {v: 1}, None
             if 1 <= w < target:
+                # Vertices come in ascending id, so a tie keeps the lower one.
                 held = cheapest_per_value.get(w)
-                if held is None or (g.costs[v], v) < (g.costs[held], held):
+                if held is None or g.costs[v] < g.costs[held]:
                     cheapest_per_value[w] = v
         # The bound saw an affordable vertex of positive wdeg; one covering
         # the target alone would have ended the node in the loop.

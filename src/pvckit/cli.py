@@ -35,9 +35,7 @@ _ORACLE_KIND = {"epvcbd": "wpvc", "bounded-degree": "wpvc", "by-L": "wpvc",
 
 
 def _num(x):
-    if isinstance(x, Fraction) and x.denominator != 1:
-        return str(x)
-    return int(x)
+    return str(x) if isinstance(x, Fraction) and x.denominator != 1 else int(x)
 
 
 def _report_dict(rep, g, verified=False):
@@ -219,10 +217,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.config:
-        config = json.loads(_read(args.config))
-    else:
-        config = bench_mod.default_config()
+    config = json.loads(_read(args.config)) if args.config else bench_mod.default_config()
     rows = bench_mod.run_config(config)
     print(bench_mod.format_table(rows))
     bad = [r for r in rows if not r.ok]

@@ -220,9 +220,10 @@ def parse_mcq(text: str) -> McqInstance:
     without a second validation pass.
     """
     (n, _, k), colors, edges = _read(text, "mcq")
-    missing = [v for v in range(n) if v not in colors]
-    if missing:
-        raise FormatError("vertex %d has no color line" % missing[0])
+    # The reader keeps distinct ids below n, so fewer than n means one is missing.
+    if len(colors) < n:
+        raise FormatError("vertex %d has no color line"
+                          % next(v for v in range(n) if v not in colors))
     if k < 1:
         raise FormatError("k must be a positive integer")
     return _normalized_mcq(n, k, tuple(colors[v] for v in range(n)), edges, _trusted_graph)

@@ -22,10 +22,11 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-from .branching import _force_free, _require_bipartite, _solve_epvcbd
+from .branching import _force_free, _solve_epvcbd
 from .errors import InputError
-from .graph import Graph, _derived_graph
-from .instance import SolveReport, WpvcInstance, _report, infer_variant
+from .graph import Graph, _trusted_graph
+from .instance import (SolveReport, Variant, WpvcInstance, _report, _require_bipartite,
+                       infer_variant)
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ def expand(inst: WpvcInstance) -> tuple[WpvcInstance, SectionMap]:
                 copy_edges.append((a, b, s))
     # u < v puts every copy of u below every copy of v: copy edges come out
     # normalized and distinct.
-    expanded_graph = _derived_graph(g, len(origin), copy_edges, (1,) * len(origin))
+    expanded_graph = _trusted_graph(len(origin), copy_edges, (1,) * len(origin))
     expanded = WpvcInstance(
         graph=expanded_graph,
         budget=inst.budget,
@@ -177,10 +178,10 @@ def solve_wpvcbfd(inst: WpvcInstance) -> SolveReport:
     costs = g.costs
     scale, share = _copy_shares(kept, costs)
     # With no edge dropped, the edge ids and so the adjacency stay the same.
-    per_copy = _derived_graph(g, g.n, [(u, w, s) for (u, w, _), s in zip(kept, share)],
+    per_copy = _trusted_graph(g.n, [(u, w, s) for (u, w, _), s in zip(kept, share)],
                               (1,) * g.n, g.adjacency if len(kept) == g.m else None)
     target = max(0, inst.target - gain) * scale
-    searched = WpvcInstance(per_copy, inst.budget, target, infer_variant(per_copy), True)
+    searched = WpvcInstance(per_copy, inst.budget, target, Variant.EPVC, True)
     counts, *stats = _solve_epvcbd(searched, bp.side, costs)
     vertices = fractional = None
     if counts is not None:

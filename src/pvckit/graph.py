@@ -7,11 +7,13 @@ frozen after construction; every operation here is read-only and safe to call
 concurrently.
 
 Validation happens once, at the boundary: :func:`make_graph` checks every edge
-and cost of outside input, and graphs the toolkit derives from an already
-checked graph are built without re-checking. Both kinds carry a private
-"checked" mark, so :func:`pvckit.instance.validate` skips :func:`check_graph`
-for them. A graph built by hand as ``Graph(...)`` never carries the mark and
-is re-checked in full wherever it enters.
+and cost of outside input, and every graph the toolkit derives from another
+is built by :func:`_trusted_graph` without re-checking. Both kinds carry a
+private "checked" mark, so :func:`pvckit.instance.validate` skips
+:func:`check_graph` for them. A graph built by hand as ``Graph(...)`` never
+carries the mark and is checked in full wherever it enters: by the solvers'
+validation, and by :func:`_require_sound` on entry to each public function
+that derives a graph from one it did not validate.
 """
 
 from __future__ import annotations
@@ -143,7 +145,8 @@ def _trusted_graph(n: int, edges, costs, adjacency=None) -> Graph:
     non-negative ints. A caller that already has the adjacency (per vertex,
     the ids of its edges in increasing order) may pass it, and it is used
     as given. Nothing here re-checks that: callers either checked it
-    themselves or derive the data from a graph that carries the mark.
+    themselves or derive the data from a graph that carries the mark or has
+    passed :func:`check_graph`.
     """
     edges = tuple(edges)
     if adjacency is None:
@@ -157,13 +160,15 @@ def _trusted_graph(n: int, edges, costs, adjacency=None) -> Graph:
     return g
 
 
-def _derived_graph(source: Graph, n: int, edges, costs, adjacency=None) -> Graph:
-    """A graph built from parts of ``source``: trusted (with ``adjacency``, if
-    given) when ``source`` carries the checked mark, fully validated by
-    :func:`make_graph` when it does not."""
-    if source._checked:
-        return _trusted_graph(n, edges, costs, adjacency)
-    return make_graph(n, edges, costs)
+def _require_sound(g: Graph) -> None:
+    """Raise InputError for a graph built by hand as ``Graph(...)`` that
+    breaks a structural invariant, as the solvers do; a graph that carries
+    the checked mark costs one attribute read. Once it returns, graphs
+    derived from ``g`` may be built by :func:`_trusted_graph`."""
+    if not g._checked:
+        problems = check_graph(g)
+        if problems:
+            raise InputError("; ".join(problems))
 
 
 def check_graph(g: Graph) -> list[str]:
@@ -171,11 +176,14 @@ def check_graph(g: Graph) -> list[str]:
 
     Needed only for graphs built by hand as ``Graph(...)``: graphs from
     :func:`make_graph`, the parsers and the toolkit's own derivations are
-    valid by construction, and :func:`pvckit.instance.validate` skips them.
+    valid by construction, and :func:`pvckit.instance.validate` and
+    :func:`_require_sound` skip them.
 
-    One pass over the adjacency lists records, per edge, which of its two
-    endpoints list it (bit 1 for the first, bit 2 for the second; a self-loop
-    sets both), so the whole check is linear in the size of the graph.
+    Endpoints, profits, costs and adjacency entries must be ints, as
+    :func:`make_graph` requires. One pass over the adjacency lists records,
+    per edge, which of its two endpoints list it (bit 1 for the first, bit 2
+    for the second; a self-loop sets both), so a missing or repeated entry
+    shows and the whole check is linear in the size of the graph.
     """
     problems = []
     if len(g.costs) != g.n or len(g.adjacency) != g.n:
@@ -185,12 +193,18 @@ def check_graph(g: Graph) -> list[str]:
     foreign = []
     for v, adj in enumerate(g.adjacency):
         for e in adj:
-            if not (0 <= e < g.m) or v not in g.edges[e][:2]:
+            if not (isinstance(e, int) and 0 <= e < g.m) or v not in g.edges[e][:2]:
                 foreign.append("adjacency of vertex %d lists foreign edge %r" % (v, e))
-            else:
-                listed[e] |= (v == g.edges[e][0]) | (v == g.edges[e][1]) << 1
+                continue
+            bit = (v == g.edges[e][0]) | (v == g.edges[e][1]) << 1
+            if listed[e] & bit:
+                foreign.append("adjacency of vertex %d lists edge %d twice" % (v, e))
+            listed[e] |= bit
     seen_pairs = set()
     for e, (u, v, p) in enumerate(g.edges):
+        if not (isinstance(u, int) and isinstance(v, int)):
+            problems.append("edge %d has non-integer endpoint" % e)
+            continue
         if not (0 <= u < g.n and 0 <= v < g.n):
             problems.append("edge %d has endpoint out of range" % e)
             continue
@@ -198,8 +212,8 @@ def check_graph(g: Graph) -> list[str]:
             problems.append("edge %d is a self-loop" % e)
         if u > v:
             problems.append("edge %d is not normalized (u < v)" % e)
-        if p < 0:
-            problems.append("edge %d has negative profit" % e)
+        if not isinstance(p, int) or p < 0:
+            problems.append("edge %d has profit %r, not a non-negative integer" % (e, p))
         key = (min(u, v), max(u, v))
         if key in seen_pairs:
             problems.append("parallel edge %s" % (key,))
@@ -207,8 +221,8 @@ def check_graph(g: Graph) -> list[str]:
         if listed[e] != 3:
             problems.append("edge %d missing from an endpoint adjacency list" % e)
     for v, c in enumerate(g.costs):
-        if c < 0:
-            problems.append("vertex %d has negative cost" % v)
+        if not isinstance(c, int) or c < 0:
+            problems.append("vertex %d has cost %r, not a non-negative integer" % (v, c))
     return problems + foreign
 
 
@@ -414,8 +428,9 @@ def edge_subgraph(g: Graph, edge_ids) -> tuple[Graph, tuple[int, ...]]:
     Returns the subgraph and, per subgraph edge id, the id of the original
     edge. Vertex ids are unchanged, so a bipartition of ``g`` stays valid.
     """
+    _require_sound(g)
     kept = sorted(edge_ids)
     if (kept and not 0 <= kept[0] <= kept[-1] < g.m) or len(set(kept)) < len(kept):
         raise InputError("edge ids must be distinct and lie in 0..%d" % (g.m - 1))
-    sub = _derived_graph(g, g.n, [g.edges[e] for e in kept], g.costs)
+    sub = _trusted_graph(g.n, [g.edges[e] for e in kept], g.costs)
     return sub, tuple(kept)

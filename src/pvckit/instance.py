@@ -1,7 +1,7 @@
 """Problem instances for the partial-cover variants, residual construction,
-and solution/report records. :func:`_report` is the only place a solver
-makes its report: each public solver calls it once, as it returns, and it
-builds and checks the yes witness there.
+and solution/report records. :func:`_report` is the only place a report is
+made: each public solver and each cover oracle calls it once, as it
+returns, and it builds and checks the yes witness there.
 
 Instances are frozen; ``residual`` returns a fresh instance with the same
 vertex-id universe (the forced vertex simply loses all its edges), so a
@@ -11,10 +11,13 @@ as live state (see :func:`pvckit.branching._search`), and ``residual`` stays
 the public reference for what each search node sees.
 
 Graphs are validated once, where they enter: ``make_instance`` builds through
-``make_graph``, and ``residual`` and ``prune_unaffordable`` derive their graphs
-from an already checked one without re-checking. ``validate`` runs
-``check_graph`` only on graphs that lack the checked mark, that is, graphs
-built by hand as ``Graph(...)``; every solver validates its input on entry.
+``make_graph``, and ``residual`` and ``prune_unaffordable`` check a graph
+built by hand as ``Graph(...)`` on entry (see
+:func:`pvckit.graph._require_sound`) and build their graphs trusted.
+``validate`` runs ``check_graph`` only on graphs that lack the checked mark.
+The solvers' entry checks live here too: :func:`_require_bipartite` for the
+bipartite solvers and :func:`_require_pvcbm`, which the matching-constrained
+solver and its oracle share.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import InputError
-from .graph import (Graph, NotBipartite, _derived_graph, bipartition, check_graph, coverage,
-                    make_graph, weighted_degree)
+from .errors import InputError, NotBipartiteError, VariantError
+from .graph import (Graph, NotBipartite, _require_sound, _trusted_graph, bipartition,
+                    check_graph, coverage, make_graph, weighted_degree)
 
 
 class Variant(str, enum.Enum):
@@ -137,8 +140,8 @@ def _witness_problem(g: Graph, budget, target, sol, matching=None, k3=0) -> str 
 
 def _report(inst: WpvcInstance, t0: float, vertices, nodes: int, depth: int, fractional=None,
             matching=None, k3: int = 0) -> SolveReport:
-    """The one place a solver makes its :class:`SolveReport`, called once at
-    the end of each public solver, with ``t0`` taken on its entry.
+    """The one place a :class:`SolveReport` is made, called once at the end of
+    each public solver and cover oracle, with ``t0`` taken on its entry.
 
     ``vertices`` None is a no. Otherwise the witness is built from them (and
     ``fractional``) by :func:`make_solution` on the input graph, and checked
@@ -221,6 +224,40 @@ def _require_valid(inst: WpvcInstance):
     return bp
 
 
+def _require_bipartite(inst: WpvcInstance, unit_costs: bool = False):
+    """Validate ``inst`` and 2-color its graph, once; return the Bipartition.
+
+    Raises InputError for an invalid instance (an odd cycle is one when the
+    instance requires a bipartite graph), then VariantError if ``unit_costs``
+    is set and the variant allows other costs, then NotBipartiteError for an
+    odd cycle.
+    """
+    bp = _require_valid(inst)
+    if unit_costs and inst.variant not in (Variant.EPVC, Variant.PVC):
+        raise VariantError("solver needs unit vertex costs, got variant %s"
+                           % inst.variant.value)
+    if bp is None:
+        bp = bipartition(inst.graph)
+    if isinstance(bp, NotBipartite):
+        raise NotBipartiteError(bp.odd_cycle)
+    return bp
+
+
+def _require_pvcbm(g: Graph, k1, k2, k3):
+    """The entry check of the matching-constrained cover, shared by its solver
+    and its oracle: InputError unless k1, k2 and k3 are non-negative ints,
+    then VariantError unless every cost and profit is 1, then the checks of
+    :func:`_require_bipartite`. Returns the instance (budget k1, target k2)
+    and the Bipartition."""
+    if not all(isinstance(k, int) and k >= 0 for k in (k1, k2, k3)):
+        raise InputError("k1, k2, k3 must be non-negative integers")
+    if g.costs.count(1) != len(g.costs) or any(p != 1 for _, _, p in g.edges):
+        raise VariantError("matching-constrained solver needs unit costs and profits")
+    inst = WpvcInstance(g, k1, k2, Variant.PVC)
+    # The weights were read above: validating a WPVC-tagged copy reads none.
+    return inst, _require_bipartite(replace(inst, variant=Variant.WPVC))
+
+
 def residual(inst: WpvcInstance, v: int) -> WpvcInstance:
     """The instance left after forcing ``v`` into the solution.
 
@@ -229,6 +266,7 @@ def residual(inst: WpvcInstance, v: int) -> WpvcInstance:
     residual with S is equivalent to solving ``inst`` with S plus v.
     """
     g = inst.graph
+    _require_sound(g)
     if not (isinstance(v, int) and 0 <= v < g.n):
         raise InputError("invalid vertex id %r" % (v,))
     if g.costs[v] > inst.budget:
@@ -237,7 +275,7 @@ def residual(inst: WpvcInstance, v: int) -> WpvcInstance:
     gain = weighted_degree(g, v)
     drop = set(g.adjacency[v])
     kept = [g.edges[e] for e in range(g.m) if e not in drop]
-    return replace(inst, graph=_derived_graph(g, g.n, kept, g.costs),
+    return replace(inst, graph=_trusted_graph(g.n, kept, g.costs),
                    budget=inst.budget - g.costs[v], target=max(0, inst.target - gain))
 
 
@@ -249,8 +287,9 @@ def prune_unaffordable(inst: WpvcInstance) -> WpvcInstance:
     of them is dead weight and is removed. Applied once at load time.
     """
     g = inst.graph
+    _require_sound(g)
     dead = [g.costs[v] > inst.budget for v in range(g.n)]
     kept = [edge for edge in g.edges if not (dead[edge[0]] and dead[edge[1]])]
     if len(kept) == g.m:
         return inst
-    return replace(inst, graph=_derived_graph(g, g.n, kept, g.costs))
+    return replace(inst, graph=_trusted_graph(g.n, kept, g.costs))

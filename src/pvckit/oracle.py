@@ -10,7 +10,11 @@ vertices, which keeps pendant-heavy gadget instances (thousands of
 unaffordable degree-1 vertices) in reach.
 
 Like the solvers, the three cover oracles run ``check_graph`` on a graph built
-by hand as ``Graph(...)`` and raise InputError for a broken one.
+by hand as ``Graph(...)`` and raise InputError for a broken one; the
+matching-constrained oracle runs the very entry check of its solver,
+:func:`pvckit.instance._require_pvcbm`. Each cover oracle makes its report
+the way the solvers do, through :func:`pvckit.instance._report`, which
+builds every yes witness on the oracle's input graph and checks it there.
 
 In oracle reports, ``nodes_expanded`` is the number of subsets examined and
 ``max_depth`` the largest subset size tried, which is the size of the last
@@ -24,23 +28,13 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, NotBipartiteError, OracleScaleError
-from .graph import Graph, NotBipartite, bipartition, check_graph, edge_subgraph, max_matching
-from .instance import CoverSolution, SolveReport, WpvcInstance, make_solution
+from .errors import InputError, OracleScaleError
+from .graph import Graph, _require_sound, edge_subgraph, max_matching
+from .instance import SolveReport, WpvcInstance, _report, _require_pvcbm
 
 DEFAULT_CAP = 20
 _MCQ_K_CAP = 4
 _MCQ_CLASS_CAP = 8
-
-
-def _require_sound(g: Graph) -> None:
-    """Raise InputError for a graph built by hand as ``Graph(...)`` that
-    breaks a structural invariant, as the solvers do; a graph that carries
-    the checked mark costs one attribute read."""
-    if not g._checked:
-        problems = check_graph(g)
-        if problems:
-            raise InputError("; ".join(problems))
 
 
 def _candidates(inst: WpvcInstance, cap: int) -> list[int]:
@@ -120,9 +114,8 @@ def oracle_wpvc(inst: WpvcInstance, cap: int = DEFAULT_CAP) -> SolveReport:
     if g.total_profit() >= inst.target:
         for examined, (combo, mask) in enumerate(_covers(g, cands, g.costs, inst.budget), 1):
             if _mask_profit(mask, profits, uniform) >= inst.target:
-                return SolveReport(True, make_solution(g, combo), examined, len(combo),
-                                   time.perf_counter() - t0)
-    return SolveReport(False, None, examined, len(combo), time.perf_counter() - t0)
+                return _report(inst, t0, combo, examined, len(combo))
+    return _report(inst, t0, None, examined, len(combo))
 
 
 def oracle_fractional(inst: WpvcInstance, cap: int = DEFAULT_CAP) -> SolveReport:
@@ -141,8 +134,7 @@ def oracle_fractional(inst: WpvcInstance, cap: int = DEFAULT_CAP) -> SolveReport
     for examined, (combo, mask) in enumerate(_covers(g, cands, g.costs, inst.budget), 1):
         profit = _mask_profit(mask, profits, uniform)
         if profit >= inst.target:
-            return SolveReport(True, make_solution(g, combo), examined, len(combo),
-                               time.perf_counter() - t0)
+            return _report(inst, t0, combo, examined, len(combo))
         spare = inst.budget - sum(g.costs[v] for v in combo)
         if spare <= 0:
             continue
@@ -153,9 +145,8 @@ def oracle_fractional(inst: WpvcInstance, cap: int = DEFAULT_CAP) -> SolveReport
             extent = Fraction(spare, g.costs[w])
             sole = sum(profits[e] for e in g.adjacency[w] if e not in covered)
             if profit + extent * sole >= inst.target:
-                return SolveReport(True, make_solution(g, combo, (w, extent)), examined,
-                                   len(combo), time.perf_counter() - t0)
-    return SolveReport(False, None, examined, len(combo), time.perf_counter() - t0)
+                return _report(inst, t0, combo, examined, len(combo), (w, extent))
+    return _report(inst, t0, None, examined, len(combo))
 
 
 def oracle_pvcbm(g: Graph, k1: int, k2: int, k3: int, cap: int = DEFAULT_CAP) -> SolveReport:
@@ -163,32 +154,27 @@ def oracle_pvcbm(g: Graph, k1: int, k2: int, k3: int, cap: int = DEFAULT_CAP) ->
 
     Yes iff some set of at most k1 vertices covers at least k2 edges whose
     subgraph has a matching of size at least k3 (checked with Hopcroft-Karp).
-    Every vertex counts once against k1, whatever its cost.
+    It takes the input its solver takes: unit costs and profits, or a
+    VariantError, and a bipartite graph.
 
     A subset of fewer than k3 vertices is passed over without a matching
     run: every covered edge touches it, so no matching among its covered
     edges has more edges than it has vertices. It still counts as examined.
     """
     t0 = time.perf_counter()
-    if not all(isinstance(k, int) and k >= 0 for k in (k1, k2, k3)):
-        raise InputError("k1, k2, k3 must be non-negative integers")
-    _require_sound(g)
+    inst, bp = _require_pvcbm(g, k1, k2, k3)
     if g.n > cap:
         raise OracleScaleError("graph has %d vertices, oracle cap is %d" % (g.n, cap))
-    bp = bipartition(g)
-    if isinstance(bp, NotBipartite):
-        raise NotBipartiteError(bp.odd_cycle)
     examined, combo = 0, ()
-    for examined, (combo, mask) in enumerate(_covers(g, g.vertices(), (1,) * g.n, k1), 1):
+    for examined, (combo, mask) in enumerate(_covers(g, g.vertices(), g.costs, k1), 1):
         if len(combo) < k3 or mask.bit_count() < k2:
             continue
         sub, back = edge_subgraph(g, _edge_ids(mask))
         mat = max_matching(sub, bp)
         if mat.size >= k3:
-            sol = CoverSolution(frozenset(combo), None, len(combo), mask.bit_count())
-            return SolveReport(True, sol, examined, len(combo), time.perf_counter() - t0,
-                               matching_edge_ids=frozenset(back[e] for e in mat.edge_ids))
-    return SolveReport(False, None, examined, len(combo), time.perf_counter() - t0)
+            return _report(inst, t0, combo, examined, len(combo),
+                           matching=frozenset(back[e] for e in mat.edge_ids), k3=k3)
+    return _report(inst, t0, None, examined, len(combo))
 
 
 @dataclass(frozen=True)

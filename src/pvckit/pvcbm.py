@@ -25,27 +25,24 @@ reported edges that are pairwise disjoint and each covered by the witness.
 Such a matching proves the yes on its own, so no second Hopcroft-Karp run is
 needed. The whole graph's matching, computed for the no test, doubles as the
 binary search's upper end.
+
+The entry check, :func:`pvckit.instance._require_pvcbm`, is the one the
+oracle runs too, so both reject the same input with the same error.
 """
 
 from __future__ import annotations
 
 import time
 
-from .errors import InputError, VariantError
 from .graph import Graph, coverage, edge_subgraph, max_matching, min_vertex_cover
-from .instance import SolveReport, Variant, WpvcInstance, _report
-from .branching import _require_bipartite, _solve_epvcbd
+from .instance import SolveReport, _report, _require_pvcbm
+from .branching import _solve_epvcbd
 
 
 def solve_pvcbm(g: Graph, k1: int, k2: int, k3: int) -> SolveReport:
     """Decide the matching-constrained cover; unit weights, bipartite only."""
     t0 = time.perf_counter()
-    if not all(isinstance(k, int) and k >= 0 for k in (k1, k2, k3)):
-        raise InputError("k1, k2, k3 must be non-negative integers")
-    if any(c != 1 for c in g.costs) or any(p != 1 for _, _, p in g.edges):
-        raise VariantError("matching-constrained solver needs unit costs and profits")
-    inst = WpvcInstance(g, k1, k2, Variant.PVC)
-    bp = _require_bipartite(inst)
+    inst, bp = _require_pvcbm(g, k1, k2, k3)
     # k3 matched edges would need k3 distinct cover vertices.
     chain, *stats = _solve_epvcbd(inst, bp.side) if k3 <= k1 else (None, 0, 0)
     vertices, matching = (None, None) if chain is None else _grow(g, bp, chain, k3)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import InputError, OracleScaleError
-from .graph import Graph, _derived_graph, coverage, make_graph
+from .graph import Graph, _require_sound, _trusted_graph, coverage, make_graph
 from .instance import WpvcInstance, infer_variant
 from .oracle import McqVerdict, oracle_mcq, oracle_wpvc
 
@@ -182,10 +182,12 @@ def pendantize(out: ReductionOutput) -> ReductionOutput:
 
     Pendants inherit the hub cost (far beyond the budget, so they can never be
     selected), the hubs disappear, and the instance becomes unit-profit while
-    keeping the same budget, target and verdict.
+    keeping the same budget, target and verdict. A source graph built by hand
+    is checked on entry, and a broken one is an InputError.
     """
     inst = out.instance
     g = inst.graph
+    _require_sound(g)
     z1 = 2 * out.source_n
     hubs = {z1, z1 + 1}
     # The new graph is built unchecked, so reject any shape the construction
@@ -215,8 +217,8 @@ def pendantize(out: ReductionOutput) -> ReductionOutput:
             adjacency[u].append(e0)
             adjacency[v].append(e0)
     # Pendant ids lie above every copy, so each pendant edge (x, pendant) is
-    # normalized and new; the copy edges come from g.
-    graph = _derived_graph(g, len(costs), edges, costs, adjacency)
+    # normalized and new; the copy edges come from g, which is sound.
+    graph = _trusted_graph(len(costs), edges, costs, adjacency)
     instance = WpvcInstance(
         graph=graph,
         budget=inst.budget,

@@ -85,8 +85,13 @@ def check_graph_reference(g):
     if len(g.costs) != g.n or len(g.adjacency) != g.n:
         problems.append("per-vertex arrays do not match vertex count")
         return problems
+    # An adjacency entry that is not an int names no edge, even if equal to one.
+    ints = [[e for e in adj if type(e) in (int, bool)] for adj in g.adjacency]
     seen_pairs = set()
     for e, (u, v, p) in enumerate(g.edges):
+        if type(u) not in (int, bool) or type(v) not in (int, bool):
+            problems.append("edge %d has non-integer endpoint" % e)
+            continue
         if not (0 <= u < g.n and 0 <= v < g.n):
             problems.append("edge %d has endpoint out of range" % e)
             continue
@@ -94,21 +99,23 @@ def check_graph_reference(g):
             problems.append("edge %d is a self-loop" % e)
         if u > v:
             problems.append("edge %d is not normalized (u < v)" % e)
-        if p < 0:
-            problems.append("edge %d has negative profit" % e)
+        if type(p) not in (int, bool) or p < 0:
+            problems.append("edge %d has profit %r, not a non-negative integer" % (e, p))
         key = (min(u, v), max(u, v))
         if key in seen_pairs:
             problems.append("parallel edge %s" % (key,))
         seen_pairs.add(key)
-        if e not in g.adjacency[u] or e not in g.adjacency[v]:
+        if e not in ints[u] or e not in ints[v]:
             problems.append("edge %d missing from an endpoint adjacency list" % e)
     for v, c in enumerate(g.costs):
-        if c < 0:
-            problems.append("vertex %d has negative cost" % v)
+        if type(c) not in (int, bool) or c < 0:
+            problems.append("vertex %d has cost %r, not a non-negative integer" % (v, c))
     for v, adj in enumerate(g.adjacency):
-        for e in adj:
-            if not (0 <= e < g.m) or v not in g.edges[e][:2]:
+        for i, e in enumerate(adj):
+            if type(e) not in (int, bool) or not (0 <= e < g.m) or v not in g.edges[e][:2]:
                 problems.append("adjacency of vertex %d lists foreign edge %r" % (v, e))
+            elif e in [f for f in adj[:i] if type(f) in (int, bool)]:
+                problems.append("adjacency of vertex %d lists edge %d twice" % (v, e))
     return problems
 
 

@@ -189,6 +189,15 @@ class TestOracleCmd:
                                capsys)
         assert code == 0 and "matching=" in out
 
+    @pytest.mark.parametrize("command", [["oracle", "--kind"], ["solve", "--alg"]])
+    def test_pvcbm_on_weights_is_variant_error(self, tmp_path, capsys, command):
+        # Vertex 0 costs 5 and edge (0, 1) has profit 3: witness {0, 2} would
+        # cost 6 and cover profit 6, not the 2 and 4 of a unit instance.
+        f = tmp_path / "weighted.wpvc"
+        f.write_text("p wpvc 4 4 2 4\nv 0 5\ne 0 1 3\ne 1 2\ne 2 3\ne 0 3\n")
+        code, out, err = run_cli(command + ["pvcbm", "--k3", "2", str(f)], capsys)
+        assert code == 2 and out == "" and err.startswith("variant error:")
+
     @pytest.mark.parametrize("kind, text", [
         pytest.param(kind, text, id=kind) for kind, text in
         [("auto", PATH3), ("wpvc", PATH3), ("fractional", PATH3), ("mcq", MCQ_PAIR)]])

@@ -4,6 +4,8 @@ fuzz test that no line soup makes a parser raise anything but a toolkit
 error, and a differential test of the reader against a frozen copy of its
 earlier version."""
 
+import tracemalloc
+
 import frozen_reader
 import pytest
 from hypothesis import given, settings
@@ -96,6 +98,19 @@ def test_mcq_fault_message(text, message):
     with pytest.raises(FormatError) as info:
         parse_mcq(text)
     assert type(info.value) is FormatError and str(info.value) == message
+
+
+def test_missing_color_line_is_named_without_listing_the_vertices():
+    # A list of every id below n peaks near 200 MiB at this n.
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as info:
+            parse_mcq("p mcq 5000000 0 1\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "vertex 0 has no color line"
+    assert peak < 2**20
 
 
 def test_variant_override_that_does_not_fit_is_input_error():

@@ -51,10 +51,32 @@ def malformed_graphs(draw):
     return Graph(n=n, edges=tuple(edges), costs=tuple(costs), adjacency=tuple(adjacency))
 
 
+@st.composite
+def mistyped_graphs(draw):
+    """``malformed_graphs`` with one endpoint, profit, cost or adjacency entry
+    made a float, which ``make_graph`` would refuse."""
+    g = draw(malformed_graphs())
+    edges, costs = [list(edge) for edge in g.edges], list(g.costs)
+    adjacency = [list(adj) for adj in g.adjacency]
+    slots = ([(edges[e], i) for e in range(len(edges)) for i in range(3)]
+             + [(costs, v) for v in range(len(costs))]
+             + [(adj, i) for adj in adjacency for i in range(len(adj))])
+    if slots:
+        row, i = draw(st.sampled_from(slots))
+        row[i] = row[i] + draw(st.sampled_from([0.0, 0.5]))
+    return Graph(n=g.n, edges=tuple(map(tuple, edges)), costs=tuple(costs),
+                 adjacency=tuple(map(tuple, adjacency)))
+
+
 class TestCheckGraph:
     @settings(max_examples=300)
     @given(malformed_graphs())
     def test_matches_quadratic_reference(self, g):
+        assert check_graph(g) == check_graph_reference(g)
+
+    @settings(max_examples=300)
+    @given(mistyped_graphs())
+    def test_matches_quadratic_reference_on_non_integer_values(self, g):
         assert check_graph(g) == check_graph_reference(g)
 
 

@@ -134,6 +134,31 @@ class TestOracleInputs:
             oracle_pvcbm(c4(), *ks)
 
 
+def _raised(decide, *args):
+    with pytest.raises(InputError) as info:
+        decide(*args)
+    return type(info.value), str(info.value)
+
+
+ODD_CYCLE = make_graph(3, [(0, 1), (1, 2), (0, 2)])
+PVCBM_REJECTS = [
+    ("k-float", c4(), (1.5, 1, 1)),
+    ("k-negative", c4(), (1, -1, 1)),
+    ("cost", make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], costs=[5, 1, 1, 1]), (2, 4, 2)),
+    ("profit", make_graph(4, [(0, 1, 3), (1, 2), (2, 3), (0, 3)]), (2, 4, 2)),
+    ("out-of-range", MALFORMED[0][0], (1, 1, 1)),
+    ("unlisted", MALFORMED[1][0], (1, 1, 1)),
+    ("odd-cycle", ODD_CYCLE, (1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("g, ks", [case[1:] for case in PVCBM_REJECTS],
+                         ids=[case[0] for case in PVCBM_REJECTS])
+def test_matching_oracle_rejects_what_its_solver_rejects(g, ks):
+    # One entry check: the same exception type and message from both.
+    assert _raised(oracle_pvcbm, g, *ks) == _raised(solve_pvcbm, g, *ks)
+
+
 class TestOracleMcq:
     def test_edge_makes_clique(self):
         mcq = make_mcq(2, 2, [1, 2], [(0, 1)])

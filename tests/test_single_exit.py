@@ -4,8 +4,9 @@ A search returns only the vertices it forced; ``instance._report`` builds the
 witness with ``make_solution``, checks it with ``_witness_problem`` and makes
 the ``SolveReport``. So on every solve, each of the two runs once on a yes,
 on the solver's own input graph, and never on a no, inside a nested search
-or on the fractional solver's expansion. The AST guard keeps the solver
-modules from building or checking a report themselves again.
+or on the fractional solver's expansion. The cover oracles report through
+the same helper, on their own input graph. The AST guard keeps the solver
+and oracle modules from building or checking a report themselves again.
 """
 
 import ast
@@ -17,6 +18,7 @@ from pvckit import (branching, fractional, instance, pvcbm, solve_epvcbd, solve_
                     solve_wpvc_bounded_degree, solve_wpvc_by_L, solve_wpvcbfd)
 from pvckit.generators import (bounded_degree_case, fractional_case, general_graph_case,
                                matching_constrained_case, unit_cost_bipartite_case)
+from pvckit.oracle import oracle_fractional, oracle_pvcbm, oracle_wpvc
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pvckit"
 SOLVER_MODULES = (instance, branching, fractional, pvcbm)
@@ -77,6 +79,35 @@ def test_witness_built_and_checked_once_per_yes(recipe, calls):
     assert yes == want_yes
 
 
+# The oracles report through the same helper: per recipe, the oracle and the
+# solver's yes count, which the oracle must match.
+ORACLE_RECIPES = {
+    "unit-cost": (lambda s: _on(unit_cost_bipartite_case(s), oracle_wpvc), 212),
+    "fractional": (lambda s: _on(fractional_case(s), oracle_fractional), 147),
+    "matching": (lambda s: _on_oracle_pvcbm(*matching_constrained_case(s)), 58),
+}
+
+
+def _on_oracle_pvcbm(g, k1, k2, k3):
+    return g, lambda: oracle_pvcbm(g, k1, k2, k3)
+
+
+@pytest.mark.parametrize("recipe", sorted(ORACLE_RECIPES))
+def test_oracle_witness_built_and_checked_once_per_yes(recipe, calls):
+    case, want_yes = ORACLE_RECIPES[recipe]
+    yes = 0
+    for seed in range(300):
+        g, decide = case(seed)
+        for graphs in calls.values():
+            graphs.clear()
+        rep = decide()
+        yes += rep.verdict
+        for name in ("make_solution", "_witness_problem"):
+            assert len(calls[name]) == rep.verdict, "%s seed %d: %s" % (recipe, seed, name)
+            assert all(h is g for h in calls[name]), "%s seed %d: %s" % (recipe, seed, name)
+    assert yes == want_yes
+
+
 def report_calls(source, filename="<source>"):
     """(name, line) of each call to a report-building name in ``source``,
     whether called bare or as a module attribute."""
@@ -90,7 +121,7 @@ def report_calls(source, filename="<source>"):
     return found
 
 
-@pytest.mark.parametrize("filename", ["branching.py", "fractional.py", "pvcbm.py"])
+@pytest.mark.parametrize("filename", ["branching.py", "fractional.py", "oracle.py", "pvcbm.py"])
 def test_solver_modules_leave_reports_to_instance(filename):
     assert report_calls((SRC / filename).read_text(), filename) == []
 

@@ -24,6 +24,7 @@ from pvckit import (Graph, InputError, Variant, WpvcInstance, bipartition, edge_
                     validate, weighted_degrees, write_wpvc)
 from pvckit.branching import _force_free
 from pvckit.graph import check_graph
+from pvckit.reduction import ReductionOutput
 from test_graph_core import malformed_graphs
 
 
@@ -202,6 +203,38 @@ class TestGadgetPendantizeGuard:
             pendantize(source)
 
 
+def _gadget_shaped(g):
+    """``g`` as a gadget output that passes ``pendantize``'s shape check
+    whenever ``g`` has an even number of vertices, at least 2."""
+    half = max(g.n - 2, 0) // 2
+    roles = ["v%d" % i for i in range(half)] + ["u%d" % i for i in range(half)]
+    inst = WpvcInstance(g, 1, 1, Variant.WPVC, True)
+    return ReductionOutput(inst, tuple(roles + ["z1", "z2"]), tuple(range(half)),
+                           tuple(range(half, 2 * half)), 1, half)
+
+
+class TestHandBuiltSourcesAreChecked:
+    """Each public function that derives a graph checks a hand-built source
+    on entry, so no broken graph is carried into a trusted build."""
+
+    @settings(max_examples=300)
+    @given(malformed_graphs())
+    def test_every_derivation_rejects(self, g):
+        assume(check_graph(g))
+        inst = WpvcInstance(g, 1, 1, Variant.WPVC)
+        for derive in (lambda: residual(inst, 0), lambda: prune_unaffordable(inst),
+                       lambda: edge_subgraph(g, ()), lambda: pendantize(_gadget_shaped(g))):
+            with pytest.raises(InputError):
+                derive()
+
+    def test_residual_of_an_unlisted_edge(self):
+        # Vertex 0 does not list edge 0, so forcing it would keep the edge
+        # and the whole target.
+        g = Graph(n=2, edges=((0, 1, 1),), costs=(1, 1), adjacency=((), (0,)))
+        with pytest.raises(InputError, match="edge 0 missing from an endpoint adjacency list"):
+            residual(WpvcInstance(g, 1, 1, Variant.PVC), 0)
+
+
 class TestEdgeSubgraphIds:
     def test_rejects_repeated_and_out_of_range_ids(self):
         g = make_graph(3, [(0, 1), (1, 2)])
@@ -235,6 +268,48 @@ class TestHandBuiltGraphs:
                         solve(inst)
         with pytest.raises(InputError):
             solve_pvcbm(g, 1, 1, 1)
+
+    def test_adjacency_that_lists_an_edge_twice_is_rejected(self):
+        # Vertex 2 lists edge 3 twice. A search that trusted it would take
+        # edge 3's profit twice on forcing vertex 2 and answer no, where the
+        # built graph's {3, 5} covers all four edges.
+        g = make_graph(6, [(2, 3), (0, 3), (4, 5), (2, 5)])
+        twice = Graph(g.n, g.edges, g.costs, ((1,), (), (0, 3, 3), (0, 1), (2,), (2, 3)))
+        assert check_graph(twice) == ["adjacency of vertex 2 lists edge 3 twice"]
+        assert solve_epvcbd(WpvcInstance(g, 2, 4, Variant.PVC, True)).verdict
+        inst = WpvcInstance(twice, 2, 4, Variant.PVC, True)
+        for solve in (solve_epvcbd, solve_wpvc_by_L, solve_wpvcbfd,
+                      lambda inst: solve_wpvc_bounded_degree(inst, 8)):
+            with pytest.raises(InputError, match="lists edge 3 twice"):
+                solve(inst)
+        with pytest.raises(InputError, match="lists edge 3 twice"):
+            solve_pvcbm(twice, 2, 4, 1)
+
+    def test_float_profits_are_rejected(self):
+        # Taking vertex 0 covers both edges, profit 3, so the answer is yes;
+        # a solver that took the float profits in would answer otherwise.
+        g = Graph(3, ((0, 1, 1.5), (0, 2, 1.5)), (1, 1, 1), ((0, 1), (0,), (1,)))
+        assert check_graph(g) == ["edge 0 has profit 1.5, not a non-negative integer",
+                                  "edge 1 has profit 1.5, not a non-negative integer"]
+        inst = WpvcInstance(g, 1, 3, Variant.WPVC, True)
+        for decide in (solve_wpvcbfd, solve_wpvc_by_L, prune_unaffordable,
+                       lambda inst: residual(inst, 1), lambda inst: edge_subgraph(g, (0,)),
+                       lambda inst: pendantize(_gadget_shaped(g))):
+            with pytest.raises(InputError, match="profit 1.5"):
+                decide(inst)
+
+    @pytest.mark.parametrize("g", [
+        Graph(2, ((0, 1, 1),), (1.5, 1), ((0,), (0,))),
+        Graph(2, ((0.0, 1, 1),), (1, 1), ((0,), (0,))),
+        Graph(2, ((0, 1, 1),), (1, 1), ((0,), (0.0,))),
+    ], ids=["cost", "endpoint", "adjacency"])
+    def test_other_non_integer_values_are_rejected(self, g):
+        assert check_graph(g)
+        inst = WpvcInstance(g, 2, 1, Variant.WPVC, True)
+        for decide in (solve_wpvcbfd, solve_wpvc_by_L, prune_unaffordable,
+                       lambda inst: residual(inst, 1)):
+            with pytest.raises(InputError):
+                decide(inst)
 
 
 def count_calls(monkeypatch, name):
