@@ -146,14 +146,15 @@ def _report(inst: WpvcInstance, t0: float, vertices, nodes: int, depth: int, fra
     ``vertices`` None is a no. Otherwise the witness is built from them (and
     ``fractional``) by :func:`make_solution` on the input graph, and checked
     by :func:`_witness_problem` at the instance's budget and target (and
-    against ``k3`` with ``matching``, edge ids): a witness that fails is an
-    assertion error, never a yes.
+    against ``k3`` with ``matching``, edge ids): a witness that fails raises
+    AssertionError, under ``python -O`` too, and is never a yes.
     """
     if vertices is None:
         return SolveReport(False, None, nodes, depth, time.perf_counter() - t0)
     sol = make_solution(inst.graph, vertices, fractional)
     problem = _witness_problem(inst.graph, inst.budget, inst.target, sol, matching, k3)
-    assert problem is None, problem
+    if problem is not None:  # raised, not asserted, so that ``python -O`` keeps the check
+        raise AssertionError(problem)
     return SolveReport(True, sol, nodes, depth, time.perf_counter() - t0, matching)
 
 

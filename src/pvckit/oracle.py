@@ -4,10 +4,13 @@ The three cover oracles share one enumerator, :func:`_covers`. It yields each
 subset of the selectable vertices whose total cost is within the budget, by
 increasing size and then lexicographically, so witnesses are canonical, and
 with each subset the bitmask of the edges it covers (one bit per edge id).
-Each oracle keeps only its own test of one subset. Only vertices the budget
-can afford are enumerated; the size caps below count those selectable
-vertices, which keeps pendant-heavy gadget instances (thousands of
-unaffordable degree-1 vertices) in reach.
+It builds only those subsets: each size is walked depth-first, and a prefix
+that cannot be completed within the budget is never extended. It stops at
+the largest size whose cheapest members fit the budget. Each oracle keeps
+only its own test of one subset. Only vertices the budget can afford are
+enumerated; the size caps below count those selectable vertices, which keeps
+pendant-heavy gadget instances (thousands of unaffordable degree-1 vertices)
+in reach.
 
 Like the solvers, the three cover oracles run ``check_graph`` on a graph built
 by hand as ``Graph(...)`` and raise InputError for a broken one; the
@@ -16,9 +19,10 @@ matching-constrained oracle runs the very entry check of its solver,
 the way the solvers do, through :func:`pvckit.instance._report`, which
 builds every yes witness on the oracle's input graph and checks it there.
 
-In oracle reports, ``nodes_expanded`` is the number of subsets examined and
-``max_depth`` the largest subset size tried, which is the size of the last
-one, since sizes never fall.
+In oracle reports, ``nodes_expanded`` is the number of subsets examined (the
+affordable subsets yielded until the oracle decides; the prefixes the walk
+builds do not count) and ``max_depth`` the largest subset size tried, which
+is the size of the last one, since sizes never fall.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ def _candidates(inst: WpvcInstance, cap: int) -> list[int]:
     if not (isinstance(inst.budget, int) and isinstance(inst.target, int)
             and inst.budget >= 0 and inst.target >= 0):
         raise InputError("budget and target must be non-negative integers")
-    cands = [v for v in inst.graph.vertices() if inst.graph.costs[v] <= inst.budget]
+    cands = [v for v, c in enumerate(inst.graph.costs) if c <= inst.budget]
     if len(cands) > cap:
         raise OracleScaleError(
             "instance has %d selectable vertices, oracle cap is %d" % (len(cands), cap))
@@ -52,25 +56,51 @@ def _candidates(inst: WpvcInstance, cap: int) -> list[int]:
 def _covers(g: Graph, cands, costs, budget):
     """Yield ``(subset, mask)`` for each subset of ``cands`` whose total cost
     is within ``budget``, by (size, lex); ``mask`` has bit e set for every
-    edge e the subset covers."""
+    edge e the subset covers.
+
+    Each size is walked depth-first over candidate positions, on a stack of
+    prefixes that carry their cost and mask. A candidate is skipped when the
+    prefix cost, its own cost and the picks still needed at the least price
+    after it exceed the budget, so only prefixes of affordable subsets are
+    built; sizes stop at the largest one whose cheapest members fit."""
     # Per-vertex incidence masks; unions and popcounts stay cheap even for the
     # 20k-edge pendantized gadgets.
     nbytes = (g.m + 7) // 8
-    masks = {}
+    masks = []
     for v in cands:
         buf = bytearray(nbytes)
         for e in g.adjacency[v]:
             buf[e >> 3] |= 1 << (e & 7)
-        masks[v] = int.from_bytes(buf, "little")
-    cheapest = min((costs[v] for v in cands), default=0)
-    max_size = min(len(cands), budget // cheapest) if cheapest > 0 else len(cands)
-    for size in range(max_size + 1):
-        for combo in itertools.combinations(cands, size):
-            if sum(costs[v] for v in combo) <= budget:
-                mask = 0
-                for v in combo:
-                    mask |= masks[v]
+        masks.append(int.from_bytes(buf, "little"))
+    price = [costs[v] for v in cands]
+    n = len(price)
+    # least[i]: the least price at position i or later.
+    least = list(itertools.accumulate(reversed(price), min))[::-1]
+    largest = sum(1 for spent in itertools.accumulate(sorted(price), initial=0)
+                  if spent <= budget) - 1
+    for size in range(largest + 1):
+        stack = [(0, 0, 0, ())]
+        while stack:
+            start, cost, mask, combo = stack.pop()
+            left = size - len(combo) - 1  # picks still needed after the next one
+            room = budget - cost
+            if left < 0:
                 yield combo, mask
+            elif left == 0:
+                for i in range(start, n):
+                    if least[i] > room:
+                        break
+                    if price[i] <= room:
+                        yield combo + (cands[i],), mask | masks[i]
+            else:
+                children = []
+                for i in range(start, n - left):
+                    if (left + 1) * least[i] > room:
+                        break
+                    if price[i] + left * least[i + 1] <= room:
+                        children.append((i + 1, cost + price[i], mask | masks[i],
+                                         combo + (cands[i],)))
+                stack.extend(reversed(children))
 
 
 def _edge_ids(mask: int) -> list[int]:
@@ -86,7 +116,7 @@ def _edge_ids(mask: int) -> list[int]:
 def _profits(g: Graph):
     """Per-edge profits, and the common profit when all edges share one."""
     profits = [p for _, _, p in g.edges]
-    return profits, profits[0] if profits and all(p == profits[0] for p in profits) else None
+    return profits, profits[0] if profits and profits.count(profits[0]) == len(profits) else None
 
 
 def _mask_profit(mask: int, profits, uniform) -> int:
@@ -111,7 +141,7 @@ def oracle_wpvc(inst: WpvcInstance, cap: int = DEFAULT_CAP) -> SolveReport:
     g = inst.graph
     profits, uniform = _profits(g)
     examined, combo = 0, ()
-    if g.total_profit() >= inst.target:
+    if sum(profits) >= inst.target:
         for examined, (combo, mask) in enumerate(_covers(g, cands, g.costs, inst.budget), 1):
             if _mask_profit(mask, profits, uniform) >= inst.target:
                 return _report(inst, t0, combo, examined, len(combo))

@@ -222,6 +222,21 @@ class TestOracleCmd:
         code, _, err = run_cli(["oracle", "--variant", "epvc", str(f)], capsys)
         assert code == 2 and "mismatch" in err
 
+    def test_bad_witness_is_internal_error_under_optimize(self, tmp_path):
+        # The enumerator is made to claim every edge for the empty set, so the
+        # oracle reports it as a yes; the witness check must still catch it
+        # when `python -O` strips assert statements.
+        f = tmp_path / "path3.wpvc"
+        f.write_text(PATH3)
+        script = ("import sys, pvckit.cli, pvckit.oracle as o\n"
+                  "if not sys.flags.optimize: sys.exit(3)\n"
+                  "o._covers = lambda g, cands, costs, budget: iter([((), (1 << g.m) - 1)])\n"
+                  "sys.exit(pvckit.cli.main(sys.argv[1:]))\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script, "oracle", str(f)],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "internal error: AssertionError: cost=0 profit=0\n"
+
     def test_cap_refusal_is_exit_two(self, tmp_path, capsys):
         f = tmp_path / "big.wpvc"
         lines = ["p wpvc 25 0 1 0"]
