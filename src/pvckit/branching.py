@@ -15,7 +15,8 @@ explicit stack, so its depth is bounded by memory, not by Python's recursion
 limit. Depth and fan-out bounds are hard assertions, not hopes.
 
 A search with sections differs from one without in three places, the bound,
-the epvcbd rule's pool size and the result (see :func:`_search`).
+the epvcbd rule's pool (its size and its large-pool pick) and the result (see
+:func:`_search`).
 
 A search returns only what it took and its node statistics. A yes is built
 and checked in one place, :func:`pvckit.instance._report`, which each public
@@ -99,7 +100,8 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None):
 
     A search with ``copies`` differs from one without in three places only:
     the bound (:func:`_section_bound` rather than :func:`_profit_bound`), the
-    pool size of the epvcbd rule (copies left rather than vertices), and
+    pool of the epvcbd rule (its size counts copies left rather than vertices,
+    and its large-pool pick :func:`_copy_prefix` reads them), and
     ``chosen``, which is the count taken per vertex rather than the forced
     vertices in the order taken.
     """
@@ -246,8 +248,11 @@ def _copy_prefix(lefts, rights, left, budget: int) -> dict[int, int]:
     a map from vertex to a count: the sides ``lefts`` and ``rights`` list
     vertices in ascending id, and vertex v has ``left[v]`` copies left, so
     the copies come as a prefix of whole sections and a part of one more.
-    With one copy per vertex it is the first ``budget`` vertices of the
-    longer side, ``lefts`` on a tie."""
+    ``left`` None means one copy per vertex: the map is then the first
+    ``budget`` vertices of the longer side, ``lefts`` on a tie, each taken
+    once."""
+    if left is None:
+        return dict.fromkeys((lefts if len(lefts) >= len(rights) else rights)[:budget], 1)
     count = left.__getitem__
     picks = lefts if sum(map(count, lefts)) >= sum(map(count, rights)) else rights
     take = {}
@@ -307,7 +312,7 @@ def _solve_epvcbd(inst: WpvcInstance, side, copies=None):
         if (len(pool) if copies is None else sum(map(left.__getitem__, pool))) >= 2 * budget:
             lefts = [v for v in pool if side[v] == LEFT]
             rights = [v for v in pool if side[v] == RIGHT]
-            take = _copy_prefix(lefts, rights, left, budget)
+            take = _copy_prefix(lefts, rights, None if copies is None else left, budget)
             # Independent picks: their profits add up.
             assert sum(wdeg[v] * k for v, k in take.items()) >= target
             return take, None

@@ -112,8 +112,10 @@ def make_solution(g: Graph, vertices, fractional=None) -> CoverSolution:
         if w in vertices:
             raise InputError("vertex %d is both integral and fractional" % w)
         sole = sum(g.profit(e) for e in g.adjacency[w] if e not in covered)
-        profit = profit + extent * sole
-        cost = cost + extent * g.costs[w]
+        # In integers over the extent's denominator, then one Fraction each.
+        num, den = extent.numerator, extent.denominator
+        profit = Fraction(profit * den + num * sole, den)
+        cost = Fraction(cost * den + num * g.costs[w], den)
         fractional = (w, extent)
     return CoverSolution(vertices=vertices, fractional=fractional, cost=cost, profit=profit)
 

@@ -7,7 +7,9 @@ with each subset the bitmask of the edges it covers (one bit per edge id).
 It builds only those subsets: each size is walked depth-first, and a prefix
 that cannot be completed within the budget is never extended. It stops at
 the largest size whose cheapest members fit the budget. Each oracle keeps
-only its own test of one subset. Only vertices the budget can afford are
+only its own test of one subset. The fractional oracle's test is integer
+cross-multiplication, and it builds a ``Fraction`` only for the extent of
+the witness it returns. Only vertices the budget can afford are
 enumerated; the size caps below count those selectable vertices, which keeps
 pendant-heavy gadget instances (thousands of unaffordable degree-1 vertices)
 in reach.
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, OracleScaleError
-from .graph import Graph, _require_sound, edge_subgraph, max_matching
+from .graph import Graph, _require_sound, edge_subgraph, max_matching, weighted_degrees
 from .instance import SolveReport, WpvcInstance, _report, _require_pvcbm
 
 DEFAULT_CAP = 20
@@ -154,28 +156,46 @@ def oracle_fractional(inst: WpvcInstance, cap: int = DEFAULT_CAP) -> SolveReport
     For an integral set S and a candidate w outside it, profit grows linearly
     with the extent, so the best extent is the whole leftover budget spent on
     w, capped at 1. Extents of 0 or 1 add nothing over plain enumeration and
-    are skipped.
+    are skipped. The test is integer cross-multiplication: with ``spare``
+    budget left, w of cost c > spare passes when ``profit * c + spare * sole
+    >= target * c`` (tested as ``spare * sole >= need * c``, ``need`` being
+    the target minus the profit), where ``sole`` is the profit of w's edges S
+    leaves uncovered, and the first such w in id order is the fractional
+    vertex. A :class:`~fractions.Fraction` is built only for that witness's
+    extent ``spare / c``. A vertex of S has no uncovered edge, so it never
+    passes.
     """
     t0 = time.perf_counter()
     cands = _candidates(inst, cap)
     g = inst.graph
     profits, uniform = _profits(g)
+    budget, costs = inst.budget, g.costs
+    # (w, cost, weighted degree) of every vertex a partial take could help,
+    # built on the first subset that needs it: c > spare >= 1, and the
+    # weighted degree bounds sole.
+    partial = None
     examined, combo = 0, ()
-    for examined, (combo, mask) in enumerate(_covers(g, cands, g.costs, inst.budget), 1):
-        profit = _mask_profit(mask, profits, uniform)
-        if profit >= inst.target:
+    for examined, (combo, mask) in enumerate(_covers(g, cands, costs, budget), 1):
+        need = inst.target - _mask_profit(mask, profits, uniform)
+        if need <= 0:
             return _report(inst, t0, combo, examined, len(combo))
-        spare = inst.budget - sum(g.costs[v] for v in combo)
+        spare = budget - sum(map(costs.__getitem__, combo))
         if spare <= 0:
             continue
-        covered = set(_edge_ids(mask))
-        for w in g.vertices():
-            if w in combo or g.costs[w] <= spare:
-                continue  # affordable vertices are covered by integral enumeration
-            extent = Fraction(spare, g.costs[w])
-            sole = sum(profits[e] for e in g.adjacency[w] if e not in covered)
-            if profit + extent * sole >= inst.target:
-                return _report(inst, t0, combo, examined, len(combo), (w, extent))
+        if partial is None:
+            partial = [(w, c, t) for w, c, t in zip(g.vertices(), costs, weighted_degrees(g))
+                       if c > 1 and t]
+        covered = None
+        for w, c, total in partial:
+            # Affordable vertices are covered by integral enumeration.
+            if c <= spare or spare * total < need * c:
+                continue
+            if covered is None:  # bytes, so a bit test builds no big int
+                covered = mask.to_bytes((g.m + 7) // 8, "little")
+            sole = sum(profits[e] for e in g.adjacency[w]
+                       if not covered[e >> 3] >> (e & 7) & 1)
+            if spare * sole >= need * c:
+                return _report(inst, t0, combo, examined, len(combo), (w, Fraction(spare, c)))
     return _report(inst, t0, None, examined, len(combo))
 
 

@@ -177,11 +177,14 @@ class TestCopyPrefix:
     def test_one_copy_each_is_a_prefix_of_the_longer_side(self, sides, budget):
         # The epvcbd rule's large-pool pick on a unit-cost search: the first
         # budget vertices of the side with more pool vertices, the left on a tie.
+        # Copies left given as all ones or, as a unit-cost search passes them,
+        # as None: the same map.
         lefts = [v for v, s in enumerate(sides) if s == "left"]
         rights = [v for v, s in enumerate(sides) if s == "right"]
-        left = [1] * len(sides)
-        assert list(_copy_prefix(lefts, rights, left, budget)) \
-            == (lefts if len(lefts) >= len(rights) else rights)[:budget]
+        prefix = (lefts if len(lefts) >= len(rights) else rights)[:budget]
+        for left in ([1] * len(sides), None):
+            assert list(_copy_prefix(lefts, rights, left, budget).items()) \
+                == [(v, 1) for v in prefix]
 
 
 class TestSearchState:
