@@ -1,11 +1,15 @@
 """Command-line front end: solve, oracle, reduce, gen, bench.
 
+Nothing about an instance is declared on the command line: its variant is
+read from the file's weights, and ``solve --alg bounded-degree`` takes the
+graph's maximum degree as its bound.
+
 Exit codes for solve and oracle: 0 for a yes verdict, 1 for no, 2 for any
-error (parse, variant mismatch, non-bipartite input, oracle scale). Internal
-errors (any other exception, such as MemoryError or a failed assertion) print
-``internal error: <type>: <message>`` on stderr and also exit 2. Reports
-are line-oriented key=value text; ``--json-like`` switches to a single JSON
-object per run.
+error (parse, weights the solver does not take, non-bipartite input, oracle
+scale). Internal errors (any other exception, such as MemoryError or a
+failed assertion) print ``internal error: <type>: <message>`` on stderr and
+also exit 2. Reports are line-oriented key=value text; ``--json-like``
+switches to a single JSON object per run.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .errors import (FormatError, InputError, NotBipartiteError, OracleScaleErro
 from .fractional import solve_wpvcbfd
 from .formats import parse_mcq, parse_wpvc, sniff_format, write_mcq, write_wpvc
 from .generators import random_bipartite_graph, random_bounded_degree_graph, random_mcq
-from .instance import (Variant, WpvcInstance, _require_valid, _witness_problem, infer_variant,
+from .instance import (WpvcInstance, _require_valid, _witness_problem, infer_variant,
                        make_solution)
 from .oracle import DEFAULT_CAP, oracle_fractional, oracle_mcq, oracle_pvcbm, oracle_wpvc
 from .pvcbm import solve_pvcbm
@@ -91,10 +95,10 @@ def _write(text: str, out) -> None:
         sys.stdout.write(text)
 
 
-def _load(text: str, args, kind: str) -> WpvcInstance:
+def _load(text: str, kind: str) -> WpvcInstance:
     # Load-time pruning keys off the header budget; only apply it when that
     # budget is what the solver or oracle runs with.
-    return parse_wpvc(text, variant=args.variant, prune=kind == "wpvc")
+    return parse_wpvc(text, prune=kind == "wpvc")
 
 
 def _ks(args, kind: str, flag: str, inst: WpvcInstance | None = None):
@@ -135,15 +139,12 @@ def _verify_witness(inst: WpvcInstance, rep, ks=None) -> None:
 
 def _cmd_solve(args) -> int:
     kind = _ORACLE_KIND[args.alg]
-    inst = _load(_read(args.file), args, kind)
+    inst = _load(_read(args.file), kind)
     ks = _ks(args, kind, "--alg", inst)
-    if args.degree_bound is not None and args.alg != "bounded-degree":
-        raise InputError("--degree-bound applies only to --alg bounded-degree")
     if args.alg == "epvcbd":
         rep = solve_epvcbd(inst)
     elif args.alg == "bounded-degree":
-        bound = args.degree_bound if args.degree_bound is not None else inst.graph.max_degree()
-        rep = solve_wpvc_bounded_degree(inst, bound)
+        rep = solve_wpvc_bounded_degree(inst, inst.graph.max_degree())
     elif args.alg == "by-L":
         rep = solve_wpvc_by_L(inst)
     elif args.alg == "fractional":
@@ -173,7 +174,7 @@ def _cmd_oracle(args) -> int:
                        "clique": list(verdict.clique) if verdict.clique else None},
                       args.json_like)
         return 0 if verdict.yes else 1
-    inst = _load(text, args, kind)
+    inst = _load(text, kind)
     ks = _ks(args, kind, "--kind", inst)
     rep = _oracle(kind, inst, ks, args.cap)
     _print_record(_report_dict(rep, inst.graph), args.json_like)
@@ -238,15 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--k1", type=int, default=None)
     shared.add_argument("--k2", type=int, default=None)
     shared.add_argument("--k3", type=int, default=None)
-    shared.add_argument("--variant", choices=[v.value for v in Variant], default=None,
-                        help="override the variant tag inferred from the weights")
     shared.add_argument("--json-like", action="store_true")
 
     solve = sub.add_parser("solve", parents=[shared],
                            help="run one of the exact solvers on an instance file")
     solve.add_argument("--alg", required=True, choices=list(_ORACLE_KIND))
-    solve.add_argument("--degree-bound", type=int, default=None,
-                       help="degree bound for --alg bounded-degree (default: graph maximum)")
     solve.add_argument("--verify", action="store_true",
                        help="re-check the witness and, on small instances, the verdict")
     solve.set_defaults(func=_cmd_solve)

@@ -40,8 +40,7 @@ from __future__ import annotations
 
 from .errors import FormatError
 from .graph import _trusted_graph
-from .instance import (Variant, WpvcInstance, _as_variant, _require_valid, infer_variant,
-                       prune_unaffordable)
+from .instance import WpvcInstance, infer_variant, prune_unaffordable
 from .reduction import McqInstance, _normalized_mcq
 
 
@@ -172,13 +171,12 @@ def _explain(fmt, lineno, tokens, n, top, values, seen):
     raise AssertionError("line %d passed every check" % lineno)
 
 
-def parse_wpvc(text: str, variant: Variant | None = None, prune: bool = True) -> WpvcInstance:
-    """Parse a cover instance; the variant tag is inferred unless overridden.
+def parse_wpvc(text: str, prune: bool = True) -> WpvcInstance:
+    """Parse a cover instance, tagged with the variant its weights fit.
 
     Every line is checked by the reader, so the graph is built from the
-    checked, normalized edges without a second validation pass. The instance
-    is then validated only when ``variant`` overrides the inferred tag, since
-    that tag may not fit the weights; an inferred tag always does.
+    checked, normalized edges without a second validation pass, and the tag
+    is :func:`pvckit.instance.infer_variant`'s, which always fits the weights.
 
     ``prune`` controls the load-time removal of edges between two vertices the
     budget cannot afford. Keep it off when the instance is meant for the
@@ -187,11 +185,7 @@ def parse_wpvc(text: str, variant: Variant | None = None, prune: bool = True) ->
     """
     (n, _, budget, target), costs, edges = _read(text, "wpvc")
     g = _trusted_graph(n, edges, [costs.get(v, 1) for v in range(n)])
-    if variant is None:
-        inst = WpvcInstance(g, budget, target, infer_variant(g))
-    else:
-        inst = WpvcInstance(g, budget, target, _as_variant(variant))
-        _require_valid(inst)
+    inst = WpvcInstance(g, budget, target, infer_variant(g))
     return prune_unaffordable(inst) if prune else inst
 
 

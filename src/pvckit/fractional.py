@@ -24,7 +24,7 @@ from math import lcm
 
 from .branching import _force_free, _solve_epvcbd
 from .errors import InputError
-from .graph import Graph, _trusted_graph
+from .graph import Graph, _require_sound, _trusted_graph
 from .instance import (SolveReport, Variant, WpvcInstance, _report, _require_bipartite,
                        infer_variant)
 
@@ -114,8 +114,10 @@ def rebalance_sections(g: Graph, counts) -> list[int]:
     t * (gain(r) - gain(d)) + share_rd * t**2 (share_rd is 0 unless rd is an
     edge), which never falls as t grows, since gain(r) >= gain(d). So neither
     the batch nor any unit of it lowers the profit; that is asserted once per
-    batch. Total mass, and with it the cost, is untouched.
+    batch. Total mass, and with it the cost, is untouched. A graph built by
+    hand is checked on entry, and a broken one is an InputError.
     """
+    _require_sound(g)
     counts = list(counts)
     if len(counts) != g.n:
         raise InputError("counts must have one entry per vertex")

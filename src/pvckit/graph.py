@@ -179,29 +179,42 @@ def check_graph(g: Graph) -> list[str]:
     valid by construction, and :func:`pvckit.instance.validate` and
     :func:`_require_sound` skip them.
 
-    Endpoints, profits, costs and adjacency entries must be ints, as
-    :func:`make_graph` requires. One pass over the adjacency lists records,
-    per edge, which of its two endpoints list it (bit 1 for the first, bit 2
-    for the second; a self-loop sets both), so a missing or repeated entry
-    shows and the whole check is linear in the size of the graph.
+    Each edge must be a tuple ``(u, v, profit)``; any other entry is
+    reported and skipped, both by the later edge checks and where an
+    adjacency list names it. Endpoints, profits, costs and adjacency entries
+    must be ints, as :func:`make_graph` requires. One pass over the adjacency
+    lists records, per edge, which of its two endpoints list it (bit 1 for
+    the first, bit 2 for the second; a self-loop sets both), so a missing or
+    repeated entry shows and the whole check is linear in the size of the
+    graph.
     """
     problems = []
     if len(g.costs) != g.n or len(g.adjacency) != g.n:
         problems.append("per-vertex arrays do not match vertex count")
         return problems
+    # The endpoints of each edge, or None for an entry that is no triple.
+    ends = [edge[:2] if isinstance(edge, tuple) and len(edge) == 3 else None
+            for edge in g.edges]
     listed = [0] * g.m
     foreign = []
     for v, adj in enumerate(g.adjacency):
         for e in adj:
-            if not (isinstance(e, int) and 0 <= e < g.m) or v not in g.edges[e][:2]:
+            pair = ends[e] if isinstance(e, int) and 0 <= e < g.m else ()
+            if pair is None:  # reported with the edges
+                continue
+            if v not in pair:
                 foreign.append("adjacency of vertex %d lists foreign edge %r" % (v, e))
                 continue
-            bit = (v == g.edges[e][0]) | (v == g.edges[e][1]) << 1
+            bit = (v == pair[0]) | (v == pair[1]) << 1
             if listed[e] & bit:
                 foreign.append("adjacency of vertex %d lists edge %d twice" % (v, e))
             listed[e] |= bit
     seen_pairs = set()
-    for e, (u, v, p) in enumerate(g.edges):
+    for e, edge in enumerate(g.edges):
+        if ends[e] is None:
+            problems.append("edge %d is not a (u, v, profit) triple" % e)
+            continue
+        u, v, p = edge
         if not (isinstance(u, int) and isinstance(v, int)):
             problems.append("edge %d has non-integer endpoint" % e)
             continue

@@ -160,20 +160,11 @@ def _report(inst: WpvcInstance, t0: float, vertices, nodes: int, depth: int, fra
     return SolveReport(True, sol, nodes, depth, time.perf_counter() - t0, matching)
 
 
-def _as_variant(tag) -> Variant:
-    """The Variant a caller names by member or value; InputError for any other tag."""
-    try:
-        return Variant(tag)
-    except ValueError:
-        raise InputError("unknown variant %r" % (tag,)) from None
-
-
-def make_instance(n, edges, costs=None, *, budget, target, variant=None,
+def make_instance(n, edges, costs=None, *, budget, target,
                   bipartite_required=False) -> WpvcInstance:
-    """Build a validated instance; the variant tag is inferred when omitted."""
+    """Build a validated instance, tagged by :func:`infer_variant`."""
     g = make_graph(n, edges, costs)
-    variant = infer_variant(g) if variant is None else _as_variant(variant)
-    inst = WpvcInstance(g, budget, target, variant, bipartite_required)
+    inst = WpvcInstance(g, budget, target, infer_variant(g), bipartite_required)
     _require_valid(inst)
     return inst
 
@@ -191,19 +182,20 @@ def _validate(inst: WpvcInstance):
     """The problems :func:`validate` reports, plus the bipartition it computed
     (None unless the instance requires a bipartite graph)."""
     problems = [] if inst.graph._checked else check_graph(inst.graph)
-    # A graph with broken structure cannot be 2-colored meaningfully.
+    # The weights of a graph with broken structure cannot be read safely,
+    # nor can it be 2-colored meaningfully.
     sound = not problems
     if not isinstance(inst.budget, int) or inst.budget < 0:
         problems.append("budget must be a non-negative integer")
     if not isinstance(inst.target, int) or inst.target < 0:
         problems.append("target must be a non-negative integer")
-    if inst.variant in (Variant.EPVC, Variant.PVC):
+    if sound and inst.variant in (Variant.EPVC, Variant.PVC):
         bad = [v for v, c in enumerate(inst.graph.costs) if c != 1]
         if bad:
             problems.append("variant/weight mismatch: variant %s requires unit costs "
                             "but vertex %d has cost %d"
                             % (inst.variant.value, bad[0], inst.graph.costs[bad[0]]))
-    if inst.variant in (Variant.VPVC, Variant.PVC):
+    if sound and inst.variant in (Variant.VPVC, Variant.PVC):
         bad = [e for e, (_, _, p) in enumerate(inst.graph.edges) if p != 1]
         if bad:
             problems.append("variant/weight mismatch: variant %s requires unit profits "
@@ -232,13 +224,13 @@ def _require_bipartite(inst: WpvcInstance, unit_costs: bool = False):
 
     Raises InputError for an invalid instance (an odd cycle is one when the
     instance requires a bipartite graph), then VariantError if ``unit_costs``
-    is set and the variant allows other costs, then NotBipartiteError for an
-    odd cycle.
+    is set and a vertex costs other than 1, whatever the variant tag says,
+    then NotBipartiteError for an odd cycle.
     """
     bp = _require_valid(inst)
-    if unit_costs and inst.variant not in (Variant.EPVC, Variant.PVC):
-        raise VariantError("solver needs unit vertex costs, got variant %s"
-                           % inst.variant.value)
+    if unit_costs and inst.graph.costs.count(1) != inst.graph.n:
+        v, c = next((v, c) for v, c in enumerate(inst.graph.costs) if c != 1)
+        raise VariantError("solver needs unit vertex costs, but vertex %d has cost %d" % (v, c))
     if bp is None:
         bp = bipartition(inst.graph)
     if isinstance(bp, NotBipartite):
@@ -250,10 +242,12 @@ def _require_pvcbm(g: Graph, k1, k2, k3):
     """The entry check of the matching-constrained cover, shared by its solver
     and its oracle: InputError unless k1, k2 and k3 are non-negative ints,
     then VariantError unless every cost and profit is 1, then the checks of
-    :func:`_require_bipartite`. Returns the instance (budget k1, target k2)
-    and the Bipartition."""
+    :func:`_require_bipartite`. A graph built by hand is checked for sound
+    structure before any weight is read. Returns the instance (budget k1,
+    target k2) and the Bipartition."""
     if not all(isinstance(k, int) and k >= 0 for k in (k1, k2, k3)):
         raise InputError("k1, k2, k3 must be non-negative integers")
+    _require_sound(g)
     if g.costs.count(1) != len(g.costs) or any(p != 1 for _, _, p in g.edges):
         raise VariantError("matching-constrained solver needs unit costs and profits")
     inst = WpvcInstance(g, k1, k2, Variant.PVC)

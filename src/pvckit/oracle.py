@@ -233,11 +233,34 @@ class McqVerdict:
     clique: tuple[int, ...] | None
 
 
+def _require_mcq(mcq) -> None:
+    """The entry check of a multicolored-clique instance, shared by
+    :func:`oracle_mcq` and :func:`pvckit.reduction.reduce_mcq_to_wpvcbd`:
+    InputError unless its graph is sound, ``k`` is an int of at least 1,
+    ``colors`` holds one color in 1..k per vertex, and no edge joins two
+    vertices of one color. Instances from ``make_mcq`` and ``parse_mcq`` pass."""
+    g = mcq.graph
+    _require_sound(g)
+    k, colors = mcq.k, mcq.colors
+    if not isinstance(k, int) or k < 1:
+        raise InputError("k must be a positive integer")
+    if not isinstance(colors, (tuple, list)) or len(colors) != g.n:
+        raise InputError("expected one color per vertex, %d in all" % g.n)
+    for v, c in enumerate(colors):
+        if not isinstance(c, int) or not 1 <= c <= k:
+            raise InputError("color of vertex %d must lie in 1..%d" % (v, k))
+    for u, v, _ in g.edges:
+        if colors[u] == colors[v]:
+            raise InputError("edge (%d, %d) lies inside color class %d" % (u, v, colors[u]))
+
+
 def oracle_mcq(mcq) -> McqVerdict:
     """Exhaustive multicolored-clique check: one vertex per color class.
 
-    ``mcq`` needs ``graph``, ``k`` and per-vertex ``colors`` in 1..k.
+    ``mcq`` needs ``graph``, ``k`` and per-vertex ``colors`` in 1..k, with no
+    edge inside a class; :func:`_require_mcq` checks that on entry.
     """
+    _require_mcq(mcq)
     g = mcq.graph
     classes = [[] for _ in range(mcq.k)]
     for v, color in enumerate(mcq.colors):

@@ -17,7 +17,7 @@ from itertools import repeat
 from .errors import InputError, OracleScaleError
 from .graph import Graph, _require_sound, _trusted_graph, coverage, make_graph
 from .instance import WpvcInstance, infer_variant
-from .oracle import McqVerdict, oracle_mcq, oracle_wpvc
+from .oracle import McqVerdict, _require_mcq, oracle_mcq, oracle_wpvc
 
 log = logging.getLogger(__name__)
 
@@ -122,12 +122,13 @@ def reduce_mcq_to_wpvcbd(mcq: McqInstance) -> ReductionOutput:
     a class (distinct sources) or belong to different classes of nonadjacent
     sources; a hub edge then tops every copy's incident profit up to its class
     yield. Budget and target are the per-class sums of weights and yields.
+    A hand-built ``mcq`` is checked on entry by
+    :func:`pvckit.oracle._require_mcq`, and a broken one is an InputError.
     """
+    _require_mcq(mcq)
     g = mcq.graph
     n = g.n
     k = mcq.k
-    if k < 1:
-        raise InputError("k must be positive")
     v_ids = tuple(range(n))
     u_ids = tuple(range(n, 2 * n))
     z1 = 2 * n
@@ -135,8 +136,6 @@ def reduce_mcq_to_wpvcbd(mcq: McqInstance) -> ReductionOutput:
     hub_cost = 2 ** (2 * k + 1)
     adjacent = set()
     for a, b, _ in g.edges:
-        if mcq.colors[a] == mcq.colors[b]:
-            raise RuntimeError("internal: intra-class edge survived normalization")
         adjacent.add((a, b))
         adjacent.add((b, a))
     edges = []

@@ -79,6 +79,10 @@ def brute_force_verdict(inst, must_contain=()):
     return False
 
 
+def _is_triple(edge):
+    return isinstance(edge, tuple) and len(edge) == 3
+
+
 def check_graph_reference(g):
     """Quadratic reference for ``check_graph``: scans each adjacency tuple per edge."""
     problems = []
@@ -88,7 +92,11 @@ def check_graph_reference(g):
     # An adjacency entry that is not an int names no edge, even if equal to one.
     ints = [[e for e in adj if type(e) in (int, bool)] for adj in g.adjacency]
     seen_pairs = set()
-    for e, (u, v, p) in enumerate(g.edges):
+    for e, edge in enumerate(g.edges):
+        if not _is_triple(edge):
+            problems.append("edge %d is not a (u, v, profit) triple" % e)
+            continue
+        u, v, p = edge
         if type(u) not in (int, bool) or type(v) not in (int, bool):
             problems.append("edge %d has non-integer endpoint" % e)
             continue
@@ -112,7 +120,11 @@ def check_graph_reference(g):
             problems.append("vertex %d has cost %r, not a non-negative integer" % (v, c))
     for v, adj in enumerate(g.adjacency):
         for i, e in enumerate(adj):
-            if type(e) not in (int, bool) or not (0 <= e < g.m) or v not in g.edges[e][:2]:
+            if type(e) not in (int, bool) or not (0 <= e < g.m):
+                problems.append("adjacency of vertex %d lists foreign edge %r" % (v, e))
+            elif not _is_triple(g.edges[e]):
+                continue  # reported with the edges
+            elif v not in g.edges[e][:2]:
                 problems.append("adjacency of vertex %d lists foreign edge %r" % (v, e))
             elif e in [f for f in adj[:i] if type(f) in (int, bool)]:
                 problems.append("adjacency of vertex %d lists edge %d twice" % (v, e))

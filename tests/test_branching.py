@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import path3, relabeled, star, triangle
+from helpers import c4, path3, relabeled, star, triangle
 from test_trust import instances
 from pvckit import (InputError, NotBipartiteError, SolveReport, Variant, VariantError,
                     WpvcInstance, coverage, infer_variant, make_graph, make_instance,
@@ -43,6 +43,20 @@ class TestEpvcbd:
         g = make_graph(2, [(0, 1)], costs=[2, 1])
         with pytest.raises(VariantError):
             solve_epvcbd(WpvcInstance(g, 2, 1, Variant.VPVC))
+
+    @pytest.mark.parametrize("variant", [Variant.VPVC, Variant.WPVC])
+    def test_unit_costs_are_read_from_the_costs_not_the_tag(self, variant):
+        # Every cost is 1, so the solver decides the instance whatever its tag.
+        for budget, target, verdict in ((2, 4, True), (1, 3, False)):
+            inst = WpvcInstance(c4(), budget, target, variant)
+            rep = solve_epvcbd(inst)
+            assert rep.verdict is verdict is oracle_wpvc(inst).verdict
+            if verdict:
+                check_yes_witness(inst, rep)
+        heavy = make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], costs=[1, 1, 2, 1])
+        with pytest.raises(VariantError,
+                           match="^solver needs unit vertex costs, but vertex 2 has cost 2$"):
+            solve_epvcbd(WpvcInstance(heavy, 2, 4, variant))
 
     def test_rejects_odd_cycle(self):
         inst = WpvcInstance(triangle(), 1, 1, Variant.PVC)

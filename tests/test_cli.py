@@ -46,6 +46,23 @@ class TestSolve:
         code, _, err = run_cli(["solve", "--alg", "epvcbd", str(f)], capsys)
         assert code == 2 and "variant error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--alg", "epvcbd", "--variant", "pvc"],
+        ["oracle", "--variant", "pvc"],
+        ["solve", "--alg", "bounded-degree", "--degree-bound", "3"],
+    ], ids=["solve-variant", "oracle-variant", "solve-degree-bound"])
+    def test_flags_that_declare_the_input_class_are_refused(self, tmp_path, capsys, argv):
+        # The variant and the degree bound are read from the file, so
+        # argparse knows neither flag.
+        f = tmp_path / "path3.wpvc"
+        f.write_text(PATH3)
+        with pytest.raises(SystemExit) as info:
+            main([*argv, str(f)])
+        out = capsys.readouterr()
+        assert info.value.code == 2 and out.out == ""
+        assert "unrecognized arguments: %s" % argv[-2] in out.err
+        assert "internal error" not in out.err
+
     def test_not_bipartite_exit_two(self, tmp_path, capsys):
         f = tmp_path / "tri.wpvc"
         f.write_text("p wpvc 3 3 1 1\ne 0 1\ne 1 2\ne 0 2\n")
@@ -94,17 +111,6 @@ class TestSolve:
         assert code == 2 and out == ""
         assert err == ("error: %s applies only to --alg pvcbm; the instance header"
                        " gives the budget and target\n" % flag)
-
-    @pytest.mark.parametrize("alg", ["epvcbd", "by-L", "fractional", "pvcbm"])
-    def test_degree_bound_without_bounded_degree_exits_two(self, tmp_path, capsys, alg):
-        # The path is a yes for every algorithm, so an ignored bound would exit 0.
-        f = tmp_path / "path3.wpvc"
-        f.write_text(PATH3)
-        k3 = ["--k3", "1"] if alg == "pvcbm" else []
-        code, out, err = run_cli(["solve", "--alg", alg, "--degree-bound", "0", *k3, str(f)],
-                                 capsys)
-        assert (code, out) == (2, "")
-        assert err == "error: --degree-bound applies only to --alg bounded-degree\n"
 
     def test_internal_error_exit_two(self, tmp_path, capsys, monkeypatch):
         def crash(inst):
@@ -215,12 +221,6 @@ class TestOracleCmd:
         f.write_text("p wpvc 2 1 1 2\nv 0 2\nv 1 2\ne 0 1 4\n")
         code, out, _ = run_cli(["oracle", "--kind", "fractional", str(f)], capsys)
         assert code == 0 and "fractional=0 extent=1/2" in out
-
-    def test_variant_override_can_fail_validation(self, tmp_path, capsys):
-        f = tmp_path / "weighted.wpvc"
-        f.write_text("p wpvc 2 1 2 1\nv 0 2\ne 0 1\n")
-        code, _, err = run_cli(["oracle", "--variant", "epvc", str(f)], capsys)
-        assert code == 2 and "mismatch" in err
 
     def test_bad_witness_is_internal_error_under_optimize(self, tmp_path):
         # The enumerator is made to claim every edge for the empty set, so the

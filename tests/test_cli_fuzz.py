@@ -54,13 +54,11 @@ FILE = st.sampled_from(FILES)
 # Half the time, a file the subcommand reads.
 WPVC_FILE = st.one_of(st.sampled_from(["weighted.wpvc", "unit.wpvc", "soup.txt"]), FILE)
 MCQ_FILE = st.one_of(st.sampled_from(["good.mcq", "soup.txt"]), FILE)
-SHARED = [("--k1", NUMBER), ("--k2", NUMBER), ("--k3", NUMBER), ("--json-like", None),
-          ("--variant", st.sampled_from(["wpvc", "epvc", "vpvc", "pvc", "x"]))]
+SHARED = [("--k1", NUMBER), ("--k2", NUMBER), ("--k3", NUMBER), ("--json-like", None)]
 ALG = st.sampled_from(["epvcbd", "bounded-degree", "by-L", "fractional", "pvcbm"])
 # Per subcommand: its positional and required arguments, then its options.
 COMMANDS = {
-    "solve": (st.tuples(WPVC_FILE, st.just("--alg"), ALG), SHARED + [
-        ("--degree-bound", NUMBER), ("--verify", None)]),
+    "solve": (st.tuples(WPVC_FILE, st.just("--alg"), ALG), SHARED + [("--verify", None)]),
     "oracle": (st.tuples(st.one_of(WPVC_FILE, MCQ_FILE)), SHARED + [
         ("--kind", st.sampled_from(["auto", "wpvc", "fractional", "pvcbm", "mcq", "x"])),
         ("--cap", NUMBER)]),

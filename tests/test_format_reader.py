@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvckit import FormatError, InputError, PvckitError, Variant, parse_mcq, parse_wpvc
+from pvckit import FormatError, PvckitError, Variant, parse_mcq, parse_wpvc
 from pvckit import formats
 from pvckit.formats import sniff_format
 
@@ -113,14 +113,6 @@ def test_missing_color_line_is_named_without_listing_the_vertices():
     assert peak < 2**20
 
 
-def test_variant_override_that_does_not_fit_is_input_error():
-    with pytest.raises(InputError) as info:
-        parse_wpvc("p wpvc 2 1 1 1\nv 0 2\ne 0 1\n", variant=Variant.PVC)
-    assert type(info.value) is InputError
-    assert str(info.value) == ("variant/weight mismatch: variant pvc requires unit costs "
-                               "but vertex 0 has cost 2")
-
-
 def test_sniff_fault_message():
     with pytest.raises(FormatError) as info:
         sniff_format("# nothing\ne 0 1\n")
@@ -165,10 +157,9 @@ def _returns_or_raises_toolkit_error(call, *args, **kwargs):
 
 
 @settings(max_examples=400, deadline=None)
-@given(SOUP, st.booleans(), st.sampled_from(list(Variant)))
-def test_line_soup_raises_only_toolkit_errors(text, prune, variant):
+@given(SOUP, st.booleans())
+def test_line_soup_raises_only_toolkit_errors(text, prune):
     _returns_or_raises_toolkit_error(parse_wpvc, text, prune=prune)
-    _returns_or_raises_toolkit_error(parse_wpvc, text, variant=variant, prune=prune)
     _returns_or_raises_toolkit_error(parse_mcq, text)
     _returns_or_raises_toolkit_error(sniff_format, text)
 

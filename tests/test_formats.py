@@ -1,7 +1,6 @@
 import pytest
 
-from pvckit import (FormatError, InputError, Variant, make_mcq, parse_mcq, parse_wpvc, write_mcq,
-                    write_wpvc)
+from pvckit import FormatError, Variant, make_mcq, parse_mcq, parse_wpvc, write_mcq, write_wpvc
 from pvckit.formats import sniff_format
 from pvckit.generators import random_mcq
 from helpers import random_instance
@@ -27,17 +26,6 @@ class TestParseWpvc:
         assert inst.graph.costs == (2, 1)
         assert inst.graph.edges[0][2] == 5
         assert inst.variant is Variant.WPVC
-
-    def test_variant_override(self):
-        inst = parse_wpvc(PATH3, variant=Variant.EPVC)
-        assert inst.variant is Variant.EPVC
-
-    @pytest.mark.parametrize("variant", ["x", 3])
-    def test_unknown_variant_is_input_error(self, variant):
-        with pytest.raises(InputError) as info:
-            parse_wpvc(PATH3, variant=variant)
-        assert type(info.value) is InputError
-        assert str(info.value) == "unknown variant %r" % (variant,)
 
     def test_missing_header(self):
         with pytest.raises(FormatError):

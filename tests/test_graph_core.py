@@ -31,8 +31,9 @@ def small_graphs():
 @st.composite
 def malformed_graphs(draw):
     """Hand-built graphs that skip ``make_graph``: endpoints out of range,
-    self-loops, unnormalized and parallel edges, negative weights, and
-    adjacency lists with missing, duplicated and foreign entries."""
+    self-loops, unnormalized and parallel edges, edge entries that are no
+    ``(u, v, profit)`` tuple, negative weights, and adjacency lists with
+    missing, duplicated and foreign entries."""
     n = draw(st.integers(min_value=0, max_value=6))
     ends = st.integers(min_value=-1, max_value=n)
     edges = draw(st.lists(st.tuples(ends, ends, st.integers(min_value=-1, max_value=3)),
@@ -45,6 +46,9 @@ def malformed_graphs(draw):
     for adj in adjacency:
         adj += draw(st.lists(st.integers(min_value=-1, max_value=len(edges)), max_size=2))
     adjacency = [tuple(draw(st.permutations(adj))) for adj in adjacency]
+    # About one entry in ten loses its shape; adjacency lists may still name it.
+    edges = [draw(st.sampled_from([edge[:1], edge[:2], edge + (0,), list(edge), edge[0], None]))
+             if not draw(st.integers(min_value=0, max_value=9)) else edge for edge in edges]
     costs = draw(st.lists(st.integers(min_value=-1, max_value=3), min_size=n, max_size=n))
     if not draw(st.integers(min_value=0, max_value=19)):
         costs.append(1)
@@ -56,15 +60,20 @@ def mistyped_graphs(draw):
     """``malformed_graphs`` with one endpoint, profit, cost or adjacency entry
     made a float, which ``make_graph`` would refuse."""
     g = draw(malformed_graphs())
-    edges, costs = [list(edge) for edge in g.edges], list(g.costs)
+    triples = [e for e, edge in enumerate(g.edges) if isinstance(edge, tuple) and len(edge) == 3]
+    edges, costs = list(g.edges), list(g.costs)
+    for e in triples:
+        edges[e] = list(edges[e])
     adjacency = [list(adj) for adj in g.adjacency]
-    slots = ([(edges[e], i) for e in range(len(edges)) for i in range(3)]
+    slots = ([(edges[e], i) for e in triples for i in range(3)]
              + [(costs, v) for v in range(len(costs))]
              + [(adj, i) for adj in adjacency for i in range(len(adj))])
     if slots:
         row, i = draw(st.sampled_from(slots))
         row[i] = row[i] + draw(st.sampled_from([0.0, 0.5]))
-    return Graph(n=g.n, edges=tuple(map(tuple, edges)), costs=tuple(costs),
+    for e in triples:
+        edges[e] = tuple(edges[e])
+    return Graph(n=g.n, edges=tuple(edges), costs=tuple(costs),
                  adjacency=tuple(map(tuple, adjacency)))
 
 

@@ -2,12 +2,12 @@ import itertools
 
 import pytest
 
-from pvckit import (InputError, OracleScaleError, Variant, coverage, gadget_budget,
-                    gadget_target, make_mcq, pendantize, reduce_mcq_to_wpvcbd,
+from pvckit import (Graph, InputError, OracleScaleError, Variant, coverage, gadget_budget,
+                    gadget_target, make_graph, make_mcq, pendantize, reduce_mcq_to_wpvcbd,
                     verify_reduction, weighted_degree)
 from pvckit.generators import random_mcq
 from pvckit.oracle import oracle_mcq, oracle_wpvc
-from pvckit.reduction import class_yield
+from pvckit.reduction import McqInstance, class_yield
 
 
 def two_class_pair(with_edge):
@@ -60,6 +60,46 @@ class TestMakeMcqEdgeShape:
     def test_rejects_edge_that_is_not_a_pair(self, edge):
         with pytest.raises(InputError, match=r"edge must be a pair \(u, v\)"):
             make_mcq(2, 2, [1, 2], [edge])
+
+
+class TestHandBuiltMcq:
+    # A color outside 1..k used to land in a class through negative indexing
+    # (color 0 in class k), so the oracle said no while the gadget and the
+    # reduction check went through; an intra-class edge reached a RuntimeError.
+    @pytest.mark.parametrize("k, colors, match", [
+        (3, (0, 2, 3), "color of vertex 0 must lie in 1..3"),
+        (3, (1, 2, 4), "color of vertex 2 must lie in 1..3"),
+        (3, (1, 2, 3.0), "color of vertex 2 must lie in 1..3"),
+        (3, (1, 1, 2), r"edge \(0, 1\) lies inside color class 1"),
+        (3, (1, 2), "expected one color per vertex, 3 in all"),
+        (0, (1, 1, 1), "k must be a positive integer"),
+    ], ids=["color-0", "color-above-k", "float-color", "intra-class-edge", "short-colors",
+            "k-0"])
+    def test_oracle_reduce_and_check_reject(self, k, colors, match):
+        triangle = make_graph(3, [(0, 1), (1, 2), (0, 2)])
+        mcq = McqInstance(triangle, k, colors)
+        for call in (oracle_mcq, reduce_mcq_to_wpvcbd, verify_reduction):
+            with pytest.raises(InputError, match=match):
+                call(mcq)
+
+    @pytest.mark.parametrize("k", ["3", None, 2.0])
+    def test_k_that_is_no_int_is_rejected(self, k):
+        mcq = McqInstance(make_graph(2, [(0, 1)]), k, (1, 2))
+        for call in (oracle_mcq, reduce_mcq_to_wpvcbd):
+            with pytest.raises(InputError, match="k must be a positive integer"):
+                call(mcq)
+
+    def test_hand_built_graph_is_checked(self):
+        broken = Graph(2, ((0, 1),), (1, 1), ((0,), (0,)))
+        for call in (oracle_mcq, reduce_mcq_to_wpvcbd):
+            with pytest.raises(InputError, match=r"edge 0 is not a \(u, v, profit\) triple"):
+                call(McqInstance(broken, 2, (1, 2)))
+
+    def test_valid_hand_built_instance_equals_make_mcq(self):
+        built = make_mcq(3, 3, [1, 2, 3], [(0, 1), (1, 2), (0, 2)])
+        hand = McqInstance(make_graph(3, [(0, 1), (1, 2), (0, 2)]), 3, [1, 2, 3])
+        assert oracle_mcq(hand) == oracle_mcq(built)
+        assert reduce_mcq_to_wpvcbd(hand).instance == reduce_mcq_to_wpvcbd(built).instance
 
 
 class TestStructuralInvariants:

@@ -19,11 +19,12 @@ import pvckit
 from pvckit import (Graph, InputError, Variant, WpvcInstance, bipartition, edge_subgraph,
                     expand, generators, infer_variant, make_graph, make_mcq, parse_mcq,
                     parse_wpvc, pendantize,
-                    prune_unaffordable, reduce_mcq_to_wpvcbd, residual, solve_epvcbd,
-                    solve_pvcbm, solve_wpvc_bounded_degree, solve_wpvc_by_L, solve_wpvcbfd,
-                    validate, weighted_degrees, write_wpvc)
+                    prune_unaffordable, rebalance_sections, reduce_mcq_to_wpvcbd, residual,
+                    solve_epvcbd, solve_pvcbm, solve_wpvc_bounded_degree, solve_wpvc_by_L,
+                    solve_wpvcbfd, validate, weighted_degrees, write_wpvc)
 from pvckit.branching import _force_free
 from pvckit.graph import check_graph
+from pvckit.oracle import oracle_fractional, oracle_pvcbm, oracle_wpvc
 from pvckit.reduction import ReductionOutput
 from test_graph_core import malformed_graphs
 
@@ -223,9 +224,17 @@ class TestHandBuiltSourcesAreChecked:
         assume(check_graph(g))
         inst = WpvcInstance(g, 1, 1, Variant.WPVC)
         for derive in (lambda: residual(inst, 0), lambda: prune_unaffordable(inst),
-                       lambda: edge_subgraph(g, ()), lambda: pendantize(_gadget_shaped(g))):
+                       lambda: edge_subgraph(g, ()), lambda: pendantize(_gadget_shaped(g)),
+                       lambda: rebalance_sections(g, [0] * g.n)):
             with pytest.raises(InputError):
                 derive()
+
+    def test_rebalance_sections_of_a_foreign_adjacency_entry(self):
+        # Vertex 0 lists edge 5, which does not exist; the gain pass would
+        # index past the edges.
+        g = Graph(n=2, edges=((0, 1, 1),), costs=(2, 2), adjacency=((0, 5), (0,)))
+        with pytest.raises(InputError, match="adjacency of vertex 0 lists foreign edge 5"):
+            rebalance_sections(g, [1, 1])
 
     def test_residual_of_an_unlisted_edge(self):
         # Vertex 0 does not list edge 0, so forcing it would keep the edge
@@ -268,6 +277,27 @@ class TestHandBuiltGraphs:
                         solve(inst)
         with pytest.raises(InputError):
             solve_pvcbm(g, 1, 1, 1)
+
+    @pytest.mark.parametrize("entry", [(0,), (0, 1), (0, 1, 1, 0), [0, 1, 1], 0, None],
+                             ids=["one", "pair", "four", "list", "int", "none"])
+    def test_edge_entry_that_is_no_triple_is_reported(self, entry):
+        # Unpacking such an entry used to raise ValueError or TypeError from
+        # validate, every solver and the oracles. The weights of a broken
+        # graph are not checked against the tag, so the cost of 2 adds nothing.
+        g = Graph(n=2, edges=(entry,), costs=(1, 2), adjacency=((0,), (0,)))
+        problem = "edge 0 is not a (u, v, profit) triple"
+        for variant in Variant:
+            assert validate(WpvcInstance(g, 1, 1, variant)) == [problem]
+        inst = WpvcInstance(g, 1, 1, Variant.PVC, True)
+        for call in (solve_epvcbd, solve_wpvc_by_L, solve_wpvcbfd,
+                     lambda inst: solve_wpvc_bounded_degree(inst, 1),
+                     lambda inst: solve_pvcbm(g, 1, 1, 1),
+                     oracle_wpvc, oracle_fractional, lambda inst: oracle_pvcbm(g, 1, 1, 1),
+                     expand, prune_unaffordable, lambda inst: residual(inst, 0),
+                     lambda inst: edge_subgraph(g, ()),
+                     lambda inst: rebalance_sections(g, [1, 1])):
+            with pytest.raises(InputError, match=r"^edge 0 is not a \(u, v, profit\) triple$"):
+                call(inst)
 
     def test_adjacency_that_lists_an_edge_twice_is_rejected(self):
         # Vertex 2 lists edge 3 twice. A search that trusted it would take
