@@ -26,8 +26,7 @@ from .errors import (FormatError, InputError, NotBipartiteError, OracleScaleErro
 from .fractional import solve_wpvcbfd
 from .formats import parse_mcq, parse_wpvc, sniff_format, write_mcq, write_wpvc
 from .generators import random_bipartite_graph, random_bounded_degree_graph, random_mcq
-from .instance import (WpvcInstance, _require_valid, _witness_problem, infer_variant,
-                       make_solution)
+from .instance import WpvcInstance, _witness_problem, infer_variant, make_solution
 from .oracle import DEFAULT_CAP, oracle_fractional, oracle_mcq, oracle_pvcbm, oracle_wpvc
 from .pvcbm import solve_pvcbm
 from .reduction import pendantize, reduce_mcq_to_wpvcbd
@@ -210,8 +209,8 @@ def _cmd_gen(args) -> int:
             g = random_bounded_degree_graph(args.seed, args.n, args.m, args.degree_bound,
                                             cost_max=args.cost_max,
                                             profit_max=args.profit_max)
+        # A negative budget or target is an InputError here: gen writes only what solve loads.
         inst = WpvcInstance(g, args.budget, args.target, infer_variant(g), False)
-        _require_valid(inst)  # write only what solve can load
         text = write_wpvc(inst, ["seed %d" % args.seed])
     _write(text, args.out)
     return 0

@@ -6,20 +6,18 @@ so repeated runs produce identical labelings, matchings and covers. Graphs are
 frozen after construction; every operation here is read-only and safe to call
 concurrently.
 
-Validation happens once, at the boundary: :func:`make_graph` checks every edge
-and cost of outside input, and every graph the toolkit derives from another
-is built by :func:`_trusted_graph` without re-checking. Both kinds carry a
-private "checked" mark, so :func:`pvckit.instance.validate` skips
-:func:`check_graph` for them. A graph built by hand as ``Graph(...)`` never
-carries the mark and is checked in full wherever it enters: by the solvers'
-validation, and by :func:`_require_sound` on entry to each public function
-that derives a graph from one it did not validate.
+A :class:`Graph` checks itself: its constructor runs :func:`check_graph` and
+raises InputError for a broken one, so every graph that exists is sound and
+no function re-checks the graph it is handed. :func:`make_graph` normalizes
+outside input first, and every graph the toolkit derives from another is
+filled in by :func:`_trusted_graph`, which skips the check.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from .errors import InputError
 
@@ -33,16 +31,23 @@ class Graph:
 
     ``edges[e] = (u, v, profit)`` with u < v; ``adjacency[v]`` holds the ids of
     the edges incident to v. Costs and profits are non-negative ints of
-    arbitrary precision (gadget instances go far beyond 64 bits).
+    arbitrary precision (gadget instances go far beyond 64 bits). Built as
+    ``Graph(...)``, the fields may be any sequences; they are stored as
+    tuples once :func:`check_graph` finds no problem, and InputError lists
+    the problems otherwise.
     """
 
     n: int
     edges: tuple[tuple[int, int, int], ...]
     costs: tuple[int, ...]
     adjacency: tuple[tuple[int, ...], ...]
-    # True only on graphs from _trusted_graph, whose data meet every
-    # invariant check_graph tests.
-    _checked: bool = field(default=False, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        problems = check_graph(self)
+        if problems:
+            raise InputError("; ".join(problems))
+        vars(self).update(edges=tuple(self.edges), costs=tuple(self.costs),
+                          adjacency=tuple(map(tuple, self.adjacency)))
 
     @property
     def m(self) -> int:
@@ -70,9 +75,18 @@ class Graph:
 
 @dataclass(frozen=True)
 class Bipartition:
-    """Per-vertex side labels (LEFT/RIGHT); every edge joins the two sides."""
+    """Per-vertex side labels (LEFT/RIGHT); every edge joins the two sides.
+
+    The constructor raises InputError unless ``side`` is a tuple of LEFT and
+    RIGHT labels; whether the sides fit a graph is checked where the two meet.
+    """
 
     side: tuple[int, ...]
+
+    def __post_init__(self):
+        side = self.side
+        if not isinstance(side, tuple) or side.count(LEFT) + side.count(RIGHT) != len(side):
+            raise InputError("bipartition sides must be a tuple of LEFT and RIGHT labels")
 
     def left(self) -> list[int]:
         return [v for v, s in enumerate(self.side) if s == LEFT]
@@ -138,15 +152,15 @@ def make_graph(n, edges, costs=None) -> Graph:
 
 
 def _trusted_graph(n: int, edges, costs, adjacency=None) -> Graph:
-    """Build a graph, marked checked, from data that is valid by construction.
+    """Build a graph from data that is valid by construction, without the
+    check the constructor runs.
 
     ``edges`` must be (u, v, profit) triples with 0 <= u < v < n, pairwise
     distinct and with non-negative int profits; ``costs`` must be n
     non-negative ints. A caller that already has the adjacency (per vertex,
     the ids of its edges in increasing order) may pass it, and it is used
     as given. Nothing here re-checks that: callers either checked it
-    themselves or derive the data from a graph that carries the mark or has
-    passed :func:`check_graph`.
+    themselves or derive the data from a graph, which is sound.
     """
     edges = tuple(edges)
     if adjacency is None:
@@ -154,40 +168,32 @@ def _trusted_graph(n: int, edges, costs, adjacency=None) -> Graph:
         for e, (u, v, _) in enumerate(edges):
             adjacency[u].append(e)
             adjacency[v].append(e)
-    g = Graph(n=n, edges=edges, costs=tuple(costs),
-              adjacency=tuple(tuple(a) for a in adjacency))
-    object.__setattr__(g, "_checked", True)
+    g = object.__new__(Graph)
+    vars(g).update(n=n, edges=edges, costs=tuple(costs),
+                   adjacency=tuple(tuple(a) for a in adjacency))
     return g
 
 
-def _require_sound(g: Graph) -> None:
-    """Raise InputError for a graph built by hand as ``Graph(...)`` that
-    breaks a structural invariant, as the solvers do; a graph that carries
-    the checked mark costs one attribute read. Once it returns, graphs
-    derived from ``g`` may be built by :func:`_trusted_graph`."""
-    if not g._checked:
-        problems = check_graph(g)
-        if problems:
-            raise InputError("; ".join(problems))
+def check_graph(g) -> list[str]:
+    """The problems that keep ``g``'s fields from forming a sound graph, as
+    :class:`Graph`'s constructor reports them; ``g`` is a graph under
+    construction, so its fields may be of any type.
 
-
-def check_graph(g: Graph) -> list[str]:
-    """Re-check the structural invariants of an already-built graph.
-
-    Needed only for graphs built by hand as ``Graph(...)``: graphs from
-    :func:`make_graph`, the parsers and the toolkit's own derivations are
-    valid by construction, and :func:`pvckit.instance.validate` and
-    :func:`_require_sound` skip them.
-
+    The vertex count must be a non-negative int, and the edges, costs and
+    adjacency must be sequences; otherwise that is the one problem reported.
     Each edge must be a tuple ``(u, v, profit)``; any other entry is
     reported and skipped, both by the later edge checks and where an
     adjacency list names it. Endpoints, profits, costs and adjacency entries
-    must be ints, as :func:`make_graph` requires. One pass over the adjacency
-    lists records, per edge, which of its two endpoints list it (bit 1 for
-    the first, bit 2 for the second; a self-loop sets both), so a missing or
-    repeated entry shows and the whole check is linear in the size of the
-    graph.
+    must be ints, as :func:`make_graph` requires, and each adjacency list a
+    sequence. One pass over the adjacency lists records, per edge, which of
+    its two endpoints list it (bit 1 for the first, bit 2 for the second; a
+    self-loop sets both), so a missing or repeated entry shows and the whole
+    check is linear in the size of the graph.
     """
+    if not isinstance(g.n, int) or g.n < 0:
+        return ["vertex count must be a non-negative integer"]
+    if not all(isinstance(f, Sequence) for f in (g.edges, g.costs, g.adjacency)):
+        return ["edges, costs and adjacency must be sequences"]
     problems = []
     if len(g.costs) != g.n or len(g.adjacency) != g.n:
         problems.append("per-vertex arrays do not match vertex count")
@@ -198,6 +204,9 @@ def check_graph(g: Graph) -> list[str]:
     listed = [0] * g.m
     foreign = []
     for v, adj in enumerate(g.adjacency):
+        if not isinstance(adj, Sequence):
+            foreign.append("adjacency of vertex %d is not a sequence" % v)
+            continue
         for e in adj:
             pair = ends[e] if isinstance(e, int) and 0 <= e < g.m else ()
             if pair is None:  # reported with the edges
@@ -407,14 +416,19 @@ def min_vertex_cover(g: Graph, bp: Bipartition, matching: Matching) -> frozenset
 
     Vertices reachable from unmatched left vertices by alternating paths are
     collected; the cover is the unreached left part plus the reached right
-    part, and its size equals ``matching.size``. If the matching passed in is
-    not maximum the result is not checked; that precondition is the caller's
-    contract.
+    part, and its size equals ``matching.size``. InputError unless the
+    matching's ids are edges of ``g`` that share no vertex. If the matching
+    is not maximum the result is not checked; that precondition is the
+    caller's contract.
     """
     _check_bipartition(g, bp)
     mate = [-1] * g.n
     for e in matching.edge_ids:
+        if not (isinstance(e, int) and 0 <= e < g.m):
+            raise InputError("matching edge id %r is not in 0..%d" % (e, g.m - 1))
         u, v, _ = g.edges[e]
+        if mate[u] != -1 or mate[v] != -1:
+            raise InputError("matching edge %d shares a vertex with another" % e)
         mate[u] = v
         mate[v] = u
     left = [v for v in range(g.n) if bp.side[v] == LEFT]
@@ -441,7 +455,6 @@ def edge_subgraph(g: Graph, edge_ids) -> tuple[Graph, tuple[int, ...]]:
     Returns the subgraph and, per subgraph edge id, the id of the original
     edge. Vertex ids are unchanged, so a bipartition of ``g`` stays valid.
     """
-    _require_sound(g)
     kept = sorted(edge_ids)
     if (kept and not 0 <= kept[0] <= kept[-1] < g.m) or len(set(kept)) < len(kept):
         raise InputError("edge ids must be distinct and lie in 0..%d" % (g.m - 1))

@@ -10,14 +10,13 @@ The solvers do not call it: their search keeps the residual weighted degrees
 as live state (see :func:`pvckit.branching._search`), and ``residual`` stays
 the public reference for what each search node sees.
 
-Graphs are validated once, where they enter: ``make_instance`` builds through
-``make_graph``, and ``residual`` and ``prune_unaffordable`` check a graph
-built by hand as ``Graph(...)`` on entry (see
-:func:`pvckit.graph._require_sound`) and build their graphs trusted.
-``validate`` runs ``check_graph`` only on graphs that lack the checked mark.
-The solvers' entry checks live here too: :func:`_require_bipartite` for the
-bipartite solvers and :func:`_require_pvcbm`, which the matching-constrained
-solver and its oracle share.
+A :class:`WpvcInstance` checks its own fields as it is built; its graph is a
+:class:`~pvckit.graph.Graph`, which checked itself. ``validate`` and the
+solvers' entry checks, which live here too, test only how the fields relate:
+that the variant tag fits the weights and, where asked, that the graph is
+bipartite (:func:`_require_bipartite`), and the unit weights of
+:func:`_require_pvcbm`, which the matching-constrained solver and its oracle
+share.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import InputError, NotBipartiteError, VariantError
-from .graph import (Graph, NotBipartite, _require_sound, _trusted_graph, bipartition,
-                    check_graph, coverage, make_graph, weighted_degree)
+from .graph import (Graph, NotBipartite, _trusted_graph, bipartition, coverage, make_graph,
+                    weighted_degree)
 
 
 class Variant(str, enum.Enum):
@@ -54,13 +53,29 @@ def infer_variant(g: Graph) -> Variant:
 
 @dataclass(frozen=True)
 class WpvcInstance:
-    """A graph plus a vertex-cost budget and a covered-profit target."""
+    """A graph plus a vertex-cost budget and a covered-profit target.
+
+    The constructor raises InputError unless ``graph`` is a :class:`Graph`,
+    budget and target are non-negative ints and ``variant`` is a
+    :class:`Variant`; whether the tag fits the weights is :func:`validate`'s
+    question.
+    """
 
     graph: Graph
     budget: int
     target: int
     variant: Variant
     bipartite_required: bool = False
+
+    def __post_init__(self):
+        if not isinstance(self.graph, Graph):
+            raise InputError("graph must be a Graph")
+        if not isinstance(self.budget, int) or self.budget < 0:
+            raise InputError("budget must be a non-negative integer")
+        if not isinstance(self.target, int) or self.target < 0:
+            raise InputError("target must be a non-negative integer")
+        if not isinstance(self.variant, Variant):
+            raise InputError("variant must be a Variant, not %r" % (self.variant,))
 
 
 @dataclass(frozen=True)
@@ -170,39 +185,30 @@ def make_instance(n, edges, costs=None, *, budget, target,
 
 
 def validate(inst: WpvcInstance) -> list[str]:
-    """Check every instance invariant; returns violations instead of raising.
-
-    The graph's structure is re-checked with ``check_graph`` only when the
-    graph lacks the checked mark (see :mod:`pvckit.graph`).
-    """
+    """Check that the variant tag fits the weights and, when the instance
+    requires it, that the graph is bipartite; returns violations instead of
+    raising. The fields themselves were checked when ``inst`` was built."""
     return _validate(inst)[0]
 
 
 def _validate(inst: WpvcInstance):
     """The problems :func:`validate` reports, plus the bipartition it computed
     (None unless the instance requires a bipartite graph)."""
-    problems = [] if inst.graph._checked else check_graph(inst.graph)
-    # The weights of a graph with broken structure cannot be read safely,
-    # nor can it be 2-colored meaningfully.
-    sound = not problems
-    if not isinstance(inst.budget, int) or inst.budget < 0:
-        problems.append("budget must be a non-negative integer")
-    if not isinstance(inst.target, int) or inst.target < 0:
-        problems.append("target must be a non-negative integer")
-    if sound and inst.variant in (Variant.EPVC, Variant.PVC):
+    problems = []
+    if inst.variant in (Variant.EPVC, Variant.PVC):
         bad = [v for v, c in enumerate(inst.graph.costs) if c != 1]
         if bad:
             problems.append("variant/weight mismatch: variant %s requires unit costs "
                             "but vertex %d has cost %d"
                             % (inst.variant.value, bad[0], inst.graph.costs[bad[0]]))
-    if sound and inst.variant in (Variant.VPVC, Variant.PVC):
+    if inst.variant in (Variant.VPVC, Variant.PVC):
         bad = [e for e, (_, _, p) in enumerate(inst.graph.edges) if p != 1]
         if bad:
             problems.append("variant/weight mismatch: variant %s requires unit profits "
                             "but edge %d has profit %d"
                             % (inst.variant.value, bad[0], inst.graph.edges[bad[0]][2]))
     bp = None
-    if inst.bipartite_required and sound:
+    if inst.bipartite_required:
         bp = bipartition(inst.graph)
         if isinstance(bp, NotBipartite):
             problems.append("graph must be bipartite but contains odd cycle %s"
@@ -240,19 +246,18 @@ def _require_bipartite(inst: WpvcInstance, unit_costs: bool = False):
 
 def _require_pvcbm(g: Graph, k1, k2, k3):
     """The entry check of the matching-constrained cover, shared by its solver
-    and its oracle: InputError unless k1, k2 and k3 are non-negative ints,
-    then VariantError unless every cost and profit is 1, then the checks of
-    :func:`_require_bipartite`. A graph built by hand is checked for sound
-    structure before any weight is read. Returns the instance (budget k1,
-    target k2) and the Bipartition."""
+    and its oracle: InputError unless k1, k2 and k3 are non-negative ints and
+    ``g`` is a Graph, then VariantError unless every cost and profit is 1,
+    then the checks of :func:`_require_bipartite`. Returns the instance
+    (budget k1, target k2) and the Bipartition."""
     if not all(isinstance(k, int) and k >= 0 for k in (k1, k2, k3)):
         raise InputError("k1, k2, k3 must be non-negative integers")
-    _require_sound(g)
+    # Tagged WPVC, which any weights fit, so that validating it reads no
+    # weight; the unit weights are checked here.
+    inst = WpvcInstance(g, k1, k2, Variant.WPVC)
     if g.costs.count(1) != len(g.costs) or any(p != 1 for _, _, p in g.edges):
         raise VariantError("matching-constrained solver needs unit costs and profits")
-    inst = WpvcInstance(g, k1, k2, Variant.PVC)
-    # The weights were read above: validating a WPVC-tagged copy reads none.
-    return inst, _require_bipartite(replace(inst, variant=Variant.WPVC))
+    return inst, _require_bipartite(inst)
 
 
 def residual(inst: WpvcInstance, v: int) -> WpvcInstance:
@@ -263,7 +268,6 @@ def residual(inst: WpvcInstance, v: int) -> WpvcInstance:
     residual with S is equivalent to solving ``inst`` with S plus v.
     """
     g = inst.graph
-    _require_sound(g)
     if not (isinstance(v, int) and 0 <= v < g.n):
         raise InputError("invalid vertex id %r" % (v,))
     if g.costs[v] > inst.budget:
@@ -284,7 +288,6 @@ def prune_unaffordable(inst: WpvcInstance) -> WpvcInstance:
     of them is dead weight and is removed. Applied once at load time.
     """
     g = inst.graph
-    _require_sound(g)
     dead = [g.costs[v] > inst.budget for v in range(g.n)]
     kept = [edge for edge in g.edges if not (dead[edge[0]] and dead[edge[1]])]
     if len(kept) == g.m:

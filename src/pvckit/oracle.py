@@ -14,9 +14,7 @@ enumerated; the size caps below count those selectable vertices, which keeps
 pendant-heavy gadget instances (thousands of unaffordable degree-1 vertices)
 in reach.
 
-Like the solvers, the three cover oracles run ``check_graph`` on a graph built
-by hand as ``Graph(...)`` and raise InputError for a broken one; the
-matching-constrained oracle runs the very entry check of its solver,
+The matching-constrained oracle runs the very entry check of its solver,
 :func:`pvckit.instance._require_pvcbm`. Each cover oracle makes its report
 the way the solvers do, through :func:`pvckit.instance._report`, which
 builds every yes witness on the oracle's input graph and checks it there.
@@ -34,8 +32,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, OracleScaleError
-from .graph import Graph, _require_sound, edge_subgraph, max_matching, weighted_degrees
+from .errors import OracleScaleError
+from .graph import Graph, edge_subgraph, max_matching, weighted_degrees
 from .instance import SolveReport, WpvcInstance, _report, _require_pvcbm
 
 DEFAULT_CAP = 20
@@ -44,10 +42,6 @@ _MCQ_CLASS_CAP = 8
 
 
 def _candidates(inst: WpvcInstance, cap: int) -> list[int]:
-    _require_sound(inst.graph)
-    if not (isinstance(inst.budget, int) and isinstance(inst.target, int)
-            and inst.budget >= 0 and inst.target >= 0):
-        raise InputError("budget and target must be non-negative integers")
     cands = [v for v, c in enumerate(inst.graph.costs) if c <= inst.budget]
     if len(cands) > cap:
         raise OracleScaleError(
@@ -233,34 +227,12 @@ class McqVerdict:
     clique: tuple[int, ...] | None
 
 
-def _require_mcq(mcq) -> None:
-    """The entry check of a multicolored-clique instance, shared by
-    :func:`oracle_mcq` and :func:`pvckit.reduction.reduce_mcq_to_wpvcbd`:
-    InputError unless its graph is sound, ``k`` is an int of at least 1,
-    ``colors`` holds one color in 1..k per vertex, and no edge joins two
-    vertices of one color. Instances from ``make_mcq`` and ``parse_mcq`` pass."""
-    g = mcq.graph
-    _require_sound(g)
-    k, colors = mcq.k, mcq.colors
-    if not isinstance(k, int) or k < 1:
-        raise InputError("k must be a positive integer")
-    if not isinstance(colors, (tuple, list)) or len(colors) != g.n:
-        raise InputError("expected one color per vertex, %d in all" % g.n)
-    for v, c in enumerate(colors):
-        if not isinstance(c, int) or not 1 <= c <= k:
-            raise InputError("color of vertex %d must lie in 1..%d" % (v, k))
-    for u, v, _ in g.edges:
-        if colors[u] == colors[v]:
-            raise InputError("edge (%d, %d) lies inside color class %d" % (u, v, colors[u]))
-
-
 def oracle_mcq(mcq) -> McqVerdict:
     """Exhaustive multicolored-clique check: one vertex per color class.
 
-    ``mcq`` needs ``graph``, ``k`` and per-vertex ``colors`` in 1..k, with no
-    edge inside a class; :func:`_require_mcq` checks that on entry.
+    ``mcq`` is a :class:`pvckit.reduction.McqInstance`, which checked on
+    construction that its ``colors`` lie in 1..k with no edge inside a class.
     """
-    _require_mcq(mcq)
     g = mcq.graph
     classes = [[] for _ in range(mcq.k)]
     for v, color in enumerate(mcq.colors):

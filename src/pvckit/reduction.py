@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .errors import InputError, OracleScaleError
-from .graph import Graph, _require_sound, _trusted_graph, coverage, make_graph
+from .graph import Graph, _trusted_graph, coverage, make_graph
 from .instance import WpvcInstance, infer_variant
-from .oracle import McqVerdict, _require_mcq, oracle_mcq, oracle_wpvc
+from .oracle import McqVerdict, oracle_mcq, oracle_wpvc
 
 log = logging.getLogger(__name__)
 
@@ -27,12 +27,33 @@ _VERIFY_N_CAP = 6
 
 @dataclass(frozen=True)
 class McqInstance:
-    """A graph with a k-part vertex coloring; every class is an independent set."""
+    """A graph with a k-part vertex coloring; every class is an independent set.
+
+    The constructor raises InputError unless ``graph`` is a :class:`Graph`,
+    ``k`` an int of at least 1 and ``colors`` a tuple or list of one color in
+    1..k per vertex, stored as a tuple, with no edge inside a class.
+    """
 
     graph: Graph
     k: int
     colors: tuple[int, ...]
     dropped_intra_class_edges: int = 0
+
+    def __post_init__(self):
+        g, k, colors = self.graph, self.k, self.colors
+        if not isinstance(g, Graph):
+            raise InputError("graph must be a Graph")
+        if not isinstance(k, int) or k < 1:
+            raise InputError("k must be a positive integer")
+        if not isinstance(colors, (tuple, list)) or len(colors) != g.n:
+            raise InputError("expected one color per vertex, %d in all" % g.n)
+        for v, c in enumerate(colors):
+            if not isinstance(c, int) or not 1 <= c <= k:
+                raise InputError("color of vertex %d must lie in 1..%d" % (v, k))
+        for u, v, _ in g.edges:
+            if colors[u] == colors[v]:
+                raise InputError("edge (%d, %d) lies inside color class %d" % (u, v, colors[u]))
+        object.__setattr__(self, "colors", tuple(colors))
 
 
 def make_mcq(n, k, colors, edges) -> McqInstance:
@@ -40,16 +61,12 @@ def make_mcq(n, k, colors, edges) -> McqInstance:
 
     Edges inside one color class can never sit in a valid clique, so they are
     dropped (with a warning), not rejected. An edge that is not a pair (u, v)
-    of vertex ids raises InputError before any color is read.
+    of vertex ids raises InputError before any color is read; ``k`` and the
+    colors are checked by :class:`McqInstance`.
     """
     colors = tuple(colors)
-    if not isinstance(k, int) or k < 1:
-        raise InputError("k must be a positive integer")
     if len(colors) != n:
         raise InputError("expected %d colors, got %d" % (n, len(colors)))
-    for v, c in enumerate(colors):
-        if not isinstance(c, int) or not 1 <= c <= k:
-            raise InputError("color of vertex %d must lie in 1..%d" % (v, k))
     edges = list(edges)
     for item in edges:
         try:
@@ -62,9 +79,10 @@ def make_mcq(n, k, colors, edges) -> McqInstance:
 
 
 def _normalized_mcq(n, k, colors, edges, build) -> McqInstance:
-    """The instance of valid ``k`` and ``colors`` (a tuple): intra-class edges
-    dropped with a warning, the rest handed to ``build`` (a graph builder
-    such as ``make_graph``) with unit costs and profits."""
+    """The instance of ``k`` and ``colors`` (a tuple of one color per
+    vertex): intra-class edges dropped with a warning, the rest handed to
+    ``build`` (a graph builder such as ``make_graph``) with unit costs and
+    profits."""
     kept = []
     dropped = 0
     for item in edges:
@@ -122,10 +140,7 @@ def reduce_mcq_to_wpvcbd(mcq: McqInstance) -> ReductionOutput:
     a class (distinct sources) or belong to different classes of nonadjacent
     sources; a hub edge then tops every copy's incident profit up to its class
     yield. Budget and target are the per-class sums of weights and yields.
-    A hand-built ``mcq`` is checked on entry by
-    :func:`pvckit.oracle._require_mcq`, and a broken one is an InputError.
     """
-    _require_mcq(mcq)
     g = mcq.graph
     n = g.n
     k = mcq.k
@@ -181,12 +196,10 @@ def pendantize(out: ReductionOutput) -> ReductionOutput:
 
     Pendants inherit the hub cost (far beyond the budget, so they can never be
     selected), the hubs disappear, and the instance becomes unit-profit while
-    keeping the same budget, target and verdict. A source graph built by hand
-    is checked on entry, and a broken one is an InputError.
+    keeping the same budget, target and verdict.
     """
     inst = out.instance
     g = inst.graph
-    _require_sound(g)
     z1 = 2 * out.source_n
     hubs = {z1, z1 + 1}
     # The new graph is built unchecked, so reject any shape the construction

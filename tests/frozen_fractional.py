@@ -12,14 +12,13 @@ import time
 from fractions import Fraction
 
 from pvckit.errors import InputError, OracleScaleError
-from pvckit.graph import Graph, _require_sound, coverage
+from pvckit.graph import Graph, coverage
 from pvckit.instance import CoverSolution, SolveReport, WpvcInstance, _witness_problem
 
 DEFAULT_CAP = 20
 
 
 def _candidates(inst: WpvcInstance, cap: int) -> list[int]:
-    _require_sound(inst.graph)
     if not (isinstance(inst.budget, int) and isinstance(inst.target, int)
             and inst.budget >= 0 and inst.target >= 0):
         raise InputError("budget and target must be non-negative integers")

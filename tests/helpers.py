@@ -83,16 +83,28 @@ def _is_triple(edge):
     return isinstance(edge, tuple) and len(edge) == 3
 
 
-def check_graph_reference(g):
-    """Quadratic reference for ``check_graph``: scans each adjacency tuple per edge."""
+def _is_sequence(x):
+    return isinstance(x, (tuple, list, range, str))
+
+
+def check_graph_reference(n, edges, costs, adjacency):
+    """Quadratic reference for ``check_graph`` on the fields of a graph under
+    construction: scans each adjacency list per edge."""
+    if type(n) not in (int, bool) or n < 0:
+        return ["vertex count must be a non-negative integer"]
+    if not (_is_sequence(edges) and _is_sequence(costs) and _is_sequence(adjacency)):
+        return ["edges, costs and adjacency must be sequences"]
     problems = []
-    if len(g.costs) != g.n or len(g.adjacency) != g.n:
+    if len(costs) != n or len(adjacency) != n:
         problems.append("per-vertex arrays do not match vertex count")
         return problems
-    # An adjacency entry that is not an int names no edge, even if equal to one.
-    ints = [[e for e in adj if type(e) in (int, bool)] for adj in g.adjacency]
+    m = len(edges)
+    # An adjacency entry that is not an int names no edge, even if equal to
+    # one, and an adjacency list that is no sequence names none at all.
+    ints = [[e for e in adj if type(e) in (int, bool)] if _is_sequence(adj) else []
+            for adj in adjacency]
     seen_pairs = set()
-    for e, edge in enumerate(g.edges):
+    for e, edge in enumerate(edges):
         if not _is_triple(edge):
             problems.append("edge %d is not a (u, v, profit) triple" % e)
             continue
@@ -100,7 +112,7 @@ def check_graph_reference(g):
         if type(u) not in (int, bool) or type(v) not in (int, bool):
             problems.append("edge %d has non-integer endpoint" % e)
             continue
-        if not (0 <= u < g.n and 0 <= v < g.n):
+        if not (0 <= u < n and 0 <= v < n):
             problems.append("edge %d has endpoint out of range" % e)
             continue
         if u == v:
@@ -115,16 +127,19 @@ def check_graph_reference(g):
         seen_pairs.add(key)
         if e not in ints[u] or e not in ints[v]:
             problems.append("edge %d missing from an endpoint adjacency list" % e)
-    for v, c in enumerate(g.costs):
+    for v, c in enumerate(costs):
         if type(c) not in (int, bool) or c < 0:
             problems.append("vertex %d has cost %r, not a non-negative integer" % (v, c))
-    for v, adj in enumerate(g.adjacency):
+    for v, adj in enumerate(adjacency):
+        if not _is_sequence(adj):
+            problems.append("adjacency of vertex %d is not a sequence" % v)
+            continue
         for i, e in enumerate(adj):
-            if type(e) not in (int, bool) or not (0 <= e < g.m):
+            if type(e) not in (int, bool) or not (0 <= e < m):
                 problems.append("adjacency of vertex %d lists foreign edge %r" % (v, e))
-            elif not _is_triple(g.edges[e]):
+            elif not _is_triple(edges[e]):
                 continue  # reported with the edges
-            elif v not in g.edges[e][:2]:
+            elif v not in edges[e][:2]:
                 problems.append("adjacency of vertex %d lists foreign edge %r" % (v, e))
             elif e in [f for f in adj[:i] if type(f) in (int, bool)]:
                 problems.append("adjacency of vertex %d lists edge %d twice" % (v, e))

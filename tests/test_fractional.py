@@ -79,11 +79,11 @@ class TestExpand:
 
     @pytest.mark.parametrize("budget, target", [(-1, 1), (1, -4), (2.5, 1)])
     def test_rejects_what_the_solver_rejects(self, budget, target):
-        inst = WpvcInstance(make_graph(2, [(0, 1, 2)], costs=[2, 1]), budget, target,
-                            Variant.WPVC)
+        # The instance cannot be built, so neither entry is reached.
+        g = make_graph(2, [(0, 1, 2)], costs=[2, 1])
         for entry in (expand, solve_wpvcbfd):
             with pytest.raises(InputError, match="non-negative integer"):
-                entry(inst)
+                entry(WpvcInstance(g, budget, target, Variant.WPVC))
 
 
 class TestRebalance:

@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 from helpers import (bipartition_reference, brute_force_cover_number,
                      brute_force_matching_size, c4, check_graph_reference,
                      long_augmenting_path, max_matching_reference, star)
-from pvckit import (LEFT, RIGHT, Bipartition, Graph, InputError, NotBipartite, bipartition,
-                    coverage, edge_subgraph, make_graph, max_matching, min_vertex_cover,
-                    weighted_degree, weighted_degrees)
-from pvckit.graph import check_graph
+from pvckit import (LEFT, RIGHT, Bipartition, Graph, InputError, Matching, NotBipartite,
+                    bipartition, coverage, edge_subgraph, make_graph, max_matching,
+                    min_vertex_cover, weighted_degree, weighted_degrees)
 
 
 def small_graphs():
@@ -30,10 +29,11 @@ def small_graphs():
 
 @st.composite
 def malformed_graphs(draw):
-    """Hand-built graphs that skip ``make_graph``: endpoints out of range,
-    self-loops, unnormalized and parallel edges, edge entries that are no
-    ``(u, v, profit)`` tuple, negative weights, and adjacency lists with
-    missing, duplicated and foreign entries."""
+    """The fields of hand-built graphs that skip ``make_graph``, as keyword
+    arguments of ``Graph``: endpoints out of range, self-loops, unnormalized
+    and parallel edges, edge entries that are no ``(u, v, profit)`` tuple,
+    negative weights, and adjacency lists with missing, duplicated and
+    foreign entries."""
     n = draw(st.integers(min_value=0, max_value=6))
     ends = st.integers(min_value=-1, max_value=n)
     edges = draw(st.lists(st.tuples(ends, ends, st.integers(min_value=-1, max_value=3)),
@@ -52,7 +52,7 @@ def malformed_graphs(draw):
     costs = draw(st.lists(st.integers(min_value=-1, max_value=3), min_size=n, max_size=n))
     if not draw(st.integers(min_value=0, max_value=19)):
         costs.append(1)
-    return Graph(n=n, edges=tuple(edges), costs=tuple(costs), adjacency=tuple(adjacency))
+    return dict(n=n, edges=tuple(edges), costs=tuple(costs), adjacency=tuple(adjacency))
 
 
 @st.composite
@@ -60,11 +60,12 @@ def mistyped_graphs(draw):
     """``malformed_graphs`` with one endpoint, profit, cost or adjacency entry
     made a float, which ``make_graph`` would refuse."""
     g = draw(malformed_graphs())
-    triples = [e for e, edge in enumerate(g.edges) if isinstance(edge, tuple) and len(edge) == 3]
-    edges, costs = list(g.edges), list(g.costs)
+    triples = [e for e, edge in enumerate(g["edges"])
+               if isinstance(edge, tuple) and len(edge) == 3]
+    edges, costs = list(g["edges"]), list(g["costs"])
     for e in triples:
         edges[e] = list(edges[e])
-    adjacency = [list(adj) for adj in g.adjacency]
+    adjacency = [list(adj) for adj in g["adjacency"]]
     slots = ([(edges[e], i) for e in triples for i in range(3)]
              + [(costs, v) for v in range(len(costs))]
              + [(adj, i) for adj in adjacency for i in range(len(adj))])
@@ -73,20 +74,80 @@ def mistyped_graphs(draw):
         row[i] = row[i] + draw(st.sampled_from([0.0, 0.5]))
     for e in triples:
         edges[e] = tuple(edges[e])
-    return Graph(n=g.n, edges=tuple(edges), costs=tuple(costs),
-                 adjacency=tuple(map(tuple, adjacency)))
+    return dict(n=g["n"], edges=tuple(edges), costs=tuple(costs),
+                adjacency=tuple(map(tuple, adjacency)))
+
+
+@st.composite
+def misshapen_graphs(draw):
+    """``malformed_graphs`` with a vertex count that is no int, a field that
+    is no sequence, or an adjacency list that is no sequence, or with its
+    fields as lists."""
+    g = draw(malformed_graphs())
+    field = draw(st.sampled_from(["n", "edges", "costs", "adjacency", "entry", "lists"]))
+    if field == "n":
+        g["n"] = draw(st.sampled_from([float(g["n"]), str(g["n"]), None, -1]))
+    elif field == "entry":
+        if g["n"]:
+            v = draw(st.integers(min_value=0, max_value=g["n"] - 1))
+            g["adjacency"] = g["adjacency"][:v] + (draw(st.sampled_from([0, None])),) \
+                + g["adjacency"][v + 1:]
+    elif field == "lists":
+        g.update(edges=list(g["edges"]), costs=list(g["costs"]),
+                 adjacency=[list(adj) for adj in g["adjacency"]])
+    else:
+        g[field] = draw(st.sampled_from([None, 0, {}]))
+    return g
+
+
+def assert_checked_on_construction(fields):
+    """``Graph(**fields)`` raises InputError with the reference's problems
+    joined by "; ", or, when there are none, stores its fields as tuples."""
+    problems = check_graph_reference(**fields)
+    if problems:
+        with pytest.raises(InputError) as info:
+            Graph(**fields)
+        assert str(info.value) == "; ".join(problems)
+    else:
+        g = Graph(**fields)
+        assert g.edges == tuple(fields["edges"]) and g.costs == tuple(fields["costs"])
+        assert g.adjacency == tuple(map(tuple, fields["adjacency"]))
 
 
 class TestCheckGraph:
+    """A Graph runs ``check_graph`` as it is built, so a broken one never exists."""
+
     @settings(max_examples=300)
     @given(malformed_graphs())
     def test_matches_quadratic_reference(self, g):
-        assert check_graph(g) == check_graph_reference(g)
+        assert_checked_on_construction(g)
 
     @settings(max_examples=300)
     @given(mistyped_graphs())
     def test_matches_quadratic_reference_on_non_integer_values(self, g):
-        assert check_graph(g) == check_graph_reference(g)
+        assert_checked_on_construction(g)
+
+    @settings(max_examples=300)
+    @given(misshapen_graphs())
+    def test_matches_quadratic_reference_on_misshapen_fields(self, g):
+        assert_checked_on_construction(g)
+
+    @pytest.mark.parametrize("fields, problem", [
+        ((2.0, ((0, 1, 1),), (1, 1), ((0,), (0,))), "vertex count must be a non-negative integer"),
+        ((2, None, (1, 1), ((), ())), "edges, costs and adjacency must be sequences"),
+        ((2, ((0, 1, 1),), (1, 1), ((0,), 0)),
+         "edge 0 missing from an endpoint adjacency list; "
+         "adjacency of vertex 1 is not a sequence"),
+    ], ids=["float-n", "none-edges", "int-adjacency-entry"])
+    def test_misshapen_fields_are_input_errors(self, fields, problem):
+        # Each of these used to pass the check (the float n) or raise TypeError.
+        with pytest.raises(InputError) as info:
+            Graph(*fields)
+        assert str(info.value) == problem
+
+    def test_sound_fields_are_stored_as_tuples(self):
+        g = Graph(3, [(1, 2, 1)], [1, 1, 1], [[], [0], [0]])
+        assert g == make_graph(3, [(1, 2)]) and isinstance(g.adjacency[1], tuple)
 
 
 class TestConstruction:
@@ -225,7 +286,35 @@ class TestBipartition:
         assert bipartition(g) == bipartition_reference(g)
 
 
+class TestBipartitionValues:
+    @pytest.mark.parametrize("side", [(1, 2, 1, 2), (0, 1, -1), [0, 1], None],
+                             ids=["label-2", "label-minus-1", "list", "none"])
+    def test_sides_other_than_left_and_right_are_rejected(self, side):
+        # (1, 2, 1, 2) on P4 used to pass the edge check and yield a matching
+        # of size 0 and an empty cover, where the answer is 2.
+        with pytest.raises(InputError, match="tuple of LEFT and RIGHT labels"):
+            Bipartition(side)
+
+    def test_sides_that_do_not_fit_the_graph_are_still_rejected(self):
+        g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
+        for side in ((LEFT, RIGHT, LEFT), (LEFT, LEFT, RIGHT, LEFT)):
+            with pytest.raises(InputError, match="bipartition"):
+                max_matching(g, Bipartition(side))
+
+
 class TestMatchingAndCover:
+    @pytest.mark.parametrize("ids, problem", [
+        ({7}, "matching edge id 7 is not in 0..2"),
+        ({-1}, "matching edge id -1 is not in 0..2"),
+        ({0, 1}, "shares a vertex with another"),
+    ], ids=["above-m", "negative", "shared-vertex"])
+    def test_cover_rejects_a_matching_that_is_no_matching_of_the_graph(self, ids, problem):
+        # Id 7 used to raise IndexError, and ids sharing a vertex silently
+        # overwrote each other's mates.
+        g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(InputError, match=problem):
+            min_vertex_cover(g, bipartition(g), Matching(frozenset(ids), len(ids)))
+
     def test_empty_graph(self):
         g = make_graph(3, [])
         bp = bipartition(g)

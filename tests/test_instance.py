@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +46,35 @@ class TestValidate:
         g = make_graph(2, [(0, 1, 5)], costs=[2, 1])
         with pytest.raises(InputError, match="variant/weight mismatch"):
             _require_valid(WpvcInstance(g, 1, 1, Variant.EPVC))
+
+
+P3 = make_graph(3, [(0, 1), (1, 2)])
+
+
+class TestInstanceChecksItself:
+    """A WpvcInstance checks its own fields as it is built, so no function
+    that takes one checks them again."""
+
+    @pytest.mark.parametrize("fields, problem", [
+        ((None, 1, 1, Variant.PVC), "graph must be a Graph"),
+        ((P3, "x", 1, Variant.PVC), "budget must be a non-negative integer"),
+        ((P3, -1, 1, Variant.PVC), "budget must be a non-negative integer"),
+        ((P3, 1, 1.5, Variant.PVC), "target must be a non-negative integer"),
+        ((P3, 1, 1, "junk"), "variant must be a Variant, not 'junk'"),
+        ((P3, 1, 1, "pvc"), "variant must be a Variant, not 'pvc'"),
+    ], ids=["graph-none", "budget-str", "budget-negative", "target-float", "variant-junk",
+            "variant-value"])
+    def test_broken_fields_raise_on_construction(self, fields, problem):
+        # Budget 'x' used to reach residual, prune_unaffordable and write_wpvc,
+        # which raised TypeError; the tag 'junk' was solved, and write_wpvc
+        # raised AttributeError on it.
+        with pytest.raises(InputError) as info:
+            WpvcInstance(*fields)
+        assert str(info.value) == problem
+
+    def test_replace_checks_again(self):
+        with pytest.raises(InputError, match="budget must be a non-negative integer"):
+            dataclasses.replace(path3(), budget="x")
 
 
 class TestResidual:

@@ -89,43 +89,42 @@ class TestOraclePvcbm:
         assert rep.verdict and rep.witness.vertices == frozenset()
 
 
-# Hand-built graphs the solvers reject: an edge endpoint out of range, and an
-# edge missing from one endpoint's adjacency list.
+# The fields of hand-built graphs that cannot be built: an edge endpoint out
+# of range, and an edge missing from one endpoint's adjacency list.
 MALFORMED = [
-    (Graph(n=2, edges=((0, 5, 1),), costs=(1, 1), adjacency=((0,), ())),
+    (dict(n=2, edges=((0, 5, 1),), costs=(1, 1), adjacency=((0,), ())),
      "edge 0 has endpoint out of range"),
-    (Graph(n=2, edges=((0, 1, 1),), costs=(1, 1), adjacency=((0,), ())),
+    (dict(n=2, edges=((0, 1, 1),), costs=(1, 1), adjacency=((0,), ())),
      "edge 0 missing from an endpoint adjacency list"),
 ]
 
 
 class TestOracleInputs:
-    """The oracles reject the graphs, budgets and targets the solvers reject."""
+    """The oracles reject the graphs, budgets and targets the solvers reject;
+    each such value raises as it is built, before either is called."""
 
-    @pytest.mark.parametrize("g, problem", MALFORMED, ids=["out-of-range", "unlisted"])
-    def test_wpvc_oracle_rejects_malformed_graphs(self, g, problem):
-        inst = WpvcInstance(g, 1, 1, Variant.PVC)
+    @pytest.mark.parametrize("fields, problem", MALFORMED, ids=["out-of-range", "unlisted"])
+    def test_wpvc_oracle_rejects_malformed_graphs(self, fields, problem):
         for decide in (oracle_wpvc, solve_wpvc_by_L):
             with pytest.raises(InputError, match=problem):
-                decide(inst)
+                decide(WpvcInstance(Graph(**fields), 1, 1, Variant.PVC))
 
-    @pytest.mark.parametrize("g, problem", MALFORMED, ids=["out-of-range", "unlisted"])
-    def test_fractional_oracle_rejects_malformed_graphs(self, g, problem):
-        inst = WpvcInstance(g, 1, 1, Variant.PVC, bipartite_required=True)
+    @pytest.mark.parametrize("fields, problem", MALFORMED, ids=["out-of-range", "unlisted"])
+    def test_fractional_oracle_rejects_malformed_graphs(self, fields, problem):
         for decide in (oracle_fractional, solve_wpvcbfd):
             with pytest.raises(InputError, match=problem):
-                decide(inst)
+                decide(WpvcInstance(Graph(**fields), 1, 1, Variant.PVC, bipartite_required=True))
 
-    @pytest.mark.parametrize("g, problem", MALFORMED, ids=["out-of-range", "unlisted"])
-    def test_matching_oracle_rejects_malformed_graphs(self, g, problem):
+    @pytest.mark.parametrize("fields, problem", MALFORMED, ids=["out-of-range", "unlisted"])
+    def test_matching_oracle_rejects_malformed_graphs(self, fields, problem):
         for decide in (oracle_pvcbm, solve_pvcbm):
             with pytest.raises(InputError, match=problem):
-                decide(g, 1, 1, 1)
+                decide(Graph(**fields), 1, 1, 1)
 
     @pytest.mark.parametrize("oracle", [oracle_wpvc, oracle_fractional])
     @pytest.mark.parametrize("budget, target", [(1, -4), (2.5, 1), (-1, 0), (1, 1.5)])
     def test_cover_oracles(self, oracle, budget, target):
-        with pytest.raises(InputError, match="non-negative integers"):
+        with pytest.raises(InputError, match="must be a non-negative integer"):
             oracle(WpvcInstance(c4(), budget, target, Variant.PVC))
 
     @pytest.mark.parametrize("ks", [(1.5, 1, 1), (1, 1.5, 1), (1, 1, 1.5), (1, -1, 1)])
@@ -134,29 +133,32 @@ class TestOracleInputs:
             oracle_pvcbm(c4(), *ks)
 
 
-def _raised(decide, *args):
+def _raised(decide, graph, ks):
+    """The exception type and message of deciding ``ks`` on ``graph()``."""
     with pytest.raises(InputError) as info:
-        decide(*args)
+        decide(graph(), *ks)
     return type(info.value), str(info.value)
 
 
 ODD_CYCLE = make_graph(3, [(0, 1), (1, 2), (0, 2)])
+# Graphs as builders, since the malformed ones raise as they are built.
 PVCBM_REJECTS = [
-    ("k-float", c4(), (1.5, 1, 1)),
-    ("k-negative", c4(), (1, -1, 1)),
-    ("cost", make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], costs=[5, 1, 1, 1]), (2, 4, 2)),
-    ("profit", make_graph(4, [(0, 1, 3), (1, 2), (2, 3), (0, 3)]), (2, 4, 2)),
-    ("out-of-range", MALFORMED[0][0], (1, 1, 1)),
-    ("unlisted", MALFORMED[1][0], (1, 1, 1)),
-    ("odd-cycle", ODD_CYCLE, (1, 1, 1)),
+    ("k-float", c4, (1.5, 1, 1)),
+    ("k-negative", c4, (1, -1, 1)),
+    ("cost", lambda: make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], costs=[5, 1, 1, 1]),
+     (2, 4, 2)),
+    ("profit", lambda: make_graph(4, [(0, 1, 3), (1, 2), (2, 3), (0, 3)]), (2, 4, 2)),
+    ("out-of-range", lambda: Graph(**MALFORMED[0][0]), (1, 1, 1)),
+    ("unlisted", lambda: Graph(**MALFORMED[1][0]), (1, 1, 1)),
+    ("odd-cycle", lambda: ODD_CYCLE, (1, 1, 1)),
 ]
 
 
-@pytest.mark.parametrize("g, ks", [case[1:] for case in PVCBM_REJECTS],
+@pytest.mark.parametrize("graph, ks", [case[1:] for case in PVCBM_REJECTS],
                          ids=[case[0] for case in PVCBM_REJECTS])
-def test_matching_oracle_rejects_what_its_solver_rejects(g, ks):
+def test_matching_oracle_rejects_what_its_solver_rejects(graph, ks):
     # One entry check: the same exception type and message from both.
-    assert _raised(oracle_pvcbm, g, *ks) == _raised(solve_pvcbm, g, *ks)
+    assert _raised(oracle_pvcbm, graph, ks) == _raised(solve_pvcbm, graph, ks)
 
 
 class TestOracleMcq:

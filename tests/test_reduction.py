@@ -76,24 +76,31 @@ class TestHandBuiltMcq:
     ], ids=["color-0", "color-above-k", "float-color", "intra-class-edge", "short-colors",
             "k-0"])
     def test_oracle_reduce_and_check_reject(self, k, colors, match):
+        # The instance raises as it is built, so no call is reached.
         triangle = make_graph(3, [(0, 1), (1, 2), (0, 2)])
-        mcq = McqInstance(triangle, k, colors)
         for call in (oracle_mcq, reduce_mcq_to_wpvcbd, verify_reduction):
             with pytest.raises(InputError, match=match):
-                call(mcq)
+                call(McqInstance(triangle, k, colors))
 
     @pytest.mark.parametrize("k", ["3", None, 2.0])
     def test_k_that_is_no_int_is_rejected(self, k):
-        mcq = McqInstance(make_graph(2, [(0, 1)]), k, (1, 2))
-        for call in (oracle_mcq, reduce_mcq_to_wpvcbd):
+        # verify_reduction compared a str k with its cap and raised TypeError.
+        for call in (oracle_mcq, reduce_mcq_to_wpvcbd, verify_reduction):
             with pytest.raises(InputError, match="k must be a positive integer"):
-                call(mcq)
+                call(McqInstance(make_graph(2, [(0, 1)]), k, (1, 2)))
 
     def test_hand_built_graph_is_checked(self):
-        broken = Graph(2, ((0, 1),), (1, 1), ((0,), (0,)))
         for call in (oracle_mcq, reduce_mcq_to_wpvcbd):
             with pytest.raises(InputError, match=r"edge 0 is not a \(u, v, profit\) triple"):
-                call(McqInstance(broken, 2, (1, 2)))
+                call(McqInstance(Graph(2, ((0, 1),), (1, 1), ((0,), (0,))), 2, (1, 2)))
+
+    def test_graph_that_is_no_graph_is_rejected(self):
+        with pytest.raises(InputError, match="graph must be a Graph"):
+            McqInstance(None, 2, (1, 2))
+
+    def test_colors_are_kept_as_a_tuple(self):
+        mcq = McqInstance(make_graph(2, [(0, 1)]), 2, [1, 2])
+        assert mcq.colors == (1, 2) and mcq == make_mcq(2, 2, [1, 2], [(0, 1)])
 
     def test_valid_hand_built_instance_equals_make_mcq(self):
         built = make_mcq(3, 3, [1, 2, 3], [(0, 1), (1, 2), (0, 2)])

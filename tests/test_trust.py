@@ -1,12 +1,14 @@
-"""Validation happens once, where a graph enters the toolkit.
+"""Validation happens once, where a value is built.
 
-Graphs from ``make_graph``, the parsers and the toolkit's own derivations
-carry a checked mark and are not re-checked; these tests hold that trust to
-account. Every derived graph passes ``check_graph`` and equals what
-``make_graph`` builds from the same data, a hand-built ``Graph(...)`` never
-carries the mark and is still rejected by ``validate`` and every solver, and
-one public solve 2-colors its input once. A parsed clique instance is built
-without ``make_graph`` and equals the ``make_mcq`` build.
+A ``Graph`` checks itself as it is built, while graphs from ``make_graph``,
+the parsers and the toolkit's own derivations are filled in by
+``_trusted_graph`` without the check; these tests hold that trust to
+account. Every derived graph passes the constructor's check and equals what
+``make_graph`` builds from the same data, a broken hand-built ``Graph(...)``
+cannot be built, so neither ``validate`` nor any solver or derivation ever
+sees one, and one public solve 2-colors its input once and checks no graph.
+A parsed clique instance is built without ``make_graph`` and equals the
+``make_mcq`` build.
 """
 
 import dataclasses
@@ -16,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pvckit
+from helpers import check_graph_reference
 from pvckit import (Graph, InputError, Variant, WpvcInstance, bipartition, edge_subgraph,
                     expand, generators, infer_variant, make_graph, make_mcq, parse_mcq,
                     parse_wpvc, pendantize,
@@ -23,15 +26,13 @@ from pvckit import (Graph, InputError, Variant, WpvcInstance, bipartition, edge_
                     solve_epvcbd, solve_pvcbm, solve_wpvc_bounded_degree, solve_wpvc_by_L,
                     solve_wpvcbfd, validate, weighted_degrees, write_wpvc)
 from pvckit.branching import _force_free
-from pvckit.graph import check_graph
 from pvckit.oracle import oracle_fractional, oracle_pvcbm, oracle_wpvc
-from pvckit.reduction import ReductionOutput
 from test_graph_core import malformed_graphs
 
 
 def assert_trusted_sound(g):
-    assert g._checked
-    assert check_graph(g) == []
+    assert type(g) is Graph
+    assert Graph(g.n, g.edges, g.costs, g.adjacency) == g  # passes the constructor's check
     assert g == make_graph(g.n, g.edges, g.costs)
 
 
@@ -168,7 +169,7 @@ class TestParsedCliqueGraphs:
         checks = count_calls(monkeypatch, "check_graph")
         with caplog.at_level("WARNING", logger="pvckit.reduction"):
             mcq = parse_mcq(text)
-        assert mcq.graph._checked and builds == [] and checks == []
+        assert builds == [] and checks == []
         assert "dropped 1 intra-class edge(s)" in caplog.text
         assert mcq.graph.edges == ((0, 2, 1),) and mcq.dropped_intra_class_edges == 1
 
@@ -198,50 +199,40 @@ class TestGadgetPendantizeGuard:
         for e, (u, v, _) in enumerate(edges):
             adjacency[u].append(e)
             adjacency[v].append(e)
-        forged = Graph(g.n, edges, g.costs, tuple(map(tuple, adjacency)))
-        source = dataclasses.replace(out, instance=dataclasses.replace(out.instance, graph=forged))
+        # The forged source cannot be built, so pendantize never sees it.
         with pytest.raises(InputError, match="parallel edge"):
-            pendantize(source)
-
-
-def _gadget_shaped(g):
-    """``g`` as a gadget output that passes ``pendantize``'s shape check
-    whenever ``g`` has an even number of vertices, at least 2."""
-    half = max(g.n - 2, 0) // 2
-    roles = ["v%d" % i for i in range(half)] + ["u%d" % i for i in range(half)]
-    inst = WpvcInstance(g, 1, 1, Variant.WPVC, True)
-    return ReductionOutput(inst, tuple(roles + ["z1", "z2"]), tuple(range(half)),
-                           tuple(range(half, 2 * half)), 1, half)
+            Graph(g.n, edges, g.costs, tuple(map(tuple, adjacency)))
 
 
 class TestHandBuiltSourcesAreChecked:
-    """Each public function that derives a graph checks a hand-built source
-    on entry, so no broken graph is carried into a trusted build."""
+    """A broken hand-built source raises as it is built, so no public
+    function that derives a graph can carry one into a trusted build."""
 
     @settings(max_examples=300)
     @given(malformed_graphs())
-    def test_every_derivation_rejects(self, g):
-        assume(check_graph(g))
-        inst = WpvcInstance(g, 1, 1, Variant.WPVC)
-        for derive in (lambda: residual(inst, 0), lambda: prune_unaffordable(inst),
-                       lambda: edge_subgraph(g, ()), lambda: pendantize(_gadget_shaped(g)),
-                       lambda: rebalance_sections(g, [0] * g.n)):
-            with pytest.raises(InputError):
-                derive()
+    def test_every_derivation_rejects(self, fields):
+        # A copy through dataclasses.replace is built, and checked, the same way.
+        problems = check_graph_reference(**fields)
+        assume(problems)
+        for build in (lambda: Graph(**fields),
+                      lambda: dataclasses.replace(make_graph(0, []), **fields)):
+            with pytest.raises(InputError) as info:
+                build()
+            assert str(info.value) == "; ".join(problems)
 
     def test_rebalance_sections_of_a_foreign_adjacency_entry(self):
         # Vertex 0 lists edge 5, which does not exist; the gain pass would
         # index past the edges.
-        g = Graph(n=2, edges=((0, 1, 1),), costs=(2, 2), adjacency=((0, 5), (0,)))
         with pytest.raises(InputError, match="adjacency of vertex 0 lists foreign edge 5"):
-            rebalance_sections(g, [1, 1])
+            rebalance_sections(Graph(n=2, edges=((0, 1, 1),), costs=(2, 2),
+                                     adjacency=((0, 5), (0,))), [1, 1])
 
     def test_residual_of_an_unlisted_edge(self):
         # Vertex 0 does not list edge 0, so forcing it would keep the edge
         # and the whole target.
-        g = Graph(n=2, edges=((0, 1, 1),), costs=(1, 1), adjacency=((), (0,)))
         with pytest.raises(InputError, match="edge 0 missing from an endpoint adjacency list"):
-            residual(WpvcInstance(g, 1, 1, Variant.PVC), 0)
+            residual(WpvcInstance(Graph(n=2, edges=((0, 1, 1),), costs=(1, 1),
+                                        adjacency=((), (0,))), 1, 1, Variant.PVC), 0)
 
 
 class TestEdgeSubgraphIds:
@@ -253,93 +244,90 @@ class TestEdgeSubgraphIds:
 
 
 class TestHandBuiltGraphs:
-    def test_copy_by_hand_never_carries_the_mark(self):
+    """A broken graph raises InputError as it is built, with the problems
+    ``validate`` and the solvers used to report, so no call on it is made."""
+
+    def test_copy_by_hand_is_checked_and_equal(self, monkeypatch):
         g = make_graph(3, [(0, 1), (1, 2)])
-        copies = [Graph(g.n, g.edges, g.costs, g.adjacency), dataclasses.replace(g)]
+        checks = count_calls(monkeypatch, "check_graph")
+        copies = [Graph(g.n, g.edges, g.costs, g.adjacency), dataclasses.replace(g),
+                  Graph(g.n, list(g.edges), list(g.costs), [list(a) for a in g.adjacency])]
+        assert len(checks) == len(copies)
         for h in copies:
-            assert h == g and not h._checked
+            assert h == g and hash(h) == hash(g)
         with pytest.raises(TypeError):
             Graph(g.n, g.edges, g.costs, g.adjacency, True)
 
     @settings(max_examples=200)
     @given(malformed_graphs())
-    def test_validate_and_every_solver_reject(self, g):
-        problems = check_graph(g)
+    def test_validate_and_every_solver_reject(self, fields):
+        problems = check_graph_reference(**fields)
         assume(problems)
-        assert validate(WpvcInstance(g, 1, 1, Variant.WPVC)) == problems
         for variant in Variant:
             for bipartite in (False, True):
-                inst = WpvcInstance(g, 1, 1, variant, bipartite)
-                assert validate(inst)
-                for solve in (solve_epvcbd, solve_wpvc_by_L, solve_wpvcbfd,
+                for solve in (validate, solve_epvcbd, solve_wpvc_by_L, solve_wpvcbfd,
                               lambda inst: solve_wpvc_bounded_degree(inst, 8)):
-                    with pytest.raises(InputError):
-                        solve(inst)
+                    with pytest.raises(InputError) as info:
+                        solve(WpvcInstance(Graph(**fields), 1, 1, variant, bipartite))
+                    assert str(info.value) == "; ".join(problems)
         with pytest.raises(InputError):
-            solve_pvcbm(g, 1, 1, 1)
+            solve_pvcbm(Graph(**fields), 1, 1, 1)
 
     @pytest.mark.parametrize("entry", [(0,), (0, 1), (0, 1, 1, 0), [0, 1, 1], 0, None],
                              ids=["one", "pair", "four", "list", "int", "none"])
     def test_edge_entry_that_is_no_triple_is_reported(self, entry):
         # Unpacking such an entry used to raise ValueError or TypeError from
-        # validate, every solver and the oracles. The weights of a broken
-        # graph are not checked against the tag, so the cost of 2 adds nothing.
-        g = Graph(n=2, edges=(entry,), costs=(1, 2), adjacency=((0,), (0,)))
-        problem = "edge 0 is not a (u, v, profit) triple"
-        for variant in Variant:
-            assert validate(WpvcInstance(g, 1, 1, variant)) == [problem]
-        inst = WpvcInstance(g, 1, 1, Variant.PVC, True)
-        for call in (solve_epvcbd, solve_wpvc_by_L, solve_wpvcbfd,
-                     lambda inst: solve_wpvc_bounded_degree(inst, 1),
-                     lambda inst: solve_pvcbm(g, 1, 1, 1),
-                     oracle_wpvc, oracle_fractional, lambda inst: oracle_pvcbm(g, 1, 1, 1),
-                     expand, prune_unaffordable, lambda inst: residual(inst, 0),
-                     lambda inst: edge_subgraph(g, ()),
-                     lambda inst: rebalance_sections(g, [1, 1])):
+        # validate, every solver and the oracles. Now the graph cannot be
+        # built; the cost of 2 adds nothing, since no tag is read.
+        def graph():
+            return Graph(n=2, edges=(entry,), costs=(1, 2), adjacency=((0,), (0,)))
+
+        def inst():
+            return WpvcInstance(graph(), 1, 1, Variant.PVC, True)
+
+        for call in (lambda: validate(inst()), lambda: solve_epvcbd(inst()),
+                     lambda: solve_wpvc_by_L(inst()), lambda: solve_wpvcbfd(inst()),
+                     lambda: solve_wpvc_bounded_degree(inst(), 1),
+                     lambda: solve_pvcbm(graph(), 1, 1, 1),
+                     lambda: oracle_wpvc(inst()), lambda: oracle_fractional(inst()),
+                     lambda: oracle_pvcbm(graph(), 1, 1, 1), lambda: expand(inst()),
+                     lambda: prune_unaffordable(inst()), lambda: residual(inst(), 0),
+                     lambda: edge_subgraph(graph(), ()),
+                     lambda: rebalance_sections(graph(), [1, 1])):
             with pytest.raises(InputError, match=r"^edge 0 is not a \(u, v, profit\) triple$"):
-                call(inst)
+                call()
 
     def test_adjacency_that_lists_an_edge_twice_is_rejected(self):
         # Vertex 2 lists edge 3 twice. A search that trusted it would take
         # edge 3's profit twice on forcing vertex 2 and answer no, where the
         # built graph's {3, 5} covers all four edges.
         g = make_graph(6, [(2, 3), (0, 3), (4, 5), (2, 5)])
-        twice = Graph(g.n, g.edges, g.costs, ((1,), (), (0, 3, 3), (0, 1), (2,), (2, 3)))
-        assert check_graph(twice) == ["adjacency of vertex 2 lists edge 3 twice"]
         assert solve_epvcbd(WpvcInstance(g, 2, 4, Variant.PVC, True)).verdict
-        inst = WpvcInstance(twice, 2, 4, Variant.PVC, True)
-        for solve in (solve_epvcbd, solve_wpvc_by_L, solve_wpvcbfd,
-                      lambda inst: solve_wpvc_bounded_degree(inst, 8)):
-            with pytest.raises(InputError, match="lists edge 3 twice"):
-                solve(inst)
-        with pytest.raises(InputError, match="lists edge 3 twice"):
-            solve_pvcbm(twice, 2, 4, 1)
+        with pytest.raises(InputError) as info:
+            Graph(g.n, g.edges, g.costs, ((1,), (), (0, 3, 3), (0, 1), (2,), (2, 3)))
+        assert str(info.value) == "adjacency of vertex 2 lists edge 3 twice"
 
     def test_float_profits_are_rejected(self):
         # Taking vertex 0 covers both edges, profit 3, so the answer is yes;
         # a solver that took the float profits in would answer otherwise.
-        g = Graph(3, ((0, 1, 1.5), (0, 2, 1.5)), (1, 1, 1), ((0, 1), (0,), (1,)))
-        assert check_graph(g) == ["edge 0 has profit 1.5, not a non-negative integer",
-                                  "edge 1 has profit 1.5, not a non-negative integer"]
-        inst = WpvcInstance(g, 1, 3, Variant.WPVC, True)
-        for decide in (solve_wpvcbfd, solve_wpvc_by_L, prune_unaffordable,
-                       lambda inst: residual(inst, 1), lambda inst: edge_subgraph(g, (0,)),
-                       lambda inst: pendantize(_gadget_shaped(g))):
-            with pytest.raises(InputError, match="profit 1.5"):
-                decide(inst)
+        with pytest.raises(InputError) as info:
+            Graph(3, ((0, 1, 1.5), (0, 2, 1.5)), (1, 1, 1), ((0, 1), (0,), (1,)))
+        assert str(info.value) == ("edge 0 has profit 1.5, not a non-negative integer; "
+                                   "edge 1 has profit 1.5, not a non-negative integer")
 
-    @pytest.mark.parametrize("g", [
-        Graph(2, ((0, 1, 1),), (1.5, 1), ((0,), (0,))),
-        Graph(2, ((0.0, 1, 1),), (1, 1), ((0,), (0,))),
-        Graph(2, ((0, 1, 1),), (1, 1), ((0,), (0.0,))),
+    @pytest.mark.parametrize("fields, problem", [
+        ((2, ((0, 1, 1),), (1.5, 1), ((0,), (0,))),
+         "vertex 0 has cost 1.5, not a non-negative integer"),
+        ((2, ((0.0, 1, 1),), (1, 1), ((0,), (0,))),
+         "edge 0 has non-integer endpoint"),
+        ((2, ((0, 1, 1),), (1, 1), ((0,), (0.0,))),
+         "edge 0 missing from an endpoint adjacency list; "
+         "adjacency of vertex 1 lists foreign edge 0.0"),
     ], ids=["cost", "endpoint", "adjacency"])
-    def test_other_non_integer_values_are_rejected(self, g):
-        assert check_graph(g)
-        inst = WpvcInstance(g, 2, 1, Variant.WPVC, True)
-        for decide in (solve_wpvcbfd, solve_wpvc_by_L, prune_unaffordable,
-                       lambda inst: residual(inst, 1)):
-            with pytest.raises(InputError):
-                decide(inst)
+    def test_other_non_integer_values_are_rejected(self, fields, problem):
+        with pytest.raises(InputError) as info:
+            Graph(*fields)
+        assert str(info.value) == problem
 
 
 def count_calls(monkeypatch, name):
@@ -418,10 +406,15 @@ class TestOnePassPerSolve:
         assert len(graphs) == 1 and len(sides) == 1 and rechecks == []
 
     def test_hand_built_graph_is_checked_once(self, monkeypatch):
+        # Once, as it is built; no solve checks it again.
         g = self.fractional_instance(True).graph
-        hand = Graph(g.n, g.edges, g.costs, g.adjacency)
         checks = count_calls(monkeypatch, "check_graph")
+        hand = Graph(g.n, g.edges, g.costs, g.adjacency)
+        assert checks == [(hand,)]
         rep = solve_wpvcbfd(WpvcInstance(hand, 3, 6, Variant.WPVC, True))
         assert rep == dataclasses.replace(
             solve_wpvcbfd(self.fractional_instance(True)), wall_time=rep.wall_time)
-        assert checks == [(hand,)]
+        unit = Graph(2, ((0, 1, 1),), (1, 1), ((0,), (0,)))
+        assert len(checks) == 2
+        assert solve_pvcbm(unit, 1, 1, 1).verdict and oracle_pvcbm(unit, 1, 1, 1).verdict
+        assert len(checks) == 2
