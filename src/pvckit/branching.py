@@ -10,7 +10,10 @@ left. Branching is on kernel members in ascending vertex id, and a rule that
 settles a node returns a map from vertex to the number of copies it takes.
 Before the rule runs, a fractional-knapsack bound on the live profit settles
 every node whose budget cannot reach its target, so the rules only see nodes
-that may still have a feasible completion. The search keeps its frames on an
+that may still have a feasible completion. A child whose subtree finds no
+witness is banned from its later siblings and their subtrees: no feasible
+completion of the node takes it, so neither the branch lists nor the bound
+need it there. The search keeps its frames on an
 explicit stack, so its depth is bounded by memory, not by Python's recursion
 limit. Depth and fan-out bounds are hard assertions, not hopes.
 
@@ -94,9 +97,24 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None):
     bound admits reach ``rule(wdeg, budget, target, left)``, which returns
     ``(take, None)`` when ``take``, a map from vertex to a number of its
     copies left, finishes the cover, or ``(None, branch)`` to try one copy of
-    each vertex of ``branch`` in turn, skipping those the node cannot afford.
+    each vertex of ``branch`` in turn, skipping those the node cannot afford
+    and those it bans (below).
     Rules read ``wdeg`` and ``left`` and must not write to either: the search
     owns that state across nodes.
+
+    Sibling exclusion. When the subtree of a node's child v finds no witness,
+    no feasible completion of the node takes v (with ``copies``, one more
+    copy of v), since the search below v is complete. So the node bans v
+    before it tries its next child, and lifts its bans when its frame pops:
+    ``bans`` is a stack of the banned vertices, kept like the chain, and
+    ``banned[v]`` counts the entries of v in it. Below a ban, branch lists
+    skip v, and the bound reads ``wdeg`` with v's entry zeroed, in a copy
+    made only at nodes where some vertex is banned. A banned vertex is in no
+    feasible completion, so the bound still admits every node that has one,
+    the rules, which read the exact ``wdeg``, return the same kernels, and a
+    ``take`` never holds a banned vertex. The depth-first order is unchanged
+    and only subtrees without a feasible completion are cut, so the first
+    witness found is the same, and only the node count and depth can fall.
 
     A search with ``copies`` differs from one without in three places only:
     the bound (:func:`_section_bound` rather than :func:`_profit_bound`), the
@@ -126,7 +144,11 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None):
     assert 0 not in costs or not any(w and not costs[v] for v, w in enumerate(wdeg))
     scale = _ratio_scale(costs, inst.budget)
     slack = total - inst.target  # live profit that may stay uncovered
-    stack = []  # one frame per branching node: (branch iterator, chain length, budget)
+    # One frame per branching node: (branch iterator, chain length, budget,
+    # bans length).
+    stack = []
+    bans = []  # the children whose subtrees failed, each above its frame's base
+    banned = [0] * g.n  # per vertex, its entries in bans
     budget = inst.budget
     nodes = deepest = 0
     while True:
@@ -136,22 +158,30 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None):
         if target == 0:
             break
         if 0 < budget and target <= live:
-            bound = (_profit_bound(wdeg, costs, scale, budget) if copies is None
-                     else _section_bound(wdeg, left, budget))
+            # No completion takes a banned vertex, so the bound leaves it out.
+            items = wdeg if not bans else [0 if b else w for w, b in zip(wdeg, banned)]
+            bound = (_profit_bound(items, costs, scale, budget) if copies is None
+                     else _section_bound(items, left, budget))
             found = rule(wdeg, budget, target, left) if bound >= target else None
         else:
             found = None
         if found is not None:
             take, branch = found
             if take is not None:
+                # A take is a feasible completion, so it holds no banned vertex.
+                assert not any(banned[v] for v in take)
                 for v, k in take.items():
                     left[v] -= k
                 chain += take
                 break
             nodes += 1
-            stack.append((iter(branch), len(chain), budget))
+            stack.append((iter(branch), len(chain), budget, len(bans)))
         while stack:
-            branch, base, budget = stack[-1]
+            branch, base, budget, ban_base = stack[-1]
+            if len(chain) > base:
+                # The subtree of the child chain[base] found no witness.
+                bans.append(chain[base])
+                banned[chain[base]] += 1
             while len(chain) > base:
                 v = chain.pop()
                 left[v] += 1
@@ -164,7 +194,7 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None):
                         weight += p * left[x]
                 wdeg[v] = weight
                 live += weight
-            v = next((v for v in branch if costs[v] <= budget), None)
+            v = next((v for v in branch if costs[v] <= budget and not banned[v]), None)
             if v is not None:
                 assert left[v]
                 live -= wdeg[v]  # the live pairs of one copy of v
@@ -179,6 +209,8 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None):
                 chain.append(v)
                 budget -= costs[v]
                 break
+            while len(bans) > ban_base:
+                banned[bans.pop()] -= 1
             stack.pop()
         else:
             return None, nodes, deepest

@@ -114,7 +114,9 @@ def make_graph(n, edges, costs=None) -> Graph:
     """Build and validate a graph.
 
     ``edges`` items are (u, v) or (u, v, profit); profit defaults to 1, and an
-    item of any other shape is rejected. Costs default to 1 per vertex.
+    item of any other shape is rejected. The graph stores each edge as a
+    tuple (u, v, profit) with u < v, and keeps an item that is already one.
+    Costs default to 1 per vertex.
     Self-loops and parallel edges are rejected, as are negative weights.
     """
     if not isinstance(n, int) or n < 0:
@@ -147,7 +149,10 @@ def make_graph(n, edges, costs=None) -> Graph:
         if key in seen_pairs:
             raise InputError("parallel edge %s" % (key,))
         seen_pairs.add(key)
-        norm.append((key[0], key[1], p))
+        # An item that is already a normalized triple is kept, so graphs
+        # built from one edge list share its tuples.
+        norm.append(item if type(item) is tuple and len(item) == 3 and u < v
+                    else (key[0], key[1], p))
     return _trusted_graph(n, norm, costs)
 
 

@@ -8,17 +8,20 @@ dynamic program that uses no pvckit code. It is loaded from its file, not
 copied.
 
 Each solver runs on forests of 50 to 300 vertices at the optimum (a yes,
-whose witness is re-checked here) and one step past it (a no). Each cover
-oracle runs on small forests against the same functions. Zero-cost vertices
-and zero-profit edges are drawn, except where ``fractional_best`` divides by
-vertex costs.
+whose witness is re-checked here) and one step past it (a no). Explicit
+examples add seeded 200-vertex forests at the largest budgets drawn: one
+past their optimum, a search that did not ban failed siblings expanded about
+10^5 nodes or ran for more than 10 s. Each cover oracle runs on small
+forests against the same functions. Zero-cost vertices and zero-profit
+edges are drawn, except where ``fractional_best`` divides by vertex costs.
 """
 
 import importlib.util
+import random
 from dataclasses import replace
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pvckit import (WpvcInstance, infer_variant, make_graph, oracle_fractional,
@@ -35,11 +38,14 @@ ORACLE_RUNS = settings(max_examples=50, deadline=None)
 
 
 @st.composite
-def forests(draw, n_min, n_max, cost_min=0, cost_max=3, profit_min=0, profit_max=4,
-            max_degree=None):
-    """A forest: each vertex joins an earlier one with room, or starts a tree."""
+def forests(draw, n_min, n_max, **weights):
+    """A forest of ``n_min`` to ``n_max`` vertices (see :func:`forest`)."""
     n = draw(st.integers(n_min, n_max))
-    rng = draw(st.randoms(use_true_random=False))
+    return forest(draw(st.randoms(use_true_random=False)), n, **weights)
+
+
+def forest(rng, n, cost_min=0, cost_max=3, profit_min=0, profit_max=4, max_degree=None):
+    """A forest: each vertex joins an earlier one with room, or starts a tree."""
     degree = [0] * n
     edges = []
     for v in range(1, n):
@@ -94,7 +100,12 @@ def fractional_optimum(g, budget):
 
 class TestSolvers:
     @SOLVER_RUNS
-    @given(forests(50, 300, cost_min=1, cost_max=1), st.integers(0, 5))
+    @given(forests(50, 300, cost_min=1, cost_max=1), st.integers(0, 11))
+    # One past the optimum of these two forests, a search without sibling
+    # bans expanded 134,194 and 94,486 nodes (11 s and 4 s); with them it
+    # expands 21 and 5.
+    @example(forest(random.Random(13), 200, 1, 1, 1, 4), 11)
+    @example(forest(random.Random(50), 200, 1, 1, 1, 4), 11)
     def test_epvcbd(self, g, budget):
         inst = instance(g, budget, integral_optimum(g, budget), bipartite=True)
         at_the_optimum(solve_epvcbd, inst)
@@ -118,7 +129,12 @@ class TestSolvers:
         at_the_optimum(solve_wpvcbfd, inst)
 
     @SOLVER_RUNS
-    @given(forests(50, 300, cost_min=1, cost_max=20, profit_max=3), st.integers(0, 8))
+    @given(forests(50, 300, cost_min=1, cost_max=20, profit_max=3), st.integers(0, 16))
+    # One past the optimum of these two forests, a search without sibling
+    # bans did not finish in 90 s and 10 s; with them it expands 9 and 13
+    # nodes.
+    @example(forest(random.Random(13), 200, 1, 20, 1, 3), 16)
+    @example(forest(random.Random(15), 200, 1, 20, 1, 3), 16)
     def test_fractional_large_sections(self, g, budget):
         # Sections of up to 20 copies, searched as counts, not copies.
         inst = instance(g, budget, fractional_optimum(g, budget), bipartite=True)

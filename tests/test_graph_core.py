@@ -172,6 +172,35 @@ class TestConstruction:
         with pytest.raises(InputError, match=r"edge must be \(u, v\) or \(u, v, profit\)"):
             make_graph(2, [item])
 
+    def test_keeps_normalized_edge_tuples_and_copies_the_rest(self):
+        class Triple(tuple):
+            pass
+
+        kept = (0, 1, 5)
+        others = [[1, 2, 5], (3, 2, 5), (3, 4), Triple((4, 5, 5))]
+        g = make_graph(6, [kept] + others)
+        assert g.edges[0] is kept
+        assert g.edges[1:] == ((1, 2, 5), (2, 3, 5), (3, 4, 1), (4, 5, 5))
+        for edge, item in zip(g.edges[1:], others):
+            assert edge is not item and type(edge) is tuple
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0,)], "edge must be (u, v) or (u, v, profit): (0,)"),
+        ([(0, 1, 2, 3)], "edge must be (u, v) or (u, v, profit): (0, 1, 2, 3)"),
+        ([5], "edge must be (u, v) or (u, v, profit): 5"),
+        ([(0, 1.0, 1)], "edge endpoints must be integers: (0, 1.0, 1)"),
+        ([(0, 3, 1)], "edge endpoint out of range: (0, 3, 1)"),
+        ([(1, 1, 1)], "self-loop at vertex 1"),
+        ([(0, 1, -1)], "edge profit must be a non-negative integer: (0, 1, -1)"),
+        ([(0, 1, 1.5)], "edge profit must be a non-negative integer: (0, 1, 1.5)"),
+        ([(0, 1, 1), (0, 1, 2)], "parallel edge (0, 1)"),
+        ([(0, 1, 1), [1, 0, 1]], "parallel edge (0, 1)"),
+    ])
+    def test_edge_errors_name_the_item(self, edges, message):
+        with pytest.raises(InputError) as info:
+            make_graph(3, edges)
+        assert str(info.value) == message
+
     def test_adjacency_lists_both_endpoints(self):
         g = make_graph(3, [(0, 1), (1, 2)])
         assert g.adjacency == ((0,), (0, 1), (1,))

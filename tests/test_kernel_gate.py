@@ -28,13 +28,25 @@ vertex, and checks its takes and branch lists the same way, and its profit
 bound at every node it computes: the bound reaches the most live profit
 that any completion within the budget covers.
 
+The search bans each child whose subtree found no witness from its later
+siblings, and the bound leaves banned vertices out. A ban is sound only if
+no feasible completion of the node takes the banned vertex (with sections,
+another copy of it). The ban gate reads the bans of the running search at
+every node where it computes its bound, and each time a frame takes its
+next child, and checks that by brute force on boundary trees, where the
+search backtracks. It also checks that the bound, over the weights with
+banned vertices zeroed, reaches the most live profit that a completion
+avoiding them covers; the bound's own gate checks the same on random bans.
+
 The instances have at most 9 vertices (6 for the section search, with costs
-up to 3) and draw zero-cost vertices and zero-profit edges.
+up to 3) and draw zero-cost vertices and zero-profit edges; the ban gate's
+trees have at most 12 (9 for the section search).
 """
 
 import random
+import sys
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations
 
 import pytest
 
@@ -44,18 +56,27 @@ from pvckit import (Variant, WpvcInstance, branching, infer_variant, make_graph,
 
 CASES = 1500
 SECTION_CASES = 3000
+BAN_CASES = 600
+SEARCH = branching._search.__code__
+
+
+def covered(g, forced, chosen):
+    """The live profit the set ``chosen`` covers."""
+    return sum(p for u, w, p in g.edges
+               if not (forced[u] or forced[w]) and (u in chosen or w in chosen))
 
 
 def completions(g, forced, budget, target):
     """The node's feasible completions, smallest first."""
     live = [(u, w, p) for u, w, p in g.edges if p and not (forced[u] or forced[w])]
     useful = sorted({v for u, w, _ in live for v in (u, w) if g.costs[v] <= budget})
+    # No set has more vertices than the most of the cheapest ones that fit.
+    sizes = sum(1 for spent in accumulate(sorted(g.costs[v] for v in useful)) if spent <= budget)
     found = []
-    for size in range(len(useful) + 1):
+    for size in range(sizes + 1):
         for pick in combinations(useful, size):
             chosen = set(pick)
-            if (sum(g.costs[v] for v in chosen) <= budget
-                    and sum(p for u, w, p in live if u in chosen or w in chosen) >= target):
+            if sum(g.costs[v] for v in chosen) <= budget and covered(g, forced, chosen) >= target:
                 found.append(chosen)
     return found
 
@@ -73,8 +94,7 @@ def gated(inst, rule, calls):
             chosen = set(take)
             assert not any(forced[v] for v in chosen)
             assert sum(g.costs[v] for v in chosen) <= budget
-            assert sum(p for u, w, p in g.edges if not (forced[u] or forced[w])
-                       and (u in chosen or w in chosen)) >= target
+            assert covered(g, forced, chosen) >= target
             return found
         affordable = {v for v in branch if g.costs[v] <= budget}
         assert not feasible or any(s & affordable for s in feasible), \
@@ -92,10 +112,13 @@ def section_completions(g, left, budget, target):
     w's l_w covers l_u l_w - (l_u - k_u)(l_w - k_w) live copy pairs of uw."""
     live = [(u, w, p) for u, w, p in g.edges if p and left[u] and left[w]]
     useful = sorted({v for u, w, _ in live for v in (u, w)})
+    # Every count vector within the budget, as (copies spent, counts).
+    picks = [(0, ())]
+    for v in useful:
+        picks = [(spent + c, ks + (c,)) for spent, ks in picks
+                 for c in range(min(left[v], budget - spent) + 1)]
     found = []
-    for ks in product(*(range(min(left[v], budget) + 1) for v in useful)):
-        if sum(ks) > budget:
-            continue
+    for _, ks in picks:
         k = dict(zip(useful, ks))
         covered = sum(p * (left[u] * left[w] - (left[u] - k[u]) * (left[w] - k[w]))
                       for u, w, p in live)
@@ -148,6 +171,90 @@ def rule_calls(monkeypatch):
 
     monkeypatch.setattr(branching, "_search", search_with_gate)
     return calls
+
+
+def node_state():
+    """The locals of the innermost running search, read from a function it
+    calls: its graph, copies left, ``wdeg``, bans and the rest of its state."""
+    frame = sys._getframe()
+    while frame.f_code is not SEARCH:
+        frame = frame.f_back
+    return frame.f_locals
+
+
+def check_bans(state, budget, target):
+    """Check by brute force that at the search node ``state`` describes,
+    taking a banned vertex (with sections, one more copy of it) leaves no
+    feasible completion; returns the banned vertices."""
+    g, left, wdeg = state["g"], state["left"], state["wdeg"]
+    bans = {v for v, b in enumerate(state["banned"]) if b}
+    for v in bans:
+        assert left[v]
+        if state["copies"] is None:
+            after = [not k for k in left]
+            after[v] = True
+            feasible = g.costs[v] <= budget and completions(
+                g, after, budget - g.costs[v], target - wdeg[v])
+        else:
+            after = left[:]
+            after[v] -= 1
+            feasible = section_completions(g, after, budget - 1, target - wdeg[v])
+        assert not feasible, "a feasible completion takes banned vertex %d" % v
+    return bans
+
+
+@pytest.fixture
+def ban_gate(monkeypatch):
+    """Check the bans of every search: at each node where it computes its
+    bound, and each time a frame takes its next child, no feasible
+    completion takes a banned vertex (see :func:`check_bans`). At the bound,
+    also check that it reads ``wdeg`` with the banned vertices zeroed and
+    reaches the most live profit a completion avoiding them covers. Yields
+    the number of bans at each node where the bound was computed."""
+    nodes = []
+    search = branching._search
+    profit_bound, section_bound = branching._profit_bound, branching._section_bound
+
+    def bound_gate(items, budget, bound):
+        state = node_state()
+        g, left = state["g"], state["left"]
+        bans = check_bans(state, budget, state["target"])
+        assert items == [0 if v in bans else w for v, w in enumerate(state["wdeg"])]
+        if state["copies"] is None:
+            forced = [not k for k in left]
+            best = max(covered(g, forced, chosen)
+                       for chosen in completions(g, forced, budget, 0) if not chosen & bans)
+        else:
+            best = max(cover for k, cover in section_completions(g, left, budget, 0)
+                       if not bans & k.keys())
+        assert bound >= best, "the bound cuts a node with a completion avoiding the bans"
+        nodes.append(len(bans))
+        return bound
+
+    def picks_with_gate(branch):
+        # The search pulls the next child with its frame's state restored.
+        for v in branch:
+            state = node_state()
+            check_bans(state, state["budget"], max(0, state["live"] - state["slack"]))
+            yield v
+        state = node_state()
+        check_bans(state, state["budget"], max(0, state["live"] - state["slack"]))
+
+    def search_with_gate(inst, rule, depth_bound, copies=None):
+        def rule_with_gate(wdeg, budget, target, left):
+            take, branch = rule(wdeg, budget, target, left)
+            return take, None if branch is None else picks_with_gate(branch)
+
+        return search(inst, rule_with_gate, depth_bound, copies)
+
+    monkeypatch.setattr(branching, "_search", search_with_gate)
+    monkeypatch.setattr(branching, "_profit_bound",
+                        lambda items, costs, scale, budget:
+                        bound_gate(items, budget, profit_bound(items, costs, scale, budget)))
+    monkeypatch.setattr(branching, "_section_bound",
+                        lambda items, left, budget:
+                        bound_gate(items, budget, section_bound(items, left, budget)))
+    return nodes
 
 
 def random_case(rng, unit_costs=False, bipartite=False, degree_cap=None):
@@ -227,6 +334,51 @@ def test_section_search(rule_calls):
     assert any(take is not None for take, _ in rule_calls)
 
 
+BAN_SOLVERS = {
+    "epvcbd": (solve_epvcbd, oracle_wpvc),
+    "bounded-degree": (lambda inst: solve_wpvc_bounded_degree(inst, 3), oracle_wpvc),
+    "by-L": (solve_wpvc_by_L, oracle_wpvc),
+    "fractional": (solve_wpvcbfd, oracle_fractional),
+}
+
+
+def boundary_tree(rng, solver):
+    """A random tree at the optimum its solver's oracle finds at a random
+    budget, or one past it. Trees make the profit bound loose, so the search
+    backtracks and bans; on the graphs of :func:`random_case` it seldom does.
+    Up to 12 vertices, or 9 for the section search, with costs up to 3."""
+    sections = solver == "fractional"
+    n = rng.randint(3, 9 if sections else 12)
+    degree = [0] * n
+    edges = []
+    for v in range(1, n):
+        u = rng.choice([u for u in range(v) if solver != "bounded-degree" or degree[u] < 3])
+        degree[u] += 1
+        degree[v] += 1
+        edges.append((u, v, rng.randint(1, 6)))
+    costs = [1] * n if solver == "epvcbd" else [rng.randint(sections, 3) for _ in range(n)]
+    g = make_graph(n, edges, costs)
+    budget = rng.randint(1, 6)
+    oracle = BAN_SOLVERS[solver][1]
+    lo, hi = 0, g.total_profit() + 1  # a yes at lo, a no at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        yes = oracle(WpvcInstance(g, budget, mid, infer_variant(g), sections)).verdict
+        lo, hi = (mid, hi) if yes else (lo, mid)
+    return WpvcInstance(g, budget, rng.choice([lo, hi]), infer_variant(g), sections)
+
+
+@pytest.mark.parametrize("solver", list(BAN_SOLVERS))
+def test_no_feasible_completion_takes_a_banned_vertex(ban_gate, solver):
+    rng = random.Random("ban-gate:" + solver)
+    solve, oracle = BAN_SOLVERS[solver]
+    for _ in range(BAN_CASES):
+        inst = boundary_tree(rng, solver)
+        assert solve(inst).verdict == oracle(inst).verdict
+    # The gate saw many nodes below a failed sibling.
+    assert sum(map(bool, ban_gate)) > 100
+
+
 def random_node(rng, unit_costs):
     """A search node of a random instance with positive budget: random
     copies left (1, or 0 for a forced vertex), then the free pass, as at the
@@ -269,15 +421,23 @@ def lp_value(wdeg, costs, budget):
 @pytest.mark.parametrize("unit_costs", [True, False], ids=["unit", "weighted"])
 def test_profit_bound_admits_feasible_nodes_and_is_the_lp_value(unit_costs):
     rng = random.Random(104 + unit_costs)
+    ban_rng = random.Random(107 + unit_costs)
     for _ in range(CASES):
         g, forced, wdeg, scale, budget = random_node(rng, unit_costs)
         assert scale is None or not unit_costs
         bound = branching._profit_bound(wdeg, g.costs, scale, budget)
         assert bound == int(lp_value(wdeg, g.costs, budget))
-        covers = [sum(p for u, w, p in g.edges if not (forced[u] or forced[w])
-                      and (u in chosen or w in chosen))
-                  for chosen in completions(g, forced, budget, 0)]
-        assert bound >= max(covers), "the bound cuts a node with a feasible completion"
+        feasible = completions(g, forced, budget, 0)
+        assert bound >= max(covered(g, forced, chosen) for chosen in feasible), \
+            "the bound cuts a node with a feasible completion"
+        # The search's bound over wdeg with the banned vertices zeroed.
+        bans = {v for v in range(g.n) if ban_rng.random() < 0.3}
+        masked = [0 if v in bans else w for v, w in enumerate(wdeg)]
+        bound = branching._profit_bound(masked, g.costs, scale, budget)
+        assert bound == int(lp_value(masked, g.costs, budget))
+        assert bound >= max(covered(g, forced, chosen) for chosen in feasible
+                            if not chosen & bans), \
+            "the masked bound cuts a node with a completion avoiding the bans"
 
 
 def test_profit_bound_is_exact_past_float_range():
