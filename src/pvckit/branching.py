@@ -13,9 +13,12 @@ every node whose budget cannot reach its target, so the rules only see nodes
 that may still have a feasible completion. A child whose subtree finds no
 witness is banned from its later siblings and their subtrees: no feasible
 completion of the node takes it, so neither the branch lists nor the bound
-need it there. The search keeps its frames on an
-explicit stack, so its depth is bounded by memory, not by Python's recursion
-limit. Depth and fan-out bounds are hard assertions, not hopes.
+need it there. A search whose costs are all 1 on many vertices keeps the
+live weighted degrees of its unbanned vertices in order as it steps, and
+reads each bound off the top of that view, so none of its nodes sorts every
+vertex. The search keeps its frames on an explicit stack, so its depth is
+bounded by memory, not by Python's recursion limit. Depth and fan-out bounds
+are hard assertions, not hopes.
 
 A search with sections differs from one without in three places, the bound,
 the epvcbd rule's pool (its size and its large-pool pick) and the result (see
@@ -30,7 +33,9 @@ from __future__ import annotations
 
 import math
 import time
-from operator import mul
+from bisect import bisect_left, insort
+from itertools import count, repeat
+from operator import add, mul
 
 from .errors import InputError
 from .graph import LEFT, RIGHT, Graph
@@ -56,6 +61,66 @@ def _force_free(g: Graph, left) -> list[int]:
             left[v] = 0
             freed.append(v)
     return freed
+
+
+# The fewest vertices at which a search whose costs are all 1 keeps an
+# ordered view of its weights. On random trees at budget 6 the view's upkeep
+# (a key moved per live neighbor at every step) costs less than the sort at
+# every node from about 100 vertices with one copy per vertex, and from
+# about 50 with sections; below, each node sorts its weights afresh.
+KEEP_VIEW_MIN_N = 100
+
+
+class _OrderedView:
+    """The live weights of a unit-cost search node in order: ``keys`` holds
+    ``wdeg[v] * radix + v``, ascending, for every vertex v with no ban and
+    ``wdeg[v] > 0`` (so with copies left). A vertex of weight 0 adds nothing
+    to a bound, so it has no key. ``radix`` is ``n * (budget + 1)``, so keys
+    order as the pairs ``(wdeg[v], v)`` do, and the sum of at most
+    ``budget`` keys, floor-divided by ``radix``, is the sum of their
+    weights. :meth:`move` keeps the keys exact as a weight changes or a ban
+    is set or lifted, by bisection, so no step sorts anything.
+    """
+
+    __slots__ = ("radix", "keys")
+
+    def __init__(self, wdeg, budget: int):
+        """The view of a node with no ban."""
+        self.radix = radix = len(wdeg) * (budget + 1)
+        self.keys = keys = sorted(map(add, map(mul, wdeg, repeat(radix)), count()))
+        del keys[:bisect_left(keys, radix)]  # the keys of weight 0
+
+    def move(self, v: int, old: int, new: int) -> None:
+        """Move the key of v from weight ``old`` to weight ``new``, where
+        weight 0 stands for no key, as for a banned vertex."""
+        keys, radix = self.keys, self.radix
+        if old:
+            del keys[bisect_left(keys, old * radix + v)]
+        if new:
+            insort(keys, new * radix + v)
+
+    def bound(self, left, budget: int) -> int:
+        """:func:`_profit_bound` when every copy costs 1, at a positive
+        ``budget`` up to the one the view was built for: the sum of the
+        ``budget`` largest weights among the copies left of the vertices
+        with a key, ``left[v]`` copies of weight ``wdeg[v]`` for each.
+        ``left`` None means one copy per vertex: the bound is then the sum
+        of the top ``budget`` keys over ``radix``, with no loop in Python.
+        Otherwise it walks the keys from the top, taking min(copies left,
+        budget left) copies of each vertex, so it reads at most ``budget``
+        keys."""
+        keys, radix = self.keys, self.radix
+        if left is None:
+            return sum(keys[-budget:]) // radix
+        bound = 0
+        for key in reversed(keys):
+            w, v = divmod(key, radix)
+            k = min(left[v], budget)
+            bound += k * w
+            budget -= k
+            if not budget:
+                break
+        return bound
 
 
 def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None):
@@ -102,24 +167,38 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None):
     Rules read ``wdeg`` and ``left`` and must not write to either: the search
     owns that state across nodes.
 
+    The ordered view. When every cost is 1 and the graph has at least
+    :data:`KEEP_VIEW_MIN_N` vertices, ``view`` is an :class:`_OrderedView`
+    of ``wdeg`` over the unbanned vertices, and every step above moves the
+    key of each neighbor whose weight it changes, in O(log n) each. The
+    bound is then :meth:`_OrderedView.bound`, which reads at most ``budget``
+    keys off its top. Equal weights summed in any order give the same sum,
+    so the bound is the one :func:`_profit_bound` or :func:`_section_bound`
+    would give, and every verdict, witness and node count is the same
+    either way. Otherwise ``view`` is None, and those two sort the weights
+    at each node.
+
     Sibling exclusion. When the subtree of a node's child v finds no witness,
     no feasible completion of the node takes v (with ``copies``, one more
     copy of v), since the search below v is complete. So the node bans v
     before it tries its next child, and lifts its bans when its frame pops:
     ``bans`` is a stack of the banned vertices, kept like the chain, and
     ``banned[v]`` counts the entries of v in it. Below a ban, branch lists
-    skip v, and the bound reads ``wdeg`` with v's entry zeroed, in a copy
-    made only at nodes where some vertex is banned. A banned vertex is in no
-    feasible completion, so the bound still admits every node that has one,
-    the rules, which read the exact ``wdeg``, return the same kernels, and a
-    ``take`` never holds a banned vertex. The depth-first order is unchanged
-    and only subtrees without a feasible completion are cut, so the first
-    witness found is the same, and only the node count and depth can fall.
+    skip v, and the bound leaves v out: ``view`` holds no key of v while it
+    is banned, and otherwise the bound reads ``wdeg`` with v's entry zeroed,
+    in a copy made only at nodes where some vertex is banned. A banned vertex
+    is in no feasible completion, so the bound still admits every node that
+    has one, the rules, which read the exact ``wdeg``, return the same
+    kernels, and a ``take`` never holds a banned vertex. The depth-first
+    order is unchanged and only subtrees without a feasible completion are
+    cut, so the first witness found is the same, and only the node count and
+    depth can fall.
 
     A search with ``copies`` differs from one without in three places only:
-    the bound (:func:`_section_bound` rather than :func:`_profit_bound`), the
-    pool of the epvcbd rule (its size counts copies left rather than vertices,
-    and its large-pool pick :func:`_copy_prefix` reads them), and
+    the bound (:func:`_section_bound` rather than :func:`_profit_bound`, or
+    with a view, a walk that reads the copies left), the pool of the epvcbd
+    rule (its size counts copies left rather than vertices, and its
+    large-pool pick :func:`_copy_prefix` reads them), and
     ``chosen``, which is the count taken per vertex rather than the forced
     vertices in the order taken.
     """
@@ -149,6 +228,8 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None):
     stack = []
     bans = []  # the children whose subtrees failed, each above its frame's base
     banned = [0] * g.n  # per vertex, its entries in bans
+    view = (_OrderedView(wdeg, inst.budget)
+            if scale is None and g.n >= KEEP_VIEW_MIN_N else None)
     budget = inst.budget
     nodes = deepest = 0
     while True:
@@ -158,10 +239,13 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None):
         if target == 0:
             break
         if 0 < budget and target <= live:
-            # No completion takes a banned vertex, so the bound leaves it out.
-            items = wdeg if not bans else [0 if b else w for w, b in zip(wdeg, banned)]
-            bound = (_profit_bound(items, costs, scale, budget) if copies is None
-                     else _section_bound(items, left, budget))
+            if view is not None:
+                bound = view.bound(None if copies is None else left, budget)
+            else:
+                # No completion takes a banned vertex, so the bound leaves it out.
+                items = wdeg if not bans else [0 if b else w for w, b in zip(wdeg, banned)]
+                bound = (_profit_bound(items, costs, scale, budget) if copies is None
+                         else _section_bound(items, left, budget))
             found = rule(wdeg, budget, target, left) if bound >= target else None
         else:
             found = None
@@ -180,8 +264,11 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None):
             branch, base, budget, ban_base = stack[-1]
             if len(chain) > base:
                 # The subtree of the child chain[base] found no witness.
-                bans.append(chain[base])
-                banned[chain[base]] += 1
+                v = chain[base]
+                bans.append(v)
+                banned[v] += 1
+                if view is not None and banned[v] == 1:
+                    view.move(v, wdeg[v], 0)
             while len(chain) > base:
                 v = chain.pop()
                 left[v] += 1
@@ -192,25 +279,36 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None):
                     if left[x]:
                         wdeg[x] += p
                         weight += p * left[x]
+                        if view is not None and p and not banned[x]:
+                            view.move(x, wdeg[x] - p, wdeg[x])
+                # v is the child just banned, so its key waits for the lift.
                 wdeg[v] = weight
                 live += weight
             v = next((v for v in branch if costs[v] <= budget and not banned[v]), None)
             if v is not None:
                 assert left[v]
-                live -= wdeg[v]  # the live pairs of one copy of v
+                weight = wdeg[v]  # the live pairs of one copy of v
+                live -= weight
                 for e in adjacency[v]:
                     u, w, p = edges[e]
                     x = w if u == v else u
                     if left[x]:
                         wdeg[x] -= p
+                        if view is not None and p and not banned[x]:
+                            view.move(x, wdeg[x] + p, wdeg[x])
                 left[v] -= 1
                 if not left[v]:
                     wdeg[v] = 0
+                    if view is not None and weight:
+                        view.move(v, weight, 0)
                 chain.append(v)
                 budget -= costs[v]
                 break
             while len(bans) > ban_base:
-                banned[bans.pop()] -= 1
+                v = bans.pop()
+                banned[v] -= 1
+                if view is not None and not banned[v]:
+                    view.move(v, 0, wdeg[v])
             stack.pop()
         else:
             return None, nodes, deepest
@@ -237,12 +335,13 @@ def _profit_bound(wdeg, costs, scale, budget: int) -> int:
     whose bound is below its target has no feasible completion.
 
     ``scale`` is None when every cost is 1; the bound is then the sum of the
-    ``budget`` largest ``wdeg``. Otherwise ``scale[c] * c`` is one common
-    multiple of the affordable costs, so ``wdeg[v] * scale[costs[v]]`` orders
-    the items by value per unit of cost exactly, in integers. Items are taken
-    whole in that order, and the first that does not fit is taken in part.
-    Every item costs at least 1, so the loop runs at most ``budget + 1``
-    times.
+    ``budget`` largest ``wdeg``, which a search that keeps an
+    :class:`_OrderedView` reads off it instead. Otherwise ``scale[c] * c``
+    is one common multiple of the affordable costs, so ``wdeg[v] *
+    scale[costs[v]]`` orders the items by value per unit of cost exactly, in
+    integers. Items are taken whole in that order, and the first that does
+    not fit is taken in part. Every item costs at least 1, so the loop runs
+    at most ``budget + 1`` times.
     """
     if scale is None:
         return sum(sorted(wdeg)[-budget:])
@@ -262,7 +361,8 @@ def _section_bound(wdeg, left, budget: int) -> int:
     several: the sum of the ``budget`` largest weights among the copies left,
     ``left[v]`` copies of weight ``wdeg[v]`` for each vertex v. Vertices are
     walked in ``wdeg`` order, taking min(copies left, budget left) copies of
-    each."""
+    each. A search that keeps an :class:`_OrderedView` walks that instead,
+    without the sort."""
     bound = 0
     for v in sorted(range(len(wdeg)), key=wdeg.__getitem__, reverse=True):
         if not wdeg[v]:

@@ -16,6 +16,12 @@ from .instance import WpvcInstance, infer_variant
 from .reduction import McqInstance, make_mcq
 
 
+# The most vertex pairs :func:`random_bounded_degree_graph` lists and shuffles:
+# n = 1,000 has 499,500 pairs (about 45 MiB and a few seconds), n = 1,001 is
+# refused.
+MAX_BOUNDED_DEGREE_PAIRS = 500_000
+
+
 def _rng(seed) -> random.Random:
     if isinstance(seed, random.Random):
         return seed
@@ -64,12 +70,19 @@ def random_bounded_degree_graph(seed, n, m, degree_bound, cost_max=1, profit_max
 
     Shuffles all vertex pairs and keeps the first m that respect the bound.
     When ``exact`` the bound failing to fit m edges is an error; otherwise the
-    graph simply ends up with fewer edges.
+    graph simply ends up with fewer edges. The pair list costs time and
+    memory in n squared whatever m is, so an n with more than
+    :data:`MAX_BOUNDED_DEGREE_PAIRS` pairs is an error, raised before any
+    draw; every n below it draws what it always drew.
     """
     rng = _rng(seed)
     _require_weight_caps(cost_max, profit_max)
     if degree_bound < 0:
         raise InputError("degree bound must be non-negative")
+    pairs = n * (n - 1) // 2 if n > 1 else 0
+    if pairs > MAX_BOUNDED_DEGREE_PAIRS:
+        raise InputError("n=%d has %d vertex pairs to shuffle, above the cap of %d"
+                         % (n, pairs, MAX_BOUNDED_DEGREE_PAIRS))
     slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
     rng.shuffle(slots)
     degree = [0] * n

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -8,6 +9,7 @@ import pvckit.cli
 from helpers import long_augmenting_path
 from pvckit import SolveReport, Variant, WpvcInstance, make_solution, parse_wpvc, write_wpvc
 from pvckit.cli import main
+from pvckit.generators import MAX_BOUNDED_DEGREE_PAIRS
 
 PATH3 = "p wpvc 3 2 1 2\ne 0 1\ne 1 2\n"
 PATH3_L3 = "p wpvc 3 2 1 3\ne 0 1\ne 1 2\n"
@@ -291,6 +293,20 @@ class TestGenCmd:
             ["gen", "bounded-degree", "--n", "3", "--m", "9", "--degree-bound", "1",
              "--seed", "0"], capsys)
         assert code == 2 and "error" in err
+
+    def test_gen_bounded_degree_past_the_pair_cap_exits_2_without_building(self, capsys):
+        # n = 1001 has 500,500 vertex pairs, just past the cap; listing them
+        # would peak at about 45 MiB.
+        assert 1000 * 999 // 2 <= MAX_BOUNDED_DEGREE_PAIRS < 1001 * 1000 // 2
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(["gen", "bounded-degree", "--n", "1001", "--m", "10",
+                                      "--seed", "0"], capsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "") and err.startswith("error:") and "cap" in err
+        assert peak < 2**20
 
     @pytest.mark.parametrize("flag", ["--cost-max", "--profit-max"])
     def test_gen_weight_cap_below_one_is_input_error(self, capsys, flag):

@@ -19,7 +19,9 @@ degree, or with unit costs none reaching target/budget). So the rules never
 return None; they assert that their kernel is not empty. The gate cannot see
 the nodes the bound cuts, so the bound has its own gate below: it admits
 every node that has a feasible completion, and it equals an independent LP
-value.
+value. Besides the random graphs, each rule gate runs on boundary trees (see
+below), where the search backtracks, so it also checks nodes below a failed
+sibling.
 
 The fractional solver's search runs over sections: a count of copies left
 per vertex, every copy of cost 1, in the scaled units of the copy-pair
@@ -34,13 +36,24 @@ no feasible completion of the node takes the banned vertex (with sections,
 another copy of it). The ban gate reads the bans of the running search at
 every node where it computes its bound, and each time a frame takes its
 next child, and checks that by brute force on boundary trees, where the
-search backtracks. It also checks that the bound, over the weights with
-banned vertices zeroed, reaches the most live profit that a completion
-avoiding them covers; the bound's own gate checks the same on random bans.
+search backtracks. It also checks that the bound reaches the most live
+profit that a completion avoiding the bans covers; the bound's own gate
+checks the same on random bans.
+
+When every cost is 1, a search on many vertices reads its bound off an
+ordered view of the live weighted degrees that it keeps up to date, and a
+smaller one sorts them at each node. The rule and ban gates run every such
+search twice, once with the view kept whatever its size (see
+:func:`both_ways`), and check that both runs return the same. With the view,
+at every node where the search takes its bound, the ban gate checks that
+view against one built afresh and the bound against the sort it replaces.
+A test of the view on its own moves, bans and lifts keys in random order,
+and another compares the two ways on trees of the size where the view is
+kept by default.
 
 The instances have at most 9 vertices (6 for the section search, with costs
-up to 3) and draw zero-cost vertices and zero-profit edges; the ban gate's
-trees have at most 12 (9 for the section search).
+up to 3) and draw zero-cost vertices and zero-profit edges; the boundary
+trees of the rule and ban gates have at most 12 (9 for the section search).
 """
 
 import random
@@ -56,7 +69,11 @@ from pvckit import (Variant, WpvcInstance, branching, infer_variant, make_graph,
 
 CASES = 1500
 SECTION_CASES = 3000
+BOUNDARY_CASES = 600
 BAN_CASES = 600
+VIEW_CASES = 300
+VIEW_STEPS = 30
+LARGE_VIEW_CASES = 100
 SEARCH = branching._search.__code__
 
 
@@ -64,6 +81,19 @@ def covered(g, forced, chosen):
     """The live profit the set ``chosen`` covers."""
     return sum(p for u, w, p in g.edges
                if not (forced[u] or forced[w]) and (u in chosen or w in chosen))
+
+
+def both_ways(search, inst, rule, depth_bound, copies=None, quiet_rule=None):
+    """Run the search as it runs by default, and, when every cost is 1,
+    again with the ordered view kept whatever the graph's size (with
+    ``quiet_rule`` in place of ``rule`` if given); check that both return
+    the same, and return it."""
+    found = search(inst, rule, depth_bound, copies)
+    if inst.graph.costs.count(1) == inst.graph.n:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(branching, "KEEP_VIEW_MIN_N", 0)
+            assert search(inst, quiet_rule or rule, depth_bound, copies) == found
+    return found
 
 
 def completions(g, forced, budget, target):
@@ -88,7 +118,7 @@ def gated(inst, rule, calls):
         found = rule(wdeg, budget, target, left)
         forced = [not k for k in left]
         feasible = completions(g, forced, budget, target)
-        calls.append(found)
+        calls.append((*found, len(node_state()["bans"])))
         take, branch = found
         if take is not None:
             chosen = set(take)
@@ -133,7 +163,7 @@ def section_gated(inst, rule, copies, calls):
     def checked(wdeg, budget, target, left):
         found = rule(wdeg, budget, target, left)
         feasible = [k for k, _ in section_completions(g, left, budget, target)]
-        calls.append(found)
+        calls.append((*found, len(node_state()["bans"])))
         take, branch = found
         if take is not None:
             assert take in feasible, "take %s is not feasible" % (take,)
@@ -147,27 +177,43 @@ def section_gated(inst, rule, copies, calls):
 
 @pytest.fixture
 def rule_calls(monkeypatch):
-    """Route every search through the gate; yields the rules' results. A
-    section search's profit bound is gated too: at every node it is computed,
-    it must reach the most live profit any completion within the budget
-    covers."""
+    """Route every search through the gate, both ways (see
+    :func:`both_ways`); yields, per rule call of the default run, the rule's
+    ``take`` and ``branch`` and the number of bans at its node. A section
+    search's profit bound is gated too: at every node it is computed, with
+    or without the view, it must reach the most live profit that a
+    completion within the budget covers without a banned vertex (no feasible
+    completion has one, see :func:`check_bans`)."""
     calls = []
     search = branching._search
-    section_bound = branching._section_bound
+    section_bound, view_bound = branching._section_bound, branching._OrderedView.bound
+
+    def best_avoiding_bans(inst, left, budget):
+        bans = {v for v, b in enumerate(node_state()["banned"]) if b}
+        return max(covered for k, covered in
+                   section_completions(inst.graph, left, budget, 0) if not bans & k.keys())
 
     def search_with_gate(inst, rule, depth_bound, copies=None):
         if copies is None:
-            return search(inst, gated(inst, rule, calls), depth_bound)
+            return both_ways(search, inst, gated(inst, rule, calls), depth_bound,
+                             quiet_rule=gated(inst, rule, []))
 
-        def bound_with_gate(wdeg, left, budget):
+        def section_bound_gate(wdeg, left, budget):
             bound = section_bound(wdeg, left, budget)
-            best = max(covered for _, covered in
-                       section_completions(inst.graph, left, budget, 0))
-            assert bound >= best, "the bound cuts a node with a feasible completion"
+            assert bound >= best_avoiding_bans(inst, left, budget), \
+                "the bound cuts a node with a feasible completion"
             return bound
 
-        monkeypatch.setattr(branching, "_section_bound", bound_with_gate)
-        return search(inst, section_gated(inst, rule, copies, calls), depth_bound, copies)
+        def view_bound_gate(view, left, budget):
+            bound = view_bound(view, left, budget)
+            assert bound >= best_avoiding_bans(inst, left, budget), \
+                "the bound cuts a node with a feasible completion"
+            return bound
+
+        monkeypatch.setattr(branching, "_section_bound", section_bound_gate)
+        monkeypatch.setattr(branching._OrderedView, "bound", view_bound_gate)
+        return both_ways(search, inst, section_gated(inst, rule, copies, calls), depth_bound,
+                         copies, section_gated(inst, rule, copies, []))
 
     monkeypatch.setattr(branching, "_search", search_with_gate)
     return calls
@@ -205,21 +251,49 @@ def check_bans(state, budget, target):
 
 @pytest.fixture
 def ban_gate(monkeypatch):
-    """Check the bans of every search: at each node where it computes its
-    bound, and each time a frame takes its next child, no feasible
-    completion takes a banned vertex (see :func:`check_bans`). At the bound,
-    also check that it reads ``wdeg`` with the banned vertices zeroed and
-    reaches the most live profit a completion avoiding them covers. Yields
-    the number of bans at each node where the bound was computed."""
+    """Check the bans of every search, run both ways (see
+    :func:`both_ways`): at each node where it computes its bound, and each
+    time a frame takes its next child, no feasible completion takes a banned
+    vertex (see :func:`check_bans`). At the bound, also check that it
+    reaches the most live profit a completion avoiding the bans covers, and
+    how it left them out: without the view, the bound reads ``wdeg`` with
+    the banned vertices zeroed; with it, the view equals one built afresh
+    from those zeroed weights, and the bound equals the sort it replaces,
+    :func:`pvckit.branching._profit_bound` or
+    :func:`pvckit.branching._section_bound` over them. Yields, per node where
+    the bound was computed, whether the search kept the view and the number
+    of bans."""
     nodes = []
     search = branching._search
     profit_bound, section_bound = branching._profit_bound, branching._section_bound
+    view_bound = branching._OrderedView.bound
 
-    def bound_gate(items, budget, bound):
+    def masked(state):
+        return [0 if b else w for w, b in zip(state["wdeg"], state["banned"])]
+
+    def profit_bound_gate(items, costs, scale, budget):
+        assert items == masked(node_state())
+        return bound_gate(budget, profit_bound(items, costs, scale, budget))
+
+    def section_bound_gate(items, left, budget):
+        assert items == masked(node_state())
+        return bound_gate(budget, section_bound(items, left, budget))
+
+    def view_bound_gate(view, left, budget):
+        state = node_state()
+        assert view is state["view"]
+        assert left is (None if state["copies"] is None else state["left"])
+        items = masked(state)
+        assert view.keys == branching._OrderedView(items, state["inst"].budget).keys
+        bound = view_bound(view, left, budget)
+        assert bound == (profit_bound(items, state["costs"], None, budget) if left is None
+                         else section_bound(items, left, budget))
+        return bound_gate(budget, bound)
+
+    def bound_gate(budget, bound):
         state = node_state()
         g, left = state["g"], state["left"]
         bans = check_bans(state, budget, state["target"])
-        assert items == [0 if v in bans else w for v, w in enumerate(state["wdeg"])]
         if state["copies"] is None:
             forced = [not k for k in left]
             best = max(covered(g, forced, chosen)
@@ -228,7 +302,7 @@ def ban_gate(monkeypatch):
             best = max(cover for k, cover in section_completions(g, left, budget, 0)
                        if not bans & k.keys())
         assert bound >= best, "the bound cuts a node with a completion avoiding the bans"
-        nodes.append(len(bans))
+        nodes.append((state["view"] is not None, len(bans)))
         return bound
 
     def picks_with_gate(branch):
@@ -245,15 +319,12 @@ def ban_gate(monkeypatch):
             take, branch = rule(wdeg, budget, target, left)
             return take, None if branch is None else picks_with_gate(branch)
 
-        return search(inst, rule_with_gate, depth_bound, copies)
+        return both_ways(search, inst, rule_with_gate, depth_bound, copies)
 
     monkeypatch.setattr(branching, "_search", search_with_gate)
-    monkeypatch.setattr(branching, "_profit_bound",
-                        lambda items, costs, scale, budget:
-                        bound_gate(items, budget, profit_bound(items, costs, scale, budget)))
-    monkeypatch.setattr(branching, "_section_bound",
-                        lambda items, left, budget:
-                        bound_gate(items, budget, section_bound(items, left, budget)))
+    monkeypatch.setattr(branching, "_profit_bound", profit_bound_gate)
+    monkeypatch.setattr(branching, "_section_bound", section_bound_gate)
+    monkeypatch.setattr(branching._OrderedView, "bound", view_bound_gate)
     return nodes
 
 
@@ -286,30 +357,42 @@ ZERO_PROFIT_SPREAD = WpvcInstance(make_graph(3, [(0, 1, 0), (1, 2, 3)], [0, 1, 1
                                   Variant.WPVC)
 
 
+def boundary_cases(solver):
+    """:data:`BOUNDARY_CASES` boundary trees for ``solver``, on which the
+    search backtracks, so the rule gates also see nodes below a failed
+    sibling."""
+    rng = random.Random("rule-gate:" + solver)
+    return [boundary_tree(rng, solver) for _ in range(BOUNDARY_CASES)]
+
+
+def below_a_ban(rule_calls):
+    """The rule calls made at nodes below a failed sibling."""
+    return sum(1 for *_, bans in rule_calls if bans)
+
+
 def test_unit_cost_pool(rule_calls):
     rng = random.Random(101)
-    for _ in range(CASES):
-        inst = random_case(rng, unit_costs=True, bipartite=True)
+    cases = [random_case(rng, unit_costs=True, bipartite=True) for _ in range(CASES)]
+    for inst in cases + boundary_cases("epvcbd"):
         assert solve_epvcbd(inst).max_depth <= inst.budget
-    assert len(rule_calls) > 300
+    assert len(rule_calls) > 300 and below_a_ban(rule_calls) > 40
 
 
 def test_bounded_degree_kernel(rule_calls):
     rng = random.Random(102)
     cases = [ZERO_PROFIT_SPREAD] + [random_case(rng, degree_cap=3) for _ in range(CASES)]
-    for inst in cases:
+    for inst in cases + boundary_cases("bounded-degree"):
         rep = solve_wpvc_bounded_degree(inst, max(inst.graph.max_degree(), 1))
         assert rep.max_depth <= inst.budget
-    assert len(rule_calls) > 300
+    assert len(rule_calls) > 300 and below_a_ban(rule_calls) > 40
 
 
 def test_profit_target_kernel(rule_calls):
     rng = random.Random(103)
-    for _ in range(CASES):
-        inst = random_case(rng)
+    for inst in [random_case(rng) for _ in range(CASES)] + boundary_cases("by-L"):
         rep = solve_wpvc_by_L(inst)
         assert inst.target == 0 or rep.max_depth < 2 * inst.target
-    assert len(rule_calls) > 300
+    assert len(rule_calls) > 300 and below_a_ban(rule_calls) > 40
 
 
 def test_section_search(rule_calls):
@@ -317,6 +400,10 @@ def test_section_search(rule_calls):
     # of 0 exercise the free pass and the edge filter.
     rng = random.Random(106)
     sections = 0
+    for inst in boundary_cases("fractional"):
+        rep = solve_wpvcbfd(inst)
+        assert rep.verdict == oracle_fractional(inst).verdict
+        assert rep.max_depth <= inst.budget
     for _ in range(SECTION_CASES):
         n = rng.randint(1, 6)
         left = rng.randint(0, n)
@@ -331,7 +418,8 @@ def test_section_search(rule_calls):
         assert rep.max_depth <= inst.budget
         sections += max(g.costs) > 1
     assert len(rule_calls) > 500 and sections > SECTION_CASES // 2
-    assert any(take is not None for take, _ in rule_calls)
+    assert any(take is not None for take, *_ in rule_calls)
+    assert below_a_ban(rule_calls) > 40
 
 
 BAN_SOLVERS = {
@@ -375,8 +463,10 @@ def test_no_feasible_completion_takes_a_banned_vertex(ban_gate, solver):
     for _ in range(BAN_CASES):
         inst = boundary_tree(rng, solver)
         assert solve(inst).verdict == oracle(inst).verdict
-    # The gate saw many nodes below a failed sibling.
-    assert sum(map(bool, ban_gate)) > 100
+    # The gate saw many nodes below a failed sibling, with the view and
+    # without it when every cost is 1.
+    for way in ({False, True} if solver in ("epvcbd", "fractional") else {False}):
+        assert sum(1 for kept, bans in ban_gate if kept is way and bans) > 100
 
 
 def random_node(rng, unit_costs):
@@ -418,6 +508,21 @@ def lp_value(wdeg, costs, budget):
     return best
 
 
+def node_bound(g, forced, wdeg, scale, budget, bans=frozenset()):
+    """The bound the search takes at a node with these bans:
+    :func:`pvckit.branching._profit_bound` over ``wdeg`` with the banned
+    vertices zeroed. With unit costs, check that the walk down an ordered
+    view built for the node, with the bans set on it, gives the same."""
+    masked = [0 if v in bans else w for v, w in enumerate(wdeg)]
+    bound = branching._profit_bound(masked, g.costs, scale, budget)
+    if scale is None:
+        view = branching._OrderedView(wdeg, budget)
+        for v in bans:
+            view.move(v, wdeg[v], 0)
+        assert view.bound(None, budget) == bound
+    return bound
+
+
 @pytest.mark.parametrize("unit_costs", [True, False], ids=["unit", "weighted"])
 def test_profit_bound_admits_feasible_nodes_and_is_the_lp_value(unit_costs):
     rng = random.Random(104 + unit_costs)
@@ -425,15 +530,15 @@ def test_profit_bound_admits_feasible_nodes_and_is_the_lp_value(unit_costs):
     for _ in range(CASES):
         g, forced, wdeg, scale, budget = random_node(rng, unit_costs)
         assert scale is None or not unit_costs
-        bound = branching._profit_bound(wdeg, g.costs, scale, budget)
+        bound = node_bound(g, forced, wdeg, scale, budget)
         assert bound == int(lp_value(wdeg, g.costs, budget))
         feasible = completions(g, forced, budget, 0)
         assert bound >= max(covered(g, forced, chosen) for chosen in feasible), \
             "the bound cuts a node with a feasible completion"
-        # The search's bound over wdeg with the banned vertices zeroed.
+        # The search's bound with the banned vertices left out.
         bans = {v for v in range(g.n) if ban_rng.random() < 0.3}
         masked = [0 if v in bans else w for v, w in enumerate(wdeg)]
-        bound = branching._profit_bound(masked, g.costs, scale, budget)
+        bound = node_bound(g, forced, wdeg, scale, budget, bans)
         assert bound == int(lp_value(masked, g.costs, budget))
         assert bound >= max(covered(g, forced, chosen) for chosen in feasible
                             if not chosen & bans), \
@@ -460,3 +565,89 @@ def test_profit_bound_is_exact_past_float_range():
         assert solve_wpvc_bounded_degree(inst, 1).verdict is yes
         assert solve_wpvc_by_L(inst).verdict is yes
         assert oracle_wpvc(inst).verdict is yes
+
+
+@pytest.mark.parametrize("big", [1, 10 ** 400], ids=["small", "past-float"])
+@pytest.mark.parametrize("sections", [False, True], ids=["one-copy", "sections"])
+def test_ordered_view_follows_moves_bans_and_lifts(sections, big):
+    """Random weight changes, bans and lifts, each lift of any ban still
+    set, on weights 0 to 3 times ``big``, so many are equal. After each one
+    the view holds one key per unbanned vertex of positive weight, in the
+    order of the pairs (weight, vertex), and each key decodes to its pair;
+    its walk at every budget it was built for equals the sum of the largest
+    copy weights of the unbanned vertices."""
+    rng = random.Random("ordered-view:%d:%d" % (sections, big > 1))
+    for _ in range(VIEW_CASES):
+        n = rng.randint(1, 9)
+        wdeg = [big * rng.randint(0, 3) for _ in range(n)]
+        budget = rng.randint(1, 6)
+        view = branching._OrderedView(wdeg, budget)
+        banned, bans = [0] * n, []
+        for _ in range(VIEW_STEPS):
+            step, v = rng.randrange(3), rng.randrange(n)
+            if step == 0:
+                new = big * rng.randint(0, 3)
+                if not banned[v]:
+                    view.move(v, wdeg[v], new)
+                wdeg[v] = new
+            elif step == 1:
+                banned[v] += 1
+                if banned[v] == 1:
+                    view.move(v, wdeg[v], 0)
+                bans.append(v)
+            elif bans:
+                v = bans.pop(rng.randrange(len(bans)))
+                banned[v] -= 1
+                if not banned[v]:
+                    view.move(v, 0, wdeg[v])
+            pairs = sorted((w, v) for v, w in enumerate(wdeg) if w and not banned[v])
+            assert [divmod(key, view.radix) for key in view.keys] == pairs
+            assert view.keys == sorted(view.keys)
+            # Copies left per vertex: a vertex of positive weight has one.
+            left = [rng.randint(1, 3) if sections else 1 for _ in range(n)]
+            weights = sorted((w for w, v in pairs for _ in range(left[v])), reverse=True)
+            for b in range(1, budget + 1):
+                assert view.bound(left if sections else None, b) == sum(weights[:b])
+
+
+@pytest.mark.parametrize("solver", ["epvcbd", "fractional"])
+def test_ordered_view_matches_the_sort_on_large_trees(monkeypatch, solver):
+    """On trees of 100 to 160 vertices, where the search keeps the view by
+    default, it returns what it returns when it sorts at every node, and at
+    every node where it takes its bound the view equals one built afresh
+    from ``wdeg`` with the banned vertices zeroed."""
+    rng = random.Random("large-view:" + solver)
+    search, view_bound = branching._search, branching._OrderedView.bound
+    checked = []
+
+    def view_bound_gate(view, left, budget):
+        state = node_state()
+        masked = [0 if b else w for w, b in zip(state["wdeg"], state["banned"])]
+        assert view.keys == branching._OrderedView(masked, state["inst"].budget).keys
+        checked.append(any(state["banned"]))
+        return view_bound(view, left, budget)
+
+    def search_both_ways(inst, rule, depth_bound, copies=None):
+        found = search(inst, rule, depth_bound, copies)
+        assert inst.graph.n >= branching.KEEP_VIEW_MIN_N
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(branching, "KEEP_VIEW_MIN_N", inst.graph.n + 1)
+            assert search(inst, rule, depth_bound, copies) == found
+        return found
+
+    monkeypatch.setattr(branching._OrderedView, "bound", view_bound_gate)
+    monkeypatch.setattr(branching, "_search", search_both_ways)
+    solve = solve_epvcbd if solver == "epvcbd" else solve_wpvcbfd
+    for _ in range(LARGE_VIEW_CASES):
+        n = rng.randint(100, 160)
+        edges = [(rng.randrange(v), v, rng.randint(1, 4)) for v in range(1, n)]
+        costs = [1] * n if solver == "epvcbd" else [rng.randint(1, 2) for _ in range(n)]
+        g = make_graph(n, edges, costs)
+        budget = rng.randint(2, 6)
+        # Near the optimum, so the search branches and bans.
+        lo, hi = 0, g.total_profit() + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            yes = solve(WpvcInstance(g, budget, mid, infer_variant(g), True)).verdict
+            lo, hi = (mid, hi) if yes else (lo, mid)
+    assert len(checked) > 1000 and sum(checked) > 100
