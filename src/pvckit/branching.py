@@ -13,12 +13,12 @@ every node whose budget cannot reach its target, so the rules only see nodes
 that may still have a feasible completion. A child whose subtree finds no
 witness is banned from its later siblings and their subtrees: no feasible
 completion of the node takes it, so neither the branch lists nor the bound
-need it there. A search whose costs are all 1 on many vertices keeps the
-live weighted degrees of its unbanned vertices in order as it steps, and
-reads each bound off the top of that view, so none of its nodes sorts every
-vertex. The search keeps its frames on an explicit stack, so its depth is
-bounded by memory, not by Python's recursion limit. Depth and fan-out bounds
-are hard assertions, not hopes.
+need it there. A search on many vertices keeps the live weighted degrees of
+its unbanned vertices in order of value per unit of cost as it steps. Each
+bound comes off the top of that view, and so does the epvcbd rule's pool, so
+no node sorts or scans every vertex for them. The search keeps its frames
+on an explicit stack, so its depth is bounded by memory, not by Python's
+recursion limit. Depth and fan-out bounds are hard assertions, not hopes.
 
 A search with sections differs from one without in three places, the bound,
 the epvcbd rule's pool (its size and its large-pool pick) and the result (see
@@ -54,6 +54,8 @@ def _force_free(g: Graph, left) -> list[int]:
     pass sets it to 0 for the vertices it forces and returns them in the
     order taken.
     """
+    if 0 not in g.costs:
+        return []
     freed = []
     for v in g.vertices():
         if g.costs[v] == 0 and any(g.profit(e) and left[g.other_end(e, v)]
@@ -63,53 +65,97 @@ def _force_free(g: Graph, left) -> list[int]:
     return freed
 
 
-# The fewest vertices at which a search whose costs are all 1 keeps an
-# ordered view of its weights. On random trees at budget 6 the view's upkeep
-# (a key moved per live neighbor at every step) costs less than the sort at
-# every node from about 100 vertices with one copy per vertex, and from
-# about 50 with sections; below, each node sorts its weights afresh.
+# The fewest vertices at which a search keeps an ordered view of its
+# weights, whatever its costs; below it, each node sorts its weights afresh.
+# On random trees the view's upkeep (a key moved per live neighbor at every
+# step) costs less than a sort of every vertex at each node from about 100
+# vertices with unit costs and one copy per vertex, and from about 50 with
+# sections, or in the bounded-degree search with costs 1 to 3. The
+# profit-target search at target 10 stays 4-16% slower with it from 25 to
+# 150 vertices, since most of its searches end at the root or one node
+# below it (see CHANGES.md).
 KEEP_VIEW_MIN_N = 100
 
 
 class _OrderedView:
-    """The live weights of a unit-cost search node in order: ``keys`` holds
-    ``wdeg[v] * radix + v``, ascending, for every vertex v with no ban and
-    ``wdeg[v] > 0`` (so with copies left). A vertex of weight 0 adds nothing
-    to a bound, so it has no key. ``radix`` is ``n * (budget + 1)``, so keys
-    order as the pairs ``(wdeg[v], v)`` do, and the sum of at most
-    ``budget`` keys, floor-divided by ``radix``, is the sum of their
-    weights. :meth:`move` keeps the keys exact as a weight changes or a ban
-    is set or lifted, by bisection, so no step sorts anything.
+    """The live weights of a search node in order of value per unit of cost.
+
+    ``keys`` holds ``wdeg[v] * unit[v] * radix + v``, ascending, for every
+    vertex v with no ban and a positive product, where ``unit[v]`` is
+    ``scale[costs[v]]`` of :func:`_ratio_scale` for the costs from 1 to the
+    budget the view was built for, and 0 for any other cost. ``unit`` is None
+    when every cost is 1, a factor of 1 for each vertex. So keys order
+    exactly as the pairs ``(wdeg[v] / costs[v], v)`` do, and a vertex of
+    weight 0 or of a cost no node can afford, which adds nothing to a bound,
+    has no key. ``radix`` is ``n * (budget + 1)``, so with unit costs the sum
+    of at most ``budget`` keys, floor-divided by ``radix``, is the sum of
+    their weights. :meth:`move` keeps the keys exact as a weight changes or a
+    ban is set or lifted, by bisection, so no step sorts anything.
+
+    ``bans`` is the search's stack of banned vertices, read by :meth:`heavy`.
     """
 
-    __slots__ = ("radix", "keys")
+    __slots__ = ("radix", "keys", "unit", "costs", "bans")
 
-    def __init__(self, wdeg, budget: int):
-        """The view of a node with no ban."""
+    def __init__(self, wdeg, budget: int, costs=None, scale=None, bans=()):
+        """The view of a node with no ban; ``costs`` and ``scale`` as
+        :func:`_profit_bound` takes them, with ``scale`` None when every cost
+        is 1."""
         self.radix = radix = len(wdeg) * (budget + 1)
-        self.keys = keys = sorted(map(add, map(mul, wdeg, repeat(radix)), count()))
-        del keys[:bisect_left(keys, radix)]  # the keys of weight 0
+        self.costs, self.bans = costs, bans
+        if scale is None:
+            self.unit = None
+            values = wdeg
+        else:
+            self.unit = unit = list(map(scale.get, costs, repeat(0)))
+            values = map(mul, wdeg, unit)
+        self.keys = keys = sorted(map(add, map(mul, values, repeat(radix)), count()))
+        del keys[:bisect_left(keys, radix)]  # the keys of value 0
 
     def move(self, v: int, old: int, new: int) -> None:
         """Move the key of v from weight ``old`` to weight ``new``, where
         weight 0 stands for no key, as for a banned vertex."""
         keys, radix = self.keys, self.radix
+        if self.unit is not None:
+            old *= self.unit[v]
+            new *= self.unit[v]
         if old:
             del keys[bisect_left(keys, old * radix + v)]
         if new:
             insort(keys, new * radix + v)
 
     def bound(self, left, budget: int) -> int:
-        """:func:`_profit_bound` when every copy costs 1, at a positive
-        ``budget`` up to the one the view was built for: the sum of the
-        ``budget`` largest weights among the copies left of the vertices
-        with a key, ``left[v]`` copies of weight ``wdeg[v]`` for each.
-        ``left`` None means one copy per vertex: the bound is then the sum
-        of the top ``budget`` keys over ``radix``, with no loop in Python.
-        Otherwise it walks the keys from the top, taking min(copies left,
-        budget left) copies of each vertex, so it reads at most ``budget``
-        keys."""
-        keys, radix = self.keys, self.radix
+        """:func:`_profit_bound` over the vertices with a key, or with
+        sections :func:`_section_bound`, at a positive ``budget`` up to the
+        one the view was built for.
+
+        With costs other than 1, it walks the keys from the top, skips the
+        vertices that cost more than ``budget``, and takes the others whole
+        until the first that does not fit, which it takes in part: the greedy
+        of :func:`_profit_bound`, which stops within ``budget + 1`` of the
+        affordable keys. Vertices of one value per unit of cost may come in
+        another order than the sort's, but any such order gives the same LP
+        value, and the whole items sum to an integer, so the rounded bound is
+        the same. With unit costs and ``left`` None, one copy per vertex, the
+        bound is the sum of the top ``budget`` keys over ``radix``, with no
+        loop in Python. With ``left``, the copies left per vertex, it walks
+        the keys from the top, taking min(copies left, budget left) copies of
+        each vertex, so it reads at most ``budget`` keys."""
+        keys, radix, unit = self.keys, self.radix, self.unit
+        if unit is not None:
+            costs = self.costs
+            bound, room = 0, budget
+            for key in reversed(keys):
+                value, v = divmod(key, radix)
+                c = costs[v]
+                if c > budget:
+                    continue
+                w = value // unit[v]
+                if c > room:
+                    return bound + room * w // c
+                bound += w
+                room -= c
+            return bound
         if left is None:
             return sum(keys[-budget:]) // radix
         bound = 0
@@ -122,8 +168,17 @@ class _OrderedView:
                 break
         return bound
 
+    def heavy(self, wdeg, least: int) -> list[int]:
+        """The vertices v with ``wdeg[v] >= least``, in ascending id, for a
+        positive ``least`` on a view of unit costs: those whose key is at
+        least ``least * radix``, and the banned ones, read in ``wdeg``."""
+        keys, radix = self.keys, self.radix
+        pool = {key % radix for key in keys[bisect_left(keys, least * radix):]}
+        pool.update(v for v in self.bans if wdeg[v] >= least)
+        return sorted(pool)
 
-def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None):
+
+def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None, finish=None):
     """Depth-first search over the copies left per vertex; returns
     ``(chosen, nodes, depth)``: what the first witness found takes (None on a
     no), the number of nodes that branched, and the largest depth reached. It
@@ -159,24 +214,36 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None):
     no affordable set of the copies left can cover the target, so the bound
     never cuts a node that has a feasible completion, and the depth-first
     order reaches the same first witness with no more nodes. Only nodes the
-    bound admits reach ``rule(wdeg, budget, target, left)``, which returns
-    ``(take, None)`` when ``take``, a map from vertex to a number of its
-    copies left, finishes the cover, or ``(None, branch)`` to try one copy of
-    each vertex of ``branch`` in turn, skipping those the node cannot afford
-    and those it bans (below).
-    Rules read ``wdeg`` and ``left`` and must not write to either: the search
-    owns that state across nodes.
+    bound admits reach ``rule(wdeg, budget, target, left, view)``, which
+    returns ``(take, None)`` when ``take``, a map from vertex to a number of
+    its copies left, finishes the cover, or ``(None, branch)`` to try one
+    copy of each vertex of ``branch`` in turn, skipping those the node cannot
+    afford and those it bans (below). ``view`` is the search's ordered view
+    or None (below).
+    Rules read ``wdeg``, ``left`` and ``view`` and must not write to any of
+    them: the search owns that state across nodes.
 
-    The ordered view. When every cost is 1 and the graph has at least
-    :data:`KEEP_VIEW_MIN_N` vertices, ``view`` is an :class:`_OrderedView`
-    of ``wdeg`` over the unbanned vertices, and every step above moves the
-    key of each neighbor whose weight it changes, in O(log n) each. The
-    bound is then :meth:`_OrderedView.bound`, which reads at most ``budget``
-    keys off its top. Equal weights summed in any order give the same sum,
-    so the bound is the one :func:`_profit_bound` or :func:`_section_bound`
-    would give, and every verdict, witness and node count is the same
-    either way. Otherwise ``view`` is None, and those two sort the weights
-    at each node.
+    With ``finish``, each node whose budget and live profit admit it first
+    calls ``finish(wdeg, budget, target)``. A ``(take, None)`` it returns
+    settles the node before the bound and the rule; None leaves the node to
+    them. Such a take must be one the rule would make once the bound admits
+    the node, as the profit-target solver's one vertex that covers the
+    target alone is: it is affordable and never banned, so the bound reaches
+    the target with it. The results are the same either way.
+
+    The ordered view. When the graph has at least :data:`KEEP_VIEW_MIN_N`
+    vertices, ``view`` is an :class:`_OrderedView` of ``wdeg`` over the
+    unbanned vertices from the root's bound on, and every step above moves
+    the key of each neighbor whose weight it changes, in O(log n) each. It is
+    built from the root's state when the root first needs its bound, which
+    it then reads off the view in place of a sort, so a search that its root
+    settles before the bound builds none. The bound is then
+    :meth:`_OrderedView.bound`, which walks down from the top of the view.
+    Vertices of equal value per unit of cost summed in any order give the
+    same LP value, so the bound is the one :func:`_profit_bound` or
+    :func:`_section_bound` would give, and every verdict, witness and node
+    count is the same either way. Otherwise ``view`` is None, and those two
+    sort the weights at each node.
 
     Sibling exclusion. When the subtree of a node's child v finds no witness,
     no feasible completion of the node takes v (with ``copies``, one more
@@ -228,8 +295,7 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None):
     stack = []
     bans = []  # the children whose subtrees failed, each above its frame's base
     banned = [0] * g.n  # per vertex, its entries in bans
-    view = (_OrderedView(wdeg, inst.budget)
-            if scale is None and g.n >= KEEP_VIEW_MIN_N else None)
+    view = None  # an _OrderedView from the root's bound on, in a large search
     budget = inst.budget
     nodes = deepest = 0
     while True:
@@ -238,17 +304,22 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None):
         target = max(0, live - slack)
         if target == 0:
             break
+        found = None
         if 0 < budget and target <= live:
-            if view is not None:
-                bound = view.bound(None if copies is None else left, budget)
-            else:
-                # No completion takes a banned vertex, so the bound leaves it out.
-                items = wdeg if not bans else [0 if b else w for w, b in zip(wdeg, banned)]
-                bound = (_profit_bound(items, costs, scale, budget) if copies is None
-                         else _section_bound(items, left, budget))
-            found = rule(wdeg, budget, target, left) if bound >= target else None
-        else:
-            found = None
+            if finish is not None:
+                found = finish(wdeg, budget, target)
+            if found is None:
+                if view is None and not stack and g.n >= KEEP_VIEW_MIN_N:
+                    view = _OrderedView(wdeg, inst.budget, costs, scale, bans)
+                if view is not None:
+                    bound = view.bound(None if copies is None else left, budget)
+                else:
+                    # No completion takes a banned vertex, so the bound leaves it out.
+                    items = wdeg if not bans else [0 if b else w for w, b in zip(wdeg, banned)]
+                    bound = (_profit_bound(items, costs, scale, budget) if copies is None
+                             else _section_bound(items, left, budget))
+                if bound >= target:
+                    found = rule(wdeg, budget, target, left, view)
         if found is not None:
             take, branch = found
             if take is not None:
@@ -332,11 +403,12 @@ def _profit_bound(wdeg, costs, scale, budget: int) -> int:
     vertices with ``0 < wdeg[v]`` and ``costs[v] <= budget``, of value
     ``wdeg[v]`` and weight ``costs[v]``, at capacity ``budget`` (Dantzig
     1957). A set covers at most the sum of its members' ``wdeg``, so a node
-    whose bound is below its target has no feasible completion.
+    whose bound is below its target has no feasible completion. A search
+    that keeps an :class:`_OrderedView` reads this bound off the view
+    instead, whatever its costs.
 
     ``scale`` is None when every cost is 1; the bound is then the sum of the
-    ``budget`` largest ``wdeg``, which a search that keeps an
-    :class:`_OrderedView` reads off it instead. Otherwise ``scale[c] * c``
+    ``budget`` largest ``wdeg``. Otherwise ``scale[c] * c``
     is one common multiple of the affordable costs, so ``wdeg[v] *
     scale[costs[v]]`` orders the items by value per unit of cost exactly, in
     integers. Items are taken whole in that order, and the first that does
@@ -435,8 +507,9 @@ def _solve_epvcbd(inst: WpvcInstance, side, copies=None):
     copy on its vertex's side: the pool counts each vertex once per copy it
     has left, and branches on each vertex once."""
 
-    def rule(wdeg, budget, target, left):
-        pool = [v for v, w in enumerate(wdeg) if w * budget >= target]
+    def rule(wdeg, budget, target, left, view):
+        pool = ([v for v, w in enumerate(wdeg) if w * budget >= target] if view is None
+                else view.heavy(wdeg, -(-target // budget)))
         # The budget largest copy weights reach the target, so the largest
         # reaches target/budget.
         assert pool
@@ -472,11 +545,12 @@ def solve_wpvc_bounded_degree(inst: WpvcInstance, degree_bound: int) -> SolveRep
     if not isinstance(degree_bound, int) or degree_bound < 0:
         raise InputError("degree bound must be a non-negative integer")
     g = inst.graph
-    if g.max_degree() > degree_bound:
+    top = g.max_degree()
+    if top > degree_bound:
         raise InputError("graph has a vertex of degree %d, above the bound %d"
-                         % (g.max_degree(), degree_bound))
+                         % (top, degree_bound))
 
-    def rule(wdeg, budget, target, left):
+    def rule(wdeg, budget, target, left, view):
         best_per_cost: dict[int, int] = {}
         for v, w in enumerate(wdeg):
             c = g.costs[v]
@@ -497,11 +571,10 @@ def solve_wpvc_by_L(inst: WpvcInstance) -> SolveReport:
     """Decide a weighted instance on any graph, parameterized by the profit target.
 
     An affordable vertex whose residual coverage reaches the whole remaining
-    target ends the node on its own (the lowest such id). Otherwise the kernel
-    keeps, per residual coverage value from 1 to target-1, the cheapest vertex
-    attaining it, plus every vertex reachable from those picks over a
-    positive-profit edge; one ascending pass over the coverages serves both.
-    Swapping any cover member for its coverage class's cheapest pick preserves
+    target ends the node on its own (the lowest such id), before the
+    profit bound. Otherwise the kernel keeps, per residual coverage value from
+    1 to target-1, the cheapest vertex attaining it, plus every vertex
+    reachable from those picks over a positive-profit edge. Swapping any cover member for its coverage class's cheapest pick preserves
     feasibility, so the kernel intersects some feasible cover. Fan-out stays
     below the residual target squared and depth within max(2 * target - 1, 0)
     for the root target: below twice it, and 0 when it is 0.
@@ -511,22 +584,28 @@ def solve_wpvc_by_L(inst: WpvcInstance) -> SolveReport:
     t0 = time.perf_counter()
     _require_valid(inst)
     g = inst.graph
+    costs = g.costs
 
-    def rule(wdeg, budget, target, left):
+    def finish(wdeg, budget, target):
+        if max(wdeg) >= target:
+            for v, w in enumerate(wdeg):
+                if w >= target and costs[v] <= budget:
+                    return {v: 1}, None
+        return None
+
+    def rule(wdeg, budget, target, left, view):
         cheapest_per_value: dict[int, int] = {}
         for v, w in enumerate(wdeg):
-            if w >= target and g.costs[v] <= budget:
-                return {v: 1}, None
             if 1 <= w < target:
                 # Vertices come in ascending id, so a tie keeps the lower one.
                 held = cheapest_per_value.get(w)
-                if held is None or g.costs[v] < g.costs[held]:
+                if held is None or costs[v] < costs[held]:
                     cheapest_per_value[w] = v
-        # The bound saw an affordable vertex of positive wdeg; one covering
-        # the target alone would have ended the node in the loop.
+        # The bound saw an affordable vertex of positive wdeg, and finish
+        # saw none that covers the target alone.
         assert cheapest_per_value
         branch = _with_live_neighbors(g, cheapest_per_value.values(), left)
         assert len(branch) < target * target
         return None, branch
 
-    return _report(inst, t0, *_search(inst, rule, max(2 * inst.target - 1, 0)))
+    return _report(inst, t0, *_search(inst, rule, max(2 * inst.target - 1, 0), finish=finish))

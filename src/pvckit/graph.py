@@ -64,7 +64,7 @@ class Graph:
         return w if v == u else u
 
     def max_degree(self) -> int:
-        return max((len(adj) for adj in self.adjacency), default=0)
+        return max(map(len, self.adjacency), default=0)
 
     def total_profit(self) -> int:
         return sum(p for _, _, p in self.edges)

@@ -210,7 +210,7 @@ class TestSearchState:
         g = inst.graph
         nodes = []
 
-        def rule(wdeg, budget, target, left):
+        def rule(wdeg, budget, target, left, view):
             forced = [not k for k in left]
             want = [0] * g.n
             live = 0

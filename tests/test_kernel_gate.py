@@ -40,16 +40,18 @@ search backtracks. It also checks that the bound reaches the most live
 profit that a completion avoiding the bans covers; the bound's own gate
 checks the same on random bans.
 
-When every cost is 1, a search on many vertices reads its bound off an
-ordered view of the live weighted degrees that it keeps up to date, and a
-smaller one sorts them at each node. The rule and ban gates run every such
-search twice, once with the view kept whatever its size (see
+A search on many vertices reads its bound off an ordered view of the live
+weighted degrees, in order of value per unit of cost, that it keeps up to
+date, and a smaller one sorts them at each node. The rule and ban gates run
+every search twice, once with the view kept whatever its size (see
 :func:`both_ways`), and check that both runs return the same. With the view,
 at every node where the search takes its bound, the ban gate checks that
 view against one built afresh and the bound against the sort it replaces.
 A test of the view on its own moves, bans and lifts keys in random order,
-and another compares the two ways on trees of the size where the view is
-kept by default.
+with unit and other costs, and another compares the two ways on trees of
+the size where the view is kept by default, for all four searches. The
+profit-target search tries its one-vertex finish before the bound; the rule
+gate checks each take the finish returns as it checks a rule's.
 
 The instances have at most 9 vertices (6 for the section search, with costs
 up to 3) and draw zero-cost vertices and zero-profit edges; the boundary
@@ -83,16 +85,14 @@ def covered(g, forced, chosen):
                if not (forced[u] or forced[w]) and (u in chosen or w in chosen))
 
 
-def both_ways(search, inst, rule, depth_bound, copies=None, quiet_rule=None):
-    """Run the search as it runs by default, and, when every cost is 1,
-    again with the ordered view kept whatever the graph's size (with
-    ``quiet_rule`` in place of ``rule`` if given); check that both return
-    the same, and return it."""
-    found = search(inst, rule, depth_bound, copies)
-    if inst.graph.costs.count(1) == inst.graph.n:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(branching, "KEEP_VIEW_MIN_N", 0)
-            assert search(inst, quiet_rule or rule, depth_bound, copies) == found
+def both_ways(search, inst, rule, depth_bound, copies=None, finish=None, quiet_rule=None):
+    """Run the search as it runs by default, and again with the ordered view
+    kept whatever the graph's size (with ``quiet_rule`` in place of ``rule``
+    if given); check that both return the same, and return it."""
+    found = search(inst, rule, depth_bound, copies, finish)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(branching, "KEEP_VIEW_MIN_N", 0)
+        assert search(inst, quiet_rule or rule, depth_bound, copies, finish) == found
     return found
 
 
@@ -111,24 +111,46 @@ def completions(g, forced, budget, target):
     return found
 
 
+def check_take(g, forced, take, budget, target):
+    """``take`` is a feasible completion of the node."""
+    chosen = set(take)
+    assert not any(forced[v] for v in chosen)
+    assert sum(g.costs[v] for v in chosen) <= budget
+    assert covered(g, forced, chosen) >= target
+
+
 def gated(inst, rule, calls):
     g = inst.graph
 
-    def checked(wdeg, budget, target, left):
-        found = rule(wdeg, budget, target, left)
+    def checked(wdeg, budget, target, left, view):
+        found = rule(wdeg, budget, target, left, view)
         forced = [not k for k in left]
         feasible = completions(g, forced, budget, target)
         calls.append((*found, len(node_state()["bans"])))
         take, branch = found
         if take is not None:
-            chosen = set(take)
-            assert not any(forced[v] for v in chosen)
-            assert sum(g.costs[v] for v in chosen) <= budget
-            assert covered(g, forced, chosen) >= target
+            check_take(g, forced, take, budget, target)
             return found
         affordable = {v for v in branch if g.costs[v] <= budget}
         assert not feasible or any(s & affordable for s in feasible), \
             "branch %s misses every feasible completion" % (branch,)
+        return found
+
+    return checked
+
+
+def finish_gated(inst, finish, calls):
+    """The one-vertex finish of the profit-target search, which it tries
+    before the bound: each take it returns is checked like a rule's and
+    recorded in ``calls`` as the rule's was when the rule made it."""
+    g = inst.graph
+
+    def checked(wdeg, budget, target):
+        found = finish(wdeg, budget, target)
+        if found is not None:
+            state = node_state()
+            check_take(g, [not k for k in state["left"]], found[0], budget, target)
+            calls.append((*found, len(state["bans"])))
         return found
 
     return checked
@@ -160,8 +182,8 @@ def section_completions(g, left, budget, target):
 def section_gated(inst, rule, copies, calls):
     g = inst.graph
 
-    def checked(wdeg, budget, target, left):
-        found = rule(wdeg, budget, target, left)
+    def checked(wdeg, budget, target, left, view):
+        found = rule(wdeg, budget, target, left, view)
         feasible = [k for k, _ in section_completions(g, left, budget, target)]
         calls.append((*found, len(node_state()["bans"])))
         take, branch = found
@@ -193,9 +215,10 @@ def rule_calls(monkeypatch):
         return max(covered for k, covered in
                    section_completions(inst.graph, left, budget, 0) if not bans & k.keys())
 
-    def search_with_gate(inst, rule, depth_bound, copies=None):
+    def search_with_gate(inst, rule, depth_bound, copies=None, finish=None):
         if copies is None:
             return both_ways(search, inst, gated(inst, rule, calls), depth_bound,
+                             finish=None if finish is None else finish_gated(inst, finish, calls),
                              quiet_rule=gated(inst, rule, []))
 
         def section_bound_gate(wdeg, left, budget):
@@ -213,7 +236,7 @@ def rule_calls(monkeypatch):
         monkeypatch.setattr(branching, "_section_bound", section_bound_gate)
         monkeypatch.setattr(branching._OrderedView, "bound", view_bound_gate)
         return both_ways(search, inst, section_gated(inst, rule, copies, calls), depth_bound,
-                         copies, section_gated(inst, rule, copies, []))
+                         copies, quiet_rule=section_gated(inst, rule, copies, []))
 
     monkeypatch.setattr(branching, "_search", search_with_gate)
     return calls
@@ -281,12 +304,13 @@ def ban_gate(monkeypatch):
 
     def view_bound_gate(view, left, budget):
         state = node_state()
-        assert view is state["view"]
+        assert view is state["view"] and view.bans is state["bans"]
         assert left is (None if state["copies"] is None else state["left"])
         items = masked(state)
-        assert view.keys == branching._OrderedView(items, state["inst"].budget).keys
+        costs, scale = state["costs"], state["scale"]
+        assert view.keys == branching._OrderedView(items, state["inst"].budget, costs, scale).keys
         bound = view_bound(view, left, budget)
-        assert bound == (profit_bound(items, state["costs"], None, budget) if left is None
+        assert bound == (profit_bound(items, costs, scale, budget) if left is None
                          else section_bound(items, left, budget))
         return bound_gate(budget, bound)
 
@@ -314,12 +338,12 @@ def ban_gate(monkeypatch):
         state = node_state()
         check_bans(state, state["budget"], max(0, state["live"] - state["slack"]))
 
-    def search_with_gate(inst, rule, depth_bound, copies=None):
-        def rule_with_gate(wdeg, budget, target, left):
-            take, branch = rule(wdeg, budget, target, left)
+    def search_with_gate(inst, rule, depth_bound, copies=None, finish=None):
+        def rule_with_gate(wdeg, budget, target, left, view):
+            take, branch = rule(wdeg, budget, target, left, view)
             return take, None if branch is None else picks_with_gate(branch)
 
-        return both_ways(search, inst, rule_with_gate, depth_bound, copies)
+        return both_ways(search, inst, rule_with_gate, depth_bound, copies, finish)
 
     monkeypatch.setattr(branching, "_search", search_with_gate)
     monkeypatch.setattr(branching, "_profit_bound", profit_bound_gate)
@@ -464,8 +488,8 @@ def test_no_feasible_completion_takes_a_banned_vertex(ban_gate, solver):
         inst = boundary_tree(rng, solver)
         assert solve(inst).verdict == oracle(inst).verdict
     # The gate saw many nodes below a failed sibling, with the view and
-    # without it when every cost is 1.
-    for way in ({False, True} if solver in ("epvcbd", "fractional") else {False}):
+    # without it.
+    for way in (False, True):
         assert sum(1 for kept, bans in ban_gate if kept is way and bans) > 100
 
 
@@ -511,15 +535,14 @@ def lp_value(wdeg, costs, budget):
 def node_bound(g, forced, wdeg, scale, budget, bans=frozenset()):
     """The bound the search takes at a node with these bans:
     :func:`pvckit.branching._profit_bound` over ``wdeg`` with the banned
-    vertices zeroed. With unit costs, check that the walk down an ordered
-    view built for the node, with the bans set on it, gives the same."""
+    vertices zeroed. Check that the walk down an ordered view built for the
+    node, with the bans set on it, gives the same."""
     masked = [0 if v in bans else w for v, w in enumerate(wdeg)]
     bound = branching._profit_bound(masked, g.costs, scale, budget)
-    if scale is None:
-        view = branching._OrderedView(wdeg, budget)
-        for v in bans:
-            view.move(v, wdeg[v], 0)
-        assert view.bound(None, budget) == bound
+    view = branching._OrderedView(wdeg, budget, g.costs, scale)
+    for v in bans:
+        view.move(v, wdeg[v], 0)
+    assert view.bound(None, budget) == bound
     return bound
 
 
@@ -568,21 +591,30 @@ def test_profit_bound_is_exact_past_float_range():
 
 
 @pytest.mark.parametrize("big", [1, 10 ** 400], ids=["small", "past-float"])
-@pytest.mark.parametrize("sections", [False, True], ids=["one-copy", "sections"])
-def test_ordered_view_follows_moves_bans_and_lifts(sections, big):
+@pytest.mark.parametrize("kind", ["one-copy", "sections", "weighted"])
+def test_ordered_view_follows_moves_bans_and_lifts(kind, big):
     """Random weight changes, bans and lifts, each lift of any ban still
-    set, on weights 0 to 3 times ``big``, so many are equal. After each one
-    the view holds one key per unbanned vertex of positive weight, in the
-    order of the pairs (weight, vertex), and each key decodes to its pair;
-    its walk at every budget it was built for equals the sum of the largest
-    copy weights of the unbanned vertices."""
-    rng = random.Random("ordered-view:%d:%d" % (sections, big > 1))
+    set, on weights 0 to 3 times ``big``, so many are equal, and with
+    ``weighted`` costs 1 to 4, some above the budget. After each one the view
+    holds one key per unbanned vertex of positive weight and affordable cost,
+    in the order of the pairs (weight times its cost's scale, vertex), and
+    each key decodes to its pair; its walk at every budget it was built for
+    equals the sum of the largest copy weights of the unbanned vertices, or
+    with ``weighted`` costs :func:`pvckit.branching._profit_bound` over the
+    weights with the banned ones zeroed. With unit costs, the vertices of
+    weight at least w, for each w, are those of the scan of the epvcbd rule's
+    pool."""
+    sections, weighted = kind == "sections", kind == "weighted"
+    rng = random.Random("ordered-view:%d:%d" % (sections, big > 1) + ":weighted" * weighted)
     for _ in range(VIEW_CASES):
         n = rng.randint(1, 9)
         wdeg = [big * rng.randint(0, 3) for _ in range(n)]
         budget = rng.randint(1, 6)
-        view = branching._OrderedView(wdeg, budget)
+        costs = [rng.randint(1, 4) if weighted else 1 for _ in range(n)]
+        scale = branching._ratio_scale(costs, budget)
+        unit = [1] * n if scale is None else [scale.get(c, 0) for c in costs]
         banned, bans = [0] * n, []
+        view = branching._OrderedView(wdeg, budget, costs, scale, bans)
         for _ in range(VIEW_STEPS):
             step, v = rng.randrange(3), rng.randrange(n)
             if step == 0:
@@ -600,54 +632,106 @@ def test_ordered_view_follows_moves_bans_and_lifts(sections, big):
                 banned[v] -= 1
                 if not banned[v]:
                     view.move(v, 0, wdeg[v])
-            pairs = sorted((w, v) for v, w in enumerate(wdeg) if w and not banned[v])
+            pairs = sorted((w * unit[v], v) for v, w in enumerate(wdeg)
+                           if w * unit[v] and not banned[v])
             assert [divmod(key, view.radix) for key in view.keys] == pairs
             assert view.keys == sorted(view.keys)
+            if weighted:
+                masked = [0 if b else w for w, b in zip(wdeg, banned)]
+                for b in range(1, budget + 1):
+                    assert view.bound(None, b) == branching._profit_bound(masked, costs, scale, b)
+                continue
             # Copies left per vertex: a vertex of positive weight has one.
             left = [rng.randint(1, 3) if sections else 1 for _ in range(n)]
             weights = sorted((w for w, v in pairs for _ in range(left[v])), reverse=True)
             for b in range(1, budget + 1):
                 assert view.bound(left if sections else None, b) == sum(weights[:b])
+            for least in range(1, 4):
+                assert view.heavy(wdeg, least * big) == \
+                    [v for v, w in enumerate(wdeg) if w >= least * big]
 
 
-@pytest.mark.parametrize("solver", ["epvcbd", "fractional"])
+def large_tree(rng, solver):
+    """A tree of 100 to 160 vertices for ``solver``, where the search keeps
+    the view by default, and a budget. The bounded-degree and profit-target
+    trees keep every degree within 3 and have costs 1 to 3, and the
+    profit-target tree has unit profits."""
+    n = rng.randint(100, 160)
+    if solver in ("bounded-degree", "by-L"):
+        edges = [(u, v, 1 if solver == "by-L" else rng.randint(1, 4))
+                 for u, v in tree_with_degree_cap(rng, n, 3)]
+    else:
+        edges = [(rng.randrange(v), v, rng.randint(1, 4)) for v in range(1, n)]
+    top = 2 if solver == "fractional" else 3
+    costs = [1] * n if solver == "epvcbd" else [rng.randint(1, top) for _ in range(n)]
+    return make_graph(n, edges, costs), rng.randint(2, 6)
+
+
+def tree_with_degree_cap(rng, n, cap):
+    """A random tree on n vertices whose degrees stay within ``cap``."""
+    degree = [0] * n
+    edges = []
+    for v in range(1, n):
+        u = rng.choice([u for u in range(v) if degree[u] < cap])
+        degree[u] += 1
+        degree[v] += 1
+        edges.append((u, v))
+    return edges
+
+
+@pytest.mark.parametrize("solver", ["epvcbd", "fractional", "bounded-degree", "by-L"])
 def test_ordered_view_matches_the_sort_on_large_trees(monkeypatch, solver):
     """On trees of 100 to 160 vertices, where the search keeps the view by
     default, it returns what it returns when it sorts at every node, and at
     every node where it takes its bound the view equals one built afresh
-    from ``wdeg`` with the banned vertices zeroed."""
+    from ``wdeg`` with the banned vertices zeroed, and the bound equals
+    :func:`pvckit.branching._profit_bound` or
+    :func:`pvckit.branching._section_bound` over those weights. The
+    profit-target search runs at a target of 8 to 12 near the least budget
+    that reaches it, and the others near the optimum of their budget, so the
+    search branches and bans."""
     rng = random.Random("large-view:" + solver)
     search, view_bound = branching._search, branching._OrderedView.bound
+    profit_bound, section_bound = branching._profit_bound, branching._section_bound
     checked = []
 
     def view_bound_gate(view, left, budget):
         state = node_state()
         masked = [0 if b else w for w, b in zip(state["wdeg"], state["banned"])]
-        assert view.keys == branching._OrderedView(masked, state["inst"].budget).keys
+        costs, scale = state["costs"], state["scale"]
+        assert view.keys == branching._OrderedView(masked, state["inst"].budget, costs, scale).keys
+        bound = view_bound(view, left, budget)
+        assert bound == (profit_bound(masked, costs, scale, budget) if left is None
+                         else section_bound(masked, left, budget))
         checked.append(any(state["banned"]))
-        return view_bound(view, left, budget)
+        return bound
 
-    def search_both_ways(inst, rule, depth_bound, copies=None):
-        found = search(inst, rule, depth_bound, copies)
+    def search_both_ways(inst, rule, depth_bound, copies=None, finish=None):
+        found = search(inst, rule, depth_bound, copies, finish)
         assert inst.graph.n >= branching.KEEP_VIEW_MIN_N
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(branching, "KEEP_VIEW_MIN_N", inst.graph.n + 1)
-            assert search(inst, rule, depth_bound, copies) == found
+            assert search(inst, rule, depth_bound, copies, finish) == found
         return found
 
     monkeypatch.setattr(branching._OrderedView, "bound", view_bound_gate)
     monkeypatch.setattr(branching, "_search", search_both_ways)
-    solve = solve_epvcbd if solver == "epvcbd" else solve_wpvcbfd
+    solve = BAN_SOLVERS[solver][0]
     for _ in range(LARGE_VIEW_CASES):
-        n = rng.randint(100, 160)
-        edges = [(rng.randrange(v), v, rng.randint(1, 4)) for v in range(1, n)]
-        costs = [1] * n if solver == "epvcbd" else [rng.randint(1, 2) for _ in range(n)]
-        g = make_graph(n, edges, costs)
-        budget = rng.randint(2, 6)
+        g, budget = large_tree(rng, solver)
+        sections = solver == "fractional"
+        if solver == "by-L":
+            # A no at budget lo, a yes at hi: the whole graph covers the target.
+            target, lo, hi = rng.randint(8, 12), 0, sum(g.costs)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                yes = solve(WpvcInstance(g, mid, target, infer_variant(g))).verdict
+                lo, hi = (lo, mid) if yes else (mid, hi)
+            continue
         # Near the optimum, so the search branches and bans.
         lo, hi = 0, g.total_profit() + 1
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            yes = solve(WpvcInstance(g, budget, mid, infer_variant(g), True)).verdict
+            yes = solve(WpvcInstance(g, budget, mid, infer_variant(g), sections)).verdict
             lo, hi = (mid, hi) if yes else (lo, mid)
     assert len(checked) > 1000 and sum(checked) > 100
