@@ -129,33 +129,22 @@ class _OrderedView:
         sections :func:`_section_bound`, at a positive ``budget`` up to the
         one the view was built for.
 
-        With costs other than 1, it walks the keys from the top, skips the
-        vertices that cost more than ``budget``, and takes the others whole
-        until the first that does not fit, which it takes in part: the greedy
-        of :func:`_profit_bound`, which stops within ``budget + 1`` of the
-        affordable keys. Vertices of one value per unit of cost may come in
-        another order than the sort's, but any such order gives the same LP
-        value, and the whole items sum to an integer, so the rounded bound is
-        the same. With unit costs and ``left`` None, one copy per vertex, the
-        bound is the sum of the top ``budget`` keys over ``radix``, with no
-        loop in Python. With ``left``, the copies left per vertex, it walks
-        the keys from the top, taking min(copies left, budget left) copies of
-        each vertex, so it reads at most ``budget`` keys."""
+        With costs other than 1, it hands the keys from the top to
+        :func:`_greedy`, as :func:`_profit_bound` hands its sorted items, so
+        it reads at most ``budget + 1`` affordable keys. Vertices of one value
+        per unit of cost may come in another order than the sort's, but any
+        such order gives the same LP value, and the whole items sum to an
+        integer, so the rounded bound is the same. With unit costs and
+        ``left`` None, one copy per vertex, the bound is the sum of the top
+        ``budget`` keys over ``radix``, with no loop in Python. With
+        ``left``, the copies left per vertex, it walks the keys from the
+        top, taking min(copies left, budget left) copies of each vertex, so
+        it reads at most ``budget`` keys."""
         keys, radix, unit = self.keys, self.radix, self.unit
         if unit is not None:
             costs = self.costs
-            bound, room = 0, budget
-            for key in reversed(keys):
-                value, v = divmod(key, radix)
-                c = costs[v]
-                if c > budget:
-                    continue
-                w = value // unit[v]
-                if c > room:
-                    return bound + room * w // c
-                bound += w
-                room -= c
-            return bound
+            return _greedy(((value, value // unit[v], costs[v])
+                            for value, v in map(divmod, reversed(keys), repeat(radix))), budget)
         if left is None:
             return sum(keys[-budget:]) // radix
         bound = 0
@@ -411,20 +400,31 @@ def _profit_bound(wdeg, costs, scale, budget: int) -> int:
     ``budget`` largest ``wdeg``. Otherwise ``scale[c] * c``
     is one common multiple of the affordable costs, so ``wdeg[v] *
     scale[costs[v]]`` orders the items by value per unit of cost exactly, in
-    integers. Items are taken whole in that order, and the first that does
-    not fit is taken in part. Every item costs at least 1, so the loop runs
-    at most ``budget + 1`` times.
+    integers, and :func:`_greedy` takes them in that order.
     """
     if scale is None:
         return sum(sorted(wdeg)[-budget:])
     items = sorted(((w * scale[c], w, c) for w, c in zip(wdeg, costs)
                     if w and c <= budget), reverse=True)
-    bound = 0
+    return _greedy(items, budget)
+
+
+def _greedy(items, budget: int) -> int:
+    """Dantzig's greedy for the LP relaxation of a knapsack at capacity
+    ``budget``, rounded down. ``items`` yields ``(ratio, value, cost)``
+    triples, each cost at least 1, by value per unit of cost, highest first;
+    ``ratio`` is ``value * scale[cost]`` of :func:`_profit_bound` and is not
+    read. Items that cost more than ``budget`` are skipped; the others are
+    taken whole until the first that does not fit, which is taken in part.
+    So it reads at most ``budget + 1`` items that cost at most ``budget``."""
+    bound, room = 0, budget
     for _, w, c in items:
         if c > budget:
-            return bound + budget * w // c
+            continue
+        if c > room:
+            return bound + room * w // c
         bound += w
-        budget -= c
+        room -= c
     return bound
 
 

@@ -85,14 +85,17 @@ def covered(g, forced, chosen):
                if not (forced[u] or forced[w]) and (u in chosen or w in chosen))
 
 
-def both_ways(search, inst, rule, depth_bound, copies=None, finish=None, quiet_rule=None):
+def both_ways(search, inst, rule, depth_bound, copies=None, finish=None, quiet_rule=None,
+              quiet_finish=None):
     """Run the search as it runs by default, and again with the ordered view
-    kept whatever the graph's size (with ``quiet_rule`` in place of ``rule``
-    if given); check that both return the same, and return it."""
+    kept whatever the graph's size (with ``quiet_rule`` and ``quiet_finish``
+    in place of ``rule`` and ``finish`` if given); check that both return the
+    same, and return it."""
     found = search(inst, rule, depth_bound, copies, finish)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(branching, "KEEP_VIEW_MIN_N", 0)
-        assert search(inst, quiet_rule or rule, depth_bound, copies, finish) == found
+        assert search(inst, quiet_rule or rule, depth_bound, copies,
+                      quiet_finish or finish) == found
     return found
 
 
@@ -200,8 +203,9 @@ def section_gated(inst, rule, copies, calls):
 @pytest.fixture
 def rule_calls(monkeypatch):
     """Route every search through the gate, both ways (see
-    :func:`both_ways`); yields, per rule call of the default run, the rule's
-    ``take`` and ``branch`` and the number of bans at its node. A section
+    :func:`both_ways`); yields, per rule call or ``finish`` take of the
+    default run, the ``take`` and ``branch`` and the number of bans at its
+    node; the run with the view kept records into a list of its own. A section
     search's profit bound is gated too: at every node it is computed, with
     or without the view, it must reach the most live profit that a
     completion within the budget covers without a banned vertex (no feasible
@@ -217,9 +221,13 @@ def rule_calls(monkeypatch):
 
     def search_with_gate(inst, rule, depth_bound, copies=None, finish=None):
         if copies is None:
+            if finish is None:
+                return both_ways(search, inst, gated(inst, rule, calls), depth_bound,
+                                 quiet_rule=gated(inst, rule, []))
             return both_ways(search, inst, gated(inst, rule, calls), depth_bound,
-                             finish=None if finish is None else finish_gated(inst, finish, calls),
-                             quiet_rule=gated(inst, rule, []))
+                             finish=finish_gated(inst, finish, calls),
+                             quiet_rule=gated(inst, rule, []),
+                             quiet_finish=finish_gated(inst, finish, []))
 
         def section_bound_gate(wdeg, left, budget):
             bound = section_bound(wdeg, left, budget)
