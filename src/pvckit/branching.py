@@ -13,10 +13,10 @@ every node whose budget cannot reach its target, so the rules only see nodes
 that may still have a feasible completion. A child whose subtree finds no
 witness is banned from its later siblings and their subtrees: no feasible
 completion of the node takes it, so neither the branch lists nor the bound
-need it there. A search on many vertices keeps the live weighted degrees of
-its unbanned vertices in order of value per unit of cost as it steps. Each
-bound comes off the top of that view, and so does the epvcbd rule's pool, so
-no node sorts or scans every vertex for them. The search keeps its frames
+need it there. Every search keeps the live weighted degrees of its unbanned
+vertices in order of value per unit of cost as it steps. Each bound comes
+off the top of that view, and so does the epvcbd rule's pool, so no node
+sorts or scans every vertex for them. The search keeps its frames
 on an explicit stack, so its depth is bounded by memory, not by Python's
 recursion limit. Depth and fan-out bounds are hard assertions, not hopes.
 
@@ -65,18 +65,6 @@ def _force_free(g: Graph, left) -> list[int]:
     return freed
 
 
-# The fewest vertices at which a search keeps an ordered view of its
-# weights, whatever its costs; below it, each node sorts its weights afresh.
-# On random trees the view's upkeep (a key moved per live neighbor at every
-# step) costs less than a sort of every vertex at each node from about 100
-# vertices with unit costs and one copy per vertex, and from about 50 with
-# sections, or in the bounded-degree search with costs 1 to 3. The
-# profit-target search at target 10 stays 4-16% slower with it from 25 to
-# 150 vertices, since most of its searches end at the root or one node
-# below it (see CHANGES.md).
-KEEP_VIEW_MIN_N = 100
-
-
 class _OrderedView:
     """The live weights of a search node in order of value per unit of cost.
 
@@ -98,9 +86,8 @@ class _OrderedView:
     __slots__ = ("radix", "keys", "unit", "costs", "bans")
 
     def __init__(self, wdeg, budget: int, costs=None, scale=None, bans=()):
-        """The view of a node with no ban; ``costs`` and ``scale`` as
-        :func:`_profit_bound` takes them, with ``scale`` None when every cost
-        is 1."""
+        """The view of a node with no ban; ``scale`` is :func:`_ratio_scale`
+        of ``costs`` and ``budget``, None when every cost is 1."""
         self.radix = radix = len(wdeg) * (budget + 1)
         self.costs, self.bans = costs, bans
         if scale is None:
@@ -125,16 +112,21 @@ class _OrderedView:
             insort(keys, new * radix + v)
 
     def bound(self, left, budget: int) -> int:
-        """:func:`_profit_bound` over the vertices with a key, or with
-        sections :func:`_section_bound`, at a positive ``budget`` up to the
-        one the view was built for.
+        """The most live profit an affordable set of the vertices with a key
+        could cover, rounded down, at a positive ``budget`` up to the one the
+        view was built for: the LP relaxation of the knapsack whose items are
+        those vertices, of value ``wdeg[v]`` and weight ``costs[v]``, at
+        capacity ``budget`` (Dantzig 1957), or with ``left`` one item per
+        copy left. A set covers at most the sum of its members' ``wdeg``, so
+        a node whose bound is below its target has no feasible completion.
+        ``profit_bound_reference`` and ``section_bound_reference`` in
+        ``tests/helpers.py`` compute the same value by sorting every vertex.
 
         With costs other than 1, it hands the keys from the top to
-        :func:`_greedy`, as :func:`_profit_bound` hands its sorted items, so
-        it reads at most ``budget + 1`` affordable keys. Vertices of one value
-        per unit of cost may come in another order than the sort's, but any
-        such order gives the same LP value, and the whole items sum to an
-        integer, so the rounded bound is the same. With unit costs and
+        :func:`_greedy`, so it reads at most ``budget + 1`` affordable keys.
+        Vertices of one value per unit of cost may come in any order: each
+        order gives the same LP value, and the whole items sum to an integer,
+        so the rounded bound is the same. With unit costs and
         ``left`` None, one copy per vertex, the bound is the sum of the top
         ``budget`` keys over ``radix``, with no loop in Python. With
         ``left``, the copies left per vertex, it walks the keys from the
@@ -208,7 +200,7 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None, finish=None
     its copies left, finishes the cover, or ``(None, branch)`` to try one
     copy of each vertex of ``branch`` in turn, skipping those the node cannot
     afford and those it bans (below). ``view`` is the search's ordered view
-    or None (below).
+    (below).
     Rules read ``wdeg``, ``left`` and ``view`` and must not write to any of
     them: the search owns that state across nodes.
 
@@ -220,19 +212,14 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None, finish=None
     target alone is: it is affordable and never banned, so the bound reaches
     the target with it. The results are the same either way.
 
-    The ordered view. When the graph has at least :data:`KEEP_VIEW_MIN_N`
-    vertices, ``view`` is an :class:`_OrderedView` of ``wdeg`` over the
-    unbanned vertices from the root's bound on, and every step above moves
-    the key of each neighbor whose weight it changes, in O(log n) each. It is
-    built from the root's state when the root first needs its bound, which
-    it then reads off the view in place of a sort, so a search that its root
-    settles before the bound builds none. The bound is then
-    :meth:`_OrderedView.bound`, which walks down from the top of the view.
-    Vertices of equal value per unit of cost summed in any order give the
-    same LP value, so the bound is the one :func:`_profit_bound` or
-    :func:`_section_bound` would give, and every verdict, witness and node
-    count is the same either way. Otherwise ``view`` is None, and those two
-    sort the weights at each node.
+    The ordered view. ``view`` is an :class:`_OrderedView` of ``wdeg`` over
+    the unbanned vertices, built from the root's state when the root first
+    needs its bound, so a search that its root settles before the bound
+    builds none. The root is the one node without a frame, and every step
+    comes after it took its bound, so every step above moves the key of each
+    neighbor whose weight it changes, in O(log n) each. Each node's bound is
+    :meth:`_OrderedView.bound`, which walks down from the top of the view, so
+    no node sorts its weights.
 
     Sibling exclusion. When the subtree of a node's child v finds no witness,
     no feasible completion of the node takes v (with ``copies``, one more
@@ -241,22 +228,19 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None, finish=None
     ``bans`` is a stack of the banned vertices, kept like the chain, and
     ``banned[v]`` counts the entries of v in it. Below a ban, branch lists
     skip v, and the bound leaves v out: ``view`` holds no key of v while it
-    is banned, and otherwise the bound reads ``wdeg`` with v's entry zeroed,
-    in a copy made only at nodes where some vertex is banned. A banned vertex
-    is in no feasible completion, so the bound still admits every node that
-    has one, the rules, which read the exact ``wdeg``, return the same
-    kernels, and a ``take`` never holds a banned vertex. The depth-first
-    order is unchanged and only subtrees without a feasible completion are
-    cut, so the first witness found is the same, and only the node count and
-    depth can fall.
+    is banned. A banned vertex is in no feasible completion, so the bound
+    still admits every node that has one, the rules, which read the exact
+    ``wdeg``, return the same kernels, and a ``take`` never holds a banned
+    vertex. The depth-first order is unchanged and only subtrees without a
+    feasible completion are cut, so the first witness found is the same, and
+    only the node count and depth can fall.
 
     A search with ``copies`` differs from one without in three places only:
-    the bound (:func:`_section_bound` rather than :func:`_profit_bound`, or
-    with a view, a walk that reads the copies left), the pool of the epvcbd
-    rule (its size counts copies left rather than vertices, and its
-    large-pool pick :func:`_copy_prefix` reads them), and
-    ``chosen``, which is the count taken per vertex rather than the forced
-    vertices in the order taken.
+    the bound (a walk down the view that reads the copies left), the pool of
+    the epvcbd rule (its size counts copies left rather than vertices, and
+    its large-pool pick :func:`_copy_prefix` reads them), and ``chosen``,
+    which is the count taken per vertex rather than the forced vertices in
+    the order taken.
     """
     g = inst.graph
     edges, costs, adjacency = g.edges, g.costs, g.adjacency
@@ -277,14 +261,12 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None, finish=None
     # No zero-cost vertex keeps positive live profit past the free pass, and
     # forcing only lowers wdeg, so every item of the profit bound costs >= 1.
     assert 0 not in costs or not any(w and not costs[v] for v, w in enumerate(wdeg))
-    scale = _ratio_scale(costs, inst.budget)
     slack = total - inst.target  # live profit that may stay uncovered
     # One frame per branching node: (branch iterator, chain length, budget,
     # bans length).
     stack = []
     bans = []  # the children whose subtrees failed, each above its frame's base
     banned = [0] * g.n  # per vertex, its entries in bans
-    view = None  # an _OrderedView from the root's bound on, in a large search
     budget = inst.budget
     nodes = deepest = 0
     while True:
@@ -298,16 +280,10 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None, finish=None
             if finish is not None:
                 found = finish(wdeg, budget, target)
             if found is None:
-                if view is None and not stack and g.n >= KEEP_VIEW_MIN_N:
-                    view = _OrderedView(wdeg, inst.budget, costs, scale, bans)
-                if view is not None:
-                    bound = view.bound(None if copies is None else left, budget)
-                else:
-                    # No completion takes a banned vertex, so the bound leaves it out.
-                    items = wdeg if not bans else [0 if b else w for w, b in zip(wdeg, banned)]
-                    bound = (_profit_bound(items, costs, scale, budget) if copies is None
-                             else _section_bound(items, left, budget))
-                if bound >= target:
+                if not stack:  # the root, where the view is built
+                    view = _OrderedView(wdeg, inst.budget, costs,
+                                        _ratio_scale(costs, inst.budget), bans)
+                if view.bound(None if copies is None else left, budget) >= target:
                     found = rule(wdeg, budget, target, left, view)
         if found is not None:
             take, branch = found
@@ -327,7 +303,7 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None, finish=None
                 v = chain[base]
                 bans.append(v)
                 banned[v] += 1
-                if view is not None and banned[v] == 1:
+                if banned[v] == 1:
                     view.move(v, wdeg[v], 0)
             while len(chain) > base:
                 v = chain.pop()
@@ -339,7 +315,7 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None, finish=None
                     if left[x]:
                         wdeg[x] += p
                         weight += p * left[x]
-                        if view is not None and p and not banned[x]:
+                        if p and not banned[x]:
                             view.move(x, wdeg[x] - p, wdeg[x])
                 # v is the child just banned, so its key waits for the lift.
                 wdeg[v] = weight
@@ -354,12 +330,12 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None, finish=None
                     x = w if u == v else u
                     if left[x]:
                         wdeg[x] -= p
-                        if view is not None and p and not banned[x]:
+                        if p and not banned[x]:
                             view.move(x, wdeg[x] + p, wdeg[x])
                 left[v] -= 1
                 if not left[v]:
                     wdeg[v] = 0
-                    if view is not None and weight:
+                    if weight:
                         view.move(v, weight, 0)
                 chain.append(v)
                 budget -= costs[v]
@@ -367,7 +343,7 @@ def _search(inst: WpvcInstance, rule, depth_bound: int, copies=None, finish=None
             while len(bans) > ban_base:
                 v = bans.pop()
                 banned[v] -= 1
-                if view is not None and not banned[v]:
+                if not banned[v]:
                     view.move(v, 0, wdeg[v])
             stack.pop()
         else:
@@ -386,37 +362,15 @@ def _ratio_scale(costs, budget: int) -> dict[int, int] | None:
     return {c: lcm // c for c in affordable}
 
 
-def _profit_bound(wdeg, costs, scale, budget: int) -> int:
-    """The most live profit an affordable set of unforced vertices could
-    cover, rounded down: the LP relaxation of the knapsack whose items are the
-    vertices with ``0 < wdeg[v]`` and ``costs[v] <= budget``, of value
-    ``wdeg[v]`` and weight ``costs[v]``, at capacity ``budget`` (Dantzig
-    1957). A set covers at most the sum of its members' ``wdeg``, so a node
-    whose bound is below its target has no feasible completion. A search
-    that keeps an :class:`_OrderedView` reads this bound off the view
-    instead, whatever its costs.
-
-    ``scale`` is None when every cost is 1; the bound is then the sum of the
-    ``budget`` largest ``wdeg``. Otherwise ``scale[c] * c``
-    is one common multiple of the affordable costs, so ``wdeg[v] *
-    scale[costs[v]]`` orders the items by value per unit of cost exactly, in
-    integers, and :func:`_greedy` takes them in that order.
-    """
-    if scale is None:
-        return sum(sorted(wdeg)[-budget:])
-    items = sorted(((w * scale[c], w, c) for w, c in zip(wdeg, costs)
-                    if w and c <= budget), reverse=True)
-    return _greedy(items, budget)
-
-
 def _greedy(items, budget: int) -> int:
     """Dantzig's greedy for the LP relaxation of a knapsack at capacity
     ``budget``, rounded down. ``items`` yields ``(ratio, value, cost)``
     triples, each cost at least 1, by value per unit of cost, highest first;
-    ``ratio`` is ``value * scale[cost]`` of :func:`_profit_bound` and is not
-    read. Items that cost more than ``budget`` are skipped; the others are
-    taken whole until the first that does not fit, which is taken in part.
-    So it reads at most ``budget + 1`` items that cost at most ``budget``."""
+    ``ratio`` is ``value * scale[cost]``, the value part of the item's key
+    in :class:`_OrderedView`, and is not read. Items that cost more than
+    ``budget`` are skipped; the others are taken whole until the first that
+    does not fit, which is taken in part. So it reads at most ``budget + 1``
+    items that cost at most ``budget``."""
     bound, room = 0, budget
     for _, w, c in items:
         if c > budget:
@@ -425,25 +379,6 @@ def _greedy(items, budget: int) -> int:
             return bound + room * w // c
         bound += w
         room -= c
-    return bound
-
-
-def _section_bound(wdeg, left, budget: int) -> int:
-    """:func:`_profit_bound` when every copy costs 1 and a vertex may have
-    several: the sum of the ``budget`` largest weights among the copies left,
-    ``left[v]`` copies of weight ``wdeg[v]`` for each vertex v. Vertices are
-    walked in ``wdeg`` order, taking min(copies left, budget left) copies of
-    each. A search that keeps an :class:`_OrderedView` walks that instead,
-    without the sort."""
-    bound = 0
-    for v in sorted(range(len(wdeg)), key=wdeg.__getitem__, reverse=True):
-        if not wdeg[v]:
-            break
-        k = min(left[v], budget)
-        bound += k * wdeg[v]
-        budget -= k
-        if not budget:
-            break
     return bound
 
 
@@ -508,8 +443,7 @@ def _solve_epvcbd(inst: WpvcInstance, side, copies=None):
     has left, and branches on each vertex once."""
 
     def rule(wdeg, budget, target, left, view):
-        pool = ([v for v, w in enumerate(wdeg) if w * budget >= target] if view is None
-                else view.heavy(wdeg, -(-target // budget)))
+        pool = view.heavy(wdeg, -(-target // budget))
         # The budget largest copy weights reach the target, so the largest
         # reaches target/budget.
         assert pool
@@ -574,7 +508,8 @@ def solve_wpvc_by_L(inst: WpvcInstance) -> SolveReport:
     target ends the node on its own (the lowest such id), before the
     profit bound. Otherwise the kernel keeps, per residual coverage value from
     1 to target-1, the cheapest vertex attaining it, plus every vertex
-    reachable from those picks over a positive-profit edge. Swapping any cover member for its coverage class's cheapest pick preserves
+    reachable from those picks over a positive-profit edge. Swapping any
+    cover member for its coverage class's cheapest pick preserves
     feasibility, so the kernel intersects some feasible cover. Fan-out stays
     below the residual target squared and depth within max(2 * target - 1, 0)
     for the root target: below twice it, and 0 when it is 0.

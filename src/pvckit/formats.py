@@ -18,6 +18,15 @@ Vertex ids must be 0..n-1 and are used as-is. Duplicate vertex or edge lines
 instance drops edges both of whose endpoints cost more than the budget; such
 vertices can never be selected, so those edges are dead weight.
 
+A cover instance may omit the ``v`` lines of vertices of cost 1, so its header
+could declare far more vertices than the text has lines, and loading it
+allocates per vertex. So its n may be at most :data:`MAX_VERTICES_PER_CHAR`
+times the text's length in characters, and a larger n is a
+:class:`FormatError`: parse memory stays linear in the input. A ``v`` line
+takes at least 5 characters, so every text :func:`write_wpvc` writes is within
+the cap. A clique instance needs a ``c`` line per vertex, so its n is bounded
+by its lines.
+
 Both formats are read by one loop, :func:`_read`. It checks the header, every
 vertex and edge line and the announced edge count, and reports the first
 fault with its line number (lines are those of ``str.splitlines``; comments
@@ -42,6 +51,11 @@ from .errors import FormatError
 from .graph import _trusted_graph
 from .instance import WpvcInstance, infer_variant, prune_unaffordable
 from .reduction import McqInstance, _normalized_mcq
+
+
+# The most vertices a cover instance's header may declare per character of
+# its text.
+MAX_VERTICES_PER_CHAR = 16
 
 
 def _first_line(lines):
@@ -184,6 +198,9 @@ def parse_wpvc(text: str, prune: bool = True) -> WpvcInstance:
     so those edges matter.
     """
     (n, _, budget, target), costs, edges = _read(text, "wpvc")
+    if n > MAX_VERTICES_PER_CHAR * len(text):
+        raise FormatError("header declares %d vertices, more than %d per character of a "
+                          "%d-character text" % (n, MAX_VERTICES_PER_CHAR, len(text)))
     g = _trusted_graph(n, edges, [costs.get(v, 1) for v in range(n)])
     inst = WpvcInstance(g, budget, target, infer_variant(g))
     return prune_unaffordable(inst) if prune else inst

@@ -8,6 +8,7 @@ from math import lcm
 
 from pvckit import (LEFT, RIGHT, Bipartition, Matching, NotBipartite, WpvcInstance, coverage,
                     infer_variant, make_graph)
+from pvckit.branching import _greedy
 from pvckit.graph import _check_bipartition, _odd_cycle
 
 
@@ -327,3 +328,45 @@ def random_bipartite_graph_reference(seed, n, m, cost_max=1, profit_max=1):
     edges = [(u, v, rng.randint(1, profit_max)) for u, v in chosen]
     costs = [rng.randint(1, cost_max) for _ in range(n)]
     return make_graph(n, edges, costs)
+
+
+def profit_bound_reference(wdeg, costs, scale, budget: int) -> int:
+    """The most live profit an affordable set of unforced vertices could
+    cover, rounded down: the LP relaxation of the knapsack whose items are the
+    vertices with ``0 < wdeg[v]`` and ``costs[v] <= budget``, of value
+    ``wdeg[v]`` and weight ``costs[v]``, at capacity ``budget`` (Dantzig
+    1957). A set covers at most the sum of its members' ``wdeg``, so a node
+    whose bound is below its target has no feasible completion. The search
+    reads this bound off its :class:`pvckit.branching._OrderedView`, whatever
+    its costs, without a sort.
+
+    ``scale`` is None when every cost is 1; the bound is then the sum of the
+    ``budget`` largest ``wdeg``. Otherwise ``scale[c] * c``
+    is one common multiple of the affordable costs, so ``wdeg[v] *
+    scale[costs[v]]`` orders the items by value per unit of cost exactly, in
+    integers, and :func:`pvckit.branching._greedy` takes them in that order.
+    """
+    if scale is None:
+        return sum(sorted(wdeg)[-budget:])
+    items = sorted(((w * scale[c], w, c) for w, c in zip(wdeg, costs)
+                    if w and c <= budget), reverse=True)
+    return _greedy(items, budget)
+
+
+def section_bound_reference(wdeg, left, budget: int) -> int:
+    """:func:`profit_bound_reference` when every copy costs 1 and a vertex
+    may have several: the sum of the ``budget`` largest weights among the
+    copies left, ``left[v]`` copies of weight ``wdeg[v]`` for each vertex v.
+    Vertices are walked in ``wdeg`` order, taking min(copies left, budget
+    left) copies of each. The search walks its
+    :class:`pvckit.branching._OrderedView` instead, without the sort."""
+    bound = 0
+    for v in sorted(range(len(wdeg)), key=wdeg.__getitem__, reverse=True):
+        if not wdeg[v]:
+            break
+        k = min(left[v], budget)
+        bound += k * wdeg[v]
+        budget -= k
+        if not budget:
+            break
+    return bound

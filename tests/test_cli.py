@@ -133,6 +133,19 @@ class TestSolve:
         code, out, _ = run_cli(["solve", "--alg", "epvcbd", str(f)], capsys)
         assert code == 0 and "verdict=yes" in out
 
+    def test_header_past_the_vertex_cap_exits_2_without_building(self, tmp_path, capsys):
+        # 21 bytes that would ask for a million vertices, about 110 MiB.
+        f = tmp_path / "huge.wpvc"
+        f.write_text("p wpvc 1000000 0 0 0\n")
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(["solve", "--alg", "by-L", str(f)], capsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "") and err.startswith("parse error:") and "vertices" in err
+        assert peak < 2**20
+
     def test_pvcbm_long_augmenting_path_exit_zero(self, tmp_path, capsys):
         # Hopcroft-Karp needs one augmenting path 1500 left vertices deep.
         g = long_augmenting_path(1500)

@@ -113,6 +113,26 @@ def test_missing_color_line_is_named_without_listing_the_vertices():
     assert peak < 2**20
 
 
+def test_header_may_declare_at_most_16_vertices_per_character():
+    # 21 bytes that would ask for a million vertices, about 110 MiB.
+    text = "p wpvc 1000000 0 0 0\n"
+    assert len(text) == 21 and formats.MAX_VERTICES_PER_CHAR == 16
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as info:
+            parse_wpvc(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == \
+        "header declares 1000000 vertices, more than 16 per character of a 21-character text"
+    assert peak < 2**20
+    # 17 characters: 272 vertices is the most they may declare.
+    assert parse_wpvc("p wpvc 272 0 0 0\n").graph.n == 272
+    with pytest.raises(FormatError):
+        parse_wpvc("p wpvc 273 0 0 0\n")
+
+
 def test_sniff_fault_message():
     with pytest.raises(FormatError) as info:
         sniff_format("# nothing\ne 0 1\n")

@@ -40,18 +40,20 @@ search backtracks. It also checks that the bound reaches the most live
 profit that a completion avoiding the bans covers; the bound's own gate
 checks the same on random bans.
 
-A search on many vertices reads its bound off an ordered view of the live
-weighted degrees, in order of value per unit of cost, that it keeps up to
-date, and a smaller one sorts them at each node. The rule and ban gates run
-every search twice, once with the view kept whatever its size (see
-:func:`both_ways`), and check that both runs return the same. With the view,
-at every node where the search takes its bound, the ban gate checks that
-view against one built afresh and the bound against the sort it replaces.
-A test of the view on its own moves, bans and lifts keys in random order,
-with unit and other costs, and another compares the two ways on trees of
-the size where the view is kept by default, for all four searches. The
-profit-target search tries its one-vertex finish before the bound; the rule
-gate checks each take the finish returns as it checks a rule's.
+Every search reads its bound off an ordered view of the live weighted
+degrees, in order of value per unit of cost, that it keeps up to date. At
+every node where a gated search takes its bound, the gate checks that view
+against one built afresh from the weights with the banned vertices zeroed,
+the bound against the sort of ``profit_bound_reference`` or
+``section_bound_reference`` (``tests/helpers.py``) over those weights, and
+that the bound reaches the most live profit a completion within the budget
+covers without a banned vertex (see :func:`checked_bound`). A test of the
+view on its own moves, bans and lifts keys in random order, with unit and
+other costs, another checks the view and the sort on trees of 100 to 160
+vertices for all four searches, and another that each search builds its
+view once, and only when its root takes a bound. The profit-target search
+tries its one-vertex finish before the bound; the rule gate checks each
+take the finish returns as it checks a rule's.
 
 The instances have at most 9 vertices (6 for the section search, with costs
 up to 3) and draw zero-cost vertices and zero-profit edges; the boundary
@@ -65,9 +67,10 @@ from itertools import accumulate, combinations
 
 import pytest
 
+from helpers import profit_bound_reference, section_bound_reference
 from pvckit import (Variant, WpvcInstance, branching, infer_variant, make_graph,
-                    oracle_fractional, oracle_wpvc, solve_epvcbd, solve_wpvc_bounded_degree,
-                    solve_wpvc_by_L, solve_wpvcbfd)
+                    oracle_fractional, oracle_wpvc, solve_epvcbd, solve_pvcbm,
+                    solve_wpvc_bounded_degree, solve_wpvc_by_L, solve_wpvcbfd)
 
 CASES = 1500
 SECTION_CASES = 3000
@@ -83,20 +86,6 @@ def covered(g, forced, chosen):
     """The live profit the set ``chosen`` covers."""
     return sum(p for u, w, p in g.edges
                if not (forced[u] or forced[w]) and (u in chosen or w in chosen))
-
-
-def both_ways(search, inst, rule, depth_bound, copies=None, finish=None, quiet_rule=None,
-              quiet_finish=None):
-    """Run the search as it runs by default, and again with the ordered view
-    kept whatever the graph's size (with ``quiet_rule`` and ``quiet_finish``
-    in place of ``rule`` and ``finish`` if given); check that both return the
-    same, and return it."""
-    found = search(inst, rule, depth_bound, copies, finish)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(branching, "KEEP_VIEW_MIN_N", 0)
-        assert search(inst, quiet_rule or rule, depth_bound, copies,
-                      quiet_finish or finish) == found
-    return found
 
 
 def completions(g, forced, budget, target):
@@ -202,51 +191,21 @@ def section_gated(inst, rule, copies, calls):
 
 @pytest.fixture
 def rule_calls(monkeypatch):
-    """Route every search through the gate, both ways (see
-    :func:`both_ways`); yields, per rule call or ``finish`` take of the
-    default run, the ``take`` and ``branch`` and the number of bans at its
-    node; the run with the view kept records into a list of its own. A section
-    search's profit bound is gated too: at every node it is computed, with
-    or without the view, it must reach the most live profit that a
-    completion within the budget covers without a banned vertex (no feasible
-    completion has one, see :func:`check_bans`)."""
+    """Route every search through the gate; yields, per rule call or
+    ``finish`` take, the ``take`` and ``branch`` and the number of bans at
+    its node. The profit bound is gated too, at every node that takes it
+    (see :func:`checked_bound`)."""
     calls = []
     search = branching._search
-    section_bound, view_bound = branching._section_bound, branching._OrderedView.bound
-
-    def best_avoiding_bans(inst, left, budget):
-        bans = {v for v, b in enumerate(node_state()["banned"]) if b}
-        return max(covered for k, covered in
-                   section_completions(inst.graph, left, budget, 0) if not bans & k.keys())
 
     def search_with_gate(inst, rule, depth_bound, copies=None, finish=None):
-        if copies is None:
-            if finish is None:
-                return both_ways(search, inst, gated(inst, rule, calls), depth_bound,
-                                 quiet_rule=gated(inst, rule, []))
-            return both_ways(search, inst, gated(inst, rule, calls), depth_bound,
-                             finish=finish_gated(inst, finish, calls),
-                             quiet_rule=gated(inst, rule, []),
-                             quiet_finish=finish_gated(inst, finish, []))
-
-        def section_bound_gate(wdeg, left, budget):
-            bound = section_bound(wdeg, left, budget)
-            assert bound >= best_avoiding_bans(inst, left, budget), \
-                "the bound cuts a node with a feasible completion"
-            return bound
-
-        def view_bound_gate(view, left, budget):
-            bound = view_bound(view, left, budget)
-            assert bound >= best_avoiding_bans(inst, left, budget), \
-                "the bound cuts a node with a feasible completion"
-            return bound
-
-        monkeypatch.setattr(branching, "_section_bound", section_bound_gate)
-        monkeypatch.setattr(branching._OrderedView, "bound", view_bound_gate)
-        return both_ways(search, inst, section_gated(inst, rule, copies, calls), depth_bound,
-                         copies, quiet_rule=section_gated(inst, rule, copies, []))
+        if copies is not None:
+            return search(inst, section_gated(inst, rule, copies, calls), depth_bound, copies)
+        return search(inst, gated(inst, rule, calls), depth_bound,
+                      finish=finish and finish_gated(inst, finish, calls))
 
     monkeypatch.setattr(branching, "_search", search_with_gate)
+    monkeypatch.setattr(branching._OrderedView, "bound", checked_bound([]))
     return calls
 
 
@@ -280,62 +239,61 @@ def check_bans(state, budget, target):
     return bans
 
 
-@pytest.fixture
-def ban_gate(monkeypatch):
-    """Check the bans of every search, run both ways (see
-    :func:`both_ways`): at each node where it computes its bound, and each
-    time a frame takes its next child, no feasible completion takes a banned
-    vertex (see :func:`check_bans`). At the bound, also check that it
-    reaches the most live profit a completion avoiding the bans covers, and
-    how it left them out: without the view, the bound reads ``wdeg`` with
-    the banned vertices zeroed; with it, the view equals one built afresh
-    from those zeroed weights, and the bound equals the sort it replaces,
-    :func:`pvckit.branching._profit_bound` or
-    :func:`pvckit.branching._section_bound` over them. Yields, per node where
-    the bound was computed, whether the search kept the view and the number
-    of bans."""
-    nodes = []
-    search = branching._search
-    profit_bound, section_bound = branching._profit_bound, branching._section_bound
+def checked_bound(nodes, brute_force=True):
+    """A stand-in for :meth:`pvckit.branching._OrderedView.bound` that
+    checks, at the search node it is called from, that the view equals one
+    built afresh from ``wdeg`` with the banned vertices zeroed, and that the
+    bound equals :func:`profit_bound_reference` or
+    :func:`section_bound_reference` over those weights. With
+    ``brute_force``, it also checks that the bound reaches the most live
+    profit that a completion within the budget covers without a banned
+    vertex (no feasible completion has one, see :func:`check_bans`). Appends
+    the number of bans at each such node to ``nodes``."""
     view_bound = branching._OrderedView.bound
 
-    def masked(state):
-        return [0 if b else w for w, b in zip(state["wdeg"], state["banned"])]
-
-    def profit_bound_gate(items, costs, scale, budget):
-        assert items == masked(node_state())
-        return bound_gate(budget, profit_bound(items, costs, scale, budget))
-
-    def section_bound_gate(items, left, budget):
-        assert items == masked(node_state())
-        return bound_gate(budget, section_bound(items, left, budget))
-
-    def view_bound_gate(view, left, budget):
+    def bound_with_gate(view, left, budget):
         state = node_state()
         assert view is state["view"] and view.bans is state["bans"]
         assert left is (None if state["copies"] is None else state["left"])
-        items = masked(state)
-        costs, scale = state["costs"], state["scale"]
-        assert view.keys == branching._OrderedView(items, state["inst"].budget, costs, scale).keys
+        masked = [0 if b else w for w, b in zip(state["wdeg"], state["banned"])]
+        costs, most = state["costs"], state["inst"].budget
+        scale = branching._ratio_scale(costs, most)
+        assert view.keys == branching._OrderedView(masked, most, costs, scale).keys
         bound = view_bound(view, left, budget)
-        assert bound == (profit_bound(items, costs, scale, budget) if left is None
-                         else section_bound(items, left, budget))
-        return bound_gate(budget, bound)
-
-    def bound_gate(budget, bound):
-        state = node_state()
-        g, left = state["g"], state["left"]
-        bans = check_bans(state, budget, state["target"])
-        if state["copies"] is None:
-            forced = [not k for k in left]
-            best = max(covered(g, forced, chosen)
-                       for chosen in completions(g, forced, budget, 0) if not chosen & bans)
-        else:
-            best = max(cover for k, cover in section_completions(g, left, budget, 0)
-                       if not bans & k.keys())
-        assert bound >= best, "the bound cuts a node with a completion avoiding the bans"
-        nodes.append((state["view"] is not None, len(bans)))
+        assert bound == (profit_bound_reference(masked, costs, scale, budget) if left is None
+                         else section_bound_reference(masked, left, budget))
+        bans = {v for v, b in enumerate(state["banned"]) if b}
+        if brute_force:
+            g, left = state["g"], state["left"]
+            if state["copies"] is None:
+                forced = [not k for k in left]
+                best = max(covered(g, forced, chosen)
+                           for chosen in completions(g, forced, budget, 0) if not chosen & bans)
+            else:
+                best = max(cover for k, cover in section_completions(g, left, budget, 0)
+                           if not bans & k.keys())
+            assert bound >= best, "the bound cuts a node with a completion avoiding the bans"
+        nodes.append(len(bans))
         return bound
+
+    return bound_with_gate
+
+
+@pytest.fixture
+def ban_gate(monkeypatch):
+    """Check the bans of every search: at each node where it takes its
+    bound, and each time a frame takes its next child, no feasible
+    completion takes a banned vertex (see :func:`check_bans`). The bound is
+    gated too (see :func:`checked_bound`). Yields, per node where the bound
+    was taken, the number of bans."""
+    nodes = []
+    search = branching._search
+    bound = checked_bound(nodes)
+
+    def bound_with_bans(view, left, budget):
+        state = node_state()
+        check_bans(state, budget, state["target"])
+        return bound(view, left, budget)
 
     def picks_with_gate(branch):
         # The search pulls the next child with its frame's state restored.
@@ -351,12 +309,10 @@ def ban_gate(monkeypatch):
             take, branch = rule(wdeg, budget, target, left, view)
             return take, None if branch is None else picks_with_gate(branch)
 
-        return both_ways(search, inst, rule_with_gate, depth_bound, copies, finish)
+        return search(inst, rule_with_gate, depth_bound, copies, finish)
 
     monkeypatch.setattr(branching, "_search", search_with_gate)
-    monkeypatch.setattr(branching, "_profit_bound", profit_bound_gate)
-    monkeypatch.setattr(branching, "_section_bound", section_bound_gate)
-    monkeypatch.setattr(branching._OrderedView, "bound", view_bound_gate)
+    monkeypatch.setattr(branching._OrderedView, "bound", bound_with_bans)
     return nodes
 
 
@@ -495,10 +451,8 @@ def test_no_feasible_completion_takes_a_banned_vertex(ban_gate, solver):
     for _ in range(BAN_CASES):
         inst = boundary_tree(rng, solver)
         assert solve(inst).verdict == oracle(inst).verdict
-    # The gate saw many nodes below a failed sibling, with the view and
-    # without it.
-    for way in (False, True):
-        assert sum(1 for kept, bans in ban_gate if kept is way and bans) > 100
+    # The gate saw many nodes below a failed sibling.
+    assert sum(1 for bans in ban_gate if bans) > 100
 
 
 def random_node(rng, unit_costs):
@@ -541,12 +495,12 @@ def lp_value(wdeg, costs, budget):
 
 
 def node_bound(g, forced, wdeg, scale, budget, bans=frozenset()):
-    """The bound the search takes at a node with these bans:
-    :func:`pvckit.branching._profit_bound` over ``wdeg`` with the banned
-    vertices zeroed. Check that the walk down an ordered view built for the
-    node, with the bans set on it, gives the same."""
+    """The bound the search takes at a node with these bans: the walk down
+    an ordered view built for the node, with the bans set on it. Check that
+    it equals :func:`profit_bound_reference` over ``wdeg`` with the banned
+    vertices zeroed."""
     masked = [0 if v in bans else w for v, w in enumerate(wdeg)]
-    bound = branching._profit_bound(masked, g.costs, scale, budget)
+    bound = profit_bound_reference(masked, g.costs, scale, budget)
     view = branching._OrderedView(wdeg, budget, g.costs, scale)
     for v in bans:
         view.move(v, wdeg[v], 0)
@@ -585,12 +539,12 @@ def test_profit_bound_is_exact_past_float_range():
     wdeg = [big, big, 2 * big + 2, 2 * big + 2]
     with pytest.raises(OverflowError):
         big / 1
+    forced = [False] * g.n
     for budget in range(1, 7):
         scale = branching._ratio_scale(g.costs, budget)
-        bound = branching._profit_bound(wdeg, g.costs, scale, budget)
+        bound = node_bound(g, forced, wdeg, scale, budget)
         assert bound == int(lp_value(wdeg, g.costs, budget))
-    assert branching._profit_bound(wdeg, g.costs, branching._ratio_scale(g.costs, 2), 2) \
-        == 2 * big + 2
+    assert node_bound(g, forced, wdeg, branching._ratio_scale(g.costs, 2), 2) == 2 * big + 2
     for target, yes in ((2 * big + 2, True), (2 * big + 3, False)):
         inst = WpvcInstance(g, 2, target, Variant.WPVC)
         assert solve_wpvc_bounded_degree(inst, 1).verdict is yes
@@ -608,8 +562,8 @@ def test_ordered_view_follows_moves_bans_and_lifts(kind, big):
     in the order of the pairs (weight times its cost's scale, vertex), and
     each key decodes to its pair; its walk at every budget it was built for
     equals the sum of the largest copy weights of the unbanned vertices, or
-    with ``weighted`` costs :func:`pvckit.branching._profit_bound` over the
-    weights with the banned ones zeroed. With unit costs, the vertices of
+    with ``weighted`` costs :func:`profit_bound_reference` over the weights
+    with the banned ones zeroed. With unit costs, the vertices of
     weight at least w, for each w, are those of the scan of the epvcbd rule's
     pool."""
     sections, weighted = kind == "sections", kind == "weighted"
@@ -647,7 +601,7 @@ def test_ordered_view_follows_moves_bans_and_lifts(kind, big):
             if weighted:
                 masked = [0 if b else w for w, b in zip(wdeg, banned)]
                 for b in range(1, budget + 1):
-                    assert view.bound(None, b) == branching._profit_bound(masked, costs, scale, b)
+                    assert view.bound(None, b) == profit_bound_reference(masked, costs, scale, b)
                 continue
             # Copies left per vertex: a vertex of positive weight has one.
             left = [rng.randint(1, 3) if sections else 1 for _ in range(n)]
@@ -660,10 +614,9 @@ def test_ordered_view_follows_moves_bans_and_lifts(kind, big):
 
 
 def large_tree(rng, solver):
-    """A tree of 100 to 160 vertices for ``solver``, where the search keeps
-    the view by default, and a budget. The bounded-degree and profit-target
-    trees keep every degree within 3 and have costs 1 to 3, and the
-    profit-target tree has unit profits."""
+    """A tree of 100 to 160 vertices for ``solver``, and a budget. The
+    bounded-degree and profit-target trees keep every degree within 3 and
+    have costs 1 to 3, and the profit-target tree has unit profits."""
     n = rng.randint(100, 160)
     if solver in ("bounded-degree", "by-L"):
         edges = [(u, v, 1 if solver == "by-L" else rng.randint(1, 4))
@@ -689,41 +642,17 @@ def tree_with_degree_cap(rng, n, cap):
 
 @pytest.mark.parametrize("solver", ["epvcbd", "fractional", "bounded-degree", "by-L"])
 def test_ordered_view_matches_the_sort_on_large_trees(monkeypatch, solver):
-    """On trees of 100 to 160 vertices, where the search keeps the view by
-    default, it returns what it returns when it sorts at every node, and at
-    every node where it takes its bound the view equals one built afresh
-    from ``wdeg`` with the banned vertices zeroed, and the bound equals
-    :func:`pvckit.branching._profit_bound` or
-    :func:`pvckit.branching._section_bound` over those weights. The
-    profit-target search runs at a target of 8 to 12 near the least budget
-    that reaches it, and the others near the optimum of their budget, so the
-    search branches and bans."""
+    """On trees of 100 to 160 vertices, at every node where the search takes
+    its bound, the view equals one built afresh from ``wdeg`` with the
+    banned vertices zeroed, and the bound equals
+    :func:`profit_bound_reference` or :func:`section_bound_reference` over
+    those weights (see :func:`checked_bound`). The profit-target search runs
+    at a target of 8 to 12 near the least budget that reaches it, and the
+    others near the optimum of their budget, so the search branches and
+    bans."""
     rng = random.Random("large-view:" + solver)
-    search, view_bound = branching._search, branching._OrderedView.bound
-    profit_bound, section_bound = branching._profit_bound, branching._section_bound
     checked = []
-
-    def view_bound_gate(view, left, budget):
-        state = node_state()
-        masked = [0 if b else w for w, b in zip(state["wdeg"], state["banned"])]
-        costs, scale = state["costs"], state["scale"]
-        assert view.keys == branching._OrderedView(masked, state["inst"].budget, costs, scale).keys
-        bound = view_bound(view, left, budget)
-        assert bound == (profit_bound(masked, costs, scale, budget) if left is None
-                         else section_bound(masked, left, budget))
-        checked.append(any(state["banned"]))
-        return bound
-
-    def search_both_ways(inst, rule, depth_bound, copies=None, finish=None):
-        found = search(inst, rule, depth_bound, copies, finish)
-        assert inst.graph.n >= branching.KEEP_VIEW_MIN_N
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(branching, "KEEP_VIEW_MIN_N", inst.graph.n + 1)
-            assert search(inst, rule, depth_bound, copies, finish) == found
-        return found
-
-    monkeypatch.setattr(branching._OrderedView, "bound", view_bound_gate)
-    monkeypatch.setattr(branching, "_search", search_both_ways)
+    monkeypatch.setattr(branching._OrderedView, "bound", checked_bound(checked, brute_force=False))
     solve = BAN_SOLVERS[solver][0]
     for _ in range(LARGE_VIEW_CASES):
         g, budget = large_tree(rng, solver)
@@ -742,4 +671,48 @@ def test_ordered_view_matches_the_sort_on_large_trees(monkeypatch, solver):
             mid = (lo + hi) // 2
             yes = solve(WpvcInstance(g, budget, mid, infer_variant(g), sections)).verdict
             lo, hi = (mid, hi) if yes else (lo, mid)
-    assert len(checked) > 1000 and sum(checked) > 100
+    assert len(checked) > 1000 and sum(1 for bans in checked if bans) > 100
+
+
+LAZY_SOLVERS = {
+    "epvcbd": solve_epvcbd,
+    "bounded-degree": lambda inst: solve_wpvc_bounded_degree(inst, 3),
+    "by-L": solve_wpvc_by_L,
+    "fractional": solve_wpvcbfd,
+    "pvcbm": lambda inst: solve_pvcbm(inst.graph, inst.budget, inst.target, 1),
+}
+
+
+@pytest.mark.parametrize("solver", list(LAZY_SOLVERS))
+def test_a_search_builds_its_view_once_when_its_root_takes_a_bound(monkeypatch, solver):
+    """No ordered view is built by a search whose root settles before its
+    bound: at target 0, at budget 0, or, in the profit-target search, by one
+    vertex that covers the target alone. Every other search builds exactly
+    one, on a 5-vertex path and on a 120-vertex tree with unit weights."""
+    builds = []  # per search run, the views it built
+    init, search = branching._OrderedView.__init__, branching._search
+
+    def counted_init(self, *args):
+        builds[-1] += 1
+        init(self, *args)
+
+    def counted_search(*args, **kwargs):
+        builds.append(0)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(branching._OrderedView, "__init__", counted_init)
+    monkeypatch.setattr(branching, "_search", counted_search)
+    solve = LAZY_SOLVERS[solver]
+    path = make_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    tree = make_graph(120, tree_with_degree_cap(random.Random("lazy-view"), 120, 3))
+    settled = [(path, 2, 0), (path, 0, 3), (tree, 3, 0), (tree, 0, 10)]
+    if solver == "by-L":
+        settled += [(path, 1, 2), (tree, 1, tree.max_degree())]
+    for g, budget, target in settled:
+        solve(WpvcInstance(g, budget, target, infer_variant(g), True))
+    assert builds and not any(builds)
+    builds.clear()
+    # No vertex covers the target alone, so each root takes its bound.
+    for g, budget, target in [(path, 2, 3), (tree, 4, 10)]:
+        solve(WpvcInstance(g, budget, target, infer_variant(g), True))
+    assert builds == [1, 1]
