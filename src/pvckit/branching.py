@@ -484,21 +484,40 @@ def solve_wpvc_bounded_degree(inst: WpvcInstance, degree_bound: int) -> SolveRep
         raise InputError("graph has a vertex of degree %d, above the bound %d"
                          % (top, degree_bound))
 
+    # Built by the first node that reaches the rule, so a search whose root
+    # the bound settles builds none.
+    classes = None
+
     def rule(wdeg, budget, target, left, view):
-        best_per_cost: dict[int, int] = {}
-        for v, w in enumerate(wdeg):
-            c = g.costs[v]
-            if 1 <= c <= budget and w > 0:
-                # Vertices come in ascending id, so a tie keeps the lower one.
-                held = best_per_cost.get(c)
-                if held is None or w > wdeg[held]:
-                    best_per_cost[c] = v
-        assert best_per_cost  # the bound saw an affordable vertex of positive wdeg
-        branch = _with_live_neighbors(g, best_per_cost.values(), left)
+        nonlocal classes
+        if classes is None:
+            classes = _cost_classes(g.costs, inst.budget)
+        picks = _best_per_cost(classes, wdeg, budget)
+        assert picks  # the bound saw an affordable vertex of positive wdeg
+        branch = _with_live_neighbors(g, picks, left)
         assert len(branch) <= (degree_bound + 1) * budget
         return None, branch
 
     return _report(inst, t0, *_search(inst, rule, inst.budget))
+
+
+def _cost_classes(costs, budget: int) -> dict[int, list[int]]:
+    """Per cost from 1 to ``budget`` that some vertex has, the vertices of
+    that cost in ascending id."""
+    classes: dict[int, list[int]] = {}
+    for v, c in enumerate(costs):
+        if 1 <= c <= budget:
+            classes.setdefault(c, []).append(v)
+    return classes
+
+
+def _best_per_cost(classes, wdeg, budget: int) -> list[int]:
+    """Per class of :func:`_cost_classes` whose cost is at most ``budget``,
+    its vertex of largest ``wdeg``, unless that weight is 0. ``max`` keeps
+    the first of equal weights, so a tie keeps the lowest id."""
+    best = (max(members, key=wdeg.__getitem__)
+            for c, members in classes.items() if c <= budget)
+    return [v for v in best if wdeg[v]]
 
 
 def solve_wpvc_by_L(inst: WpvcInstance) -> SolveReport:

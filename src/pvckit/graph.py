@@ -1,5 +1,8 @@
 """Immutable graphs with vertex costs and edge profits, plus the bipartite toolbox:
 2-coloring, maximum matching (Hopcroft-Karp) and minimum vertex cover (Konig).
+The matching and the cover each have a private core over a set of edge ids,
+which reads only the vertices those edges touch; the public functions run it
+over every edge.
 
 Everything is exact integer arithmetic. All tie-breaking is by lowest vertex id,
 so repeated runs produce identical labelings, matchings and covers. Graphs are
@@ -338,6 +341,21 @@ def _check_bipartition(g: Graph, bp: Bipartition) -> None:
             raise InputError("bipartition is invalid: edge (%d, %d) stays on one side" % (u, v))
 
 
+def _left_adjacency(edges, side, edge_ids) -> dict[int, list[int]]:
+    """Per left vertex that an edge of ``edge_ids`` touches, the right ends
+    of its edges there, in the order ``edge_ids`` gives them."""
+    adj = {}
+    for e in edge_ids:
+        u, w, _ = edges[e]
+        if side[u] != LEFT:
+            u, w = w, u
+        if u in adj:
+            adj[u].append(w)
+        else:
+            adj[u] = [w]
+    return adj
+
+
 def max_matching(g: Graph, bp: Bipartition) -> Matching:
     """Maximum-cardinality matching via Hopcroft-Karp.
 
@@ -347,16 +365,23 @@ def max_matching(g: Graph, bp: Bipartition) -> Matching:
     capped by Python's recursion limit.
     """
     _check_bipartition(g, bp)
-    side = bp.side
-    left = [v for v in range(g.n) if side[v] == LEFT]
-    adj = [[] for _ in range(g.n)]  # sorted right neighbors of each left vertex
-    for u, w, _ in g.edges:
-        if side[u] == LEFT:
-            adj[u].append(w)
-        else:
-            adj[w].append(u)
+    return _matching(g, bp.side, range(g.m))
+
+
+def _matching(g: Graph, side, edge_ids) -> Matching:
+    """:func:`max_matching` of the edges of ``g`` whose ids ``edge_ids`` (a
+    collection of distinct ids) holds, on sides ``side`` that fit ``g``.
+
+    Adjacency is built, and each phase scans, only for the left vertices
+    those edges touch. A vertex that no edge touches never starts or joins
+    an augmenting path, so the matching and its ids (ids of ``g``) are the
+    ones :func:`max_matching` finds on ``edge_subgraph(g, edge_ids)``.
+    """
+    edges = g.edges
+    adj = _left_adjacency(edges, side, edge_ids)
+    left = sorted(adj)
     for u in left:
-        adj[u].sort()
+        adj[u].sort()  # so ties resolve toward the lowest id
     pair = [-1] * g.n
     INF = g.n + 1
     dist = {}
@@ -410,8 +435,8 @@ def max_matching(g: Graph, bp: Bipartition) -> Matching:
             if pair[u] == -1 and augment(u):
                 size += 1
 
-    ids = frozenset(e for u in left if pair[u] != -1
-                    for e in g.adjacency[u] if g.other_end(e, u) == pair[u])
+    # An edge is matched when its ends are each other's mates.
+    ids = frozenset(e for e in edge_ids if pair[edges[e][0]] == edges[e][1])
     assert len(ids) == size
     return Matching(edge_ids=ids, size=size)
 
@@ -427,31 +452,48 @@ def min_vertex_cover(g: Graph, bp: Bipartition, matching: Matching) -> frozenset
     caller's contract.
     """
     _check_bipartition(g, bp)
-    mate = [-1] * g.n
+    matched = set()
     for e in matching.edge_ids:
         if not (isinstance(e, int) and 0 <= e < g.m):
             raise InputError("matching edge id %r is not in 0..%d" % (e, g.m - 1))
         u, v, _ = g.edges[e]
-        if mate[u] != -1 or mate[v] != -1:
+        if u in matched or v in matched:
             raise InputError("matching edge %d shares a vertex with another" % e)
+        matched.update((u, v))
+    return _cover(g, bp.side, range(g.m), matching.edge_ids)
+
+
+def _cover(g: Graph, side, edge_ids, matched) -> frozenset[int]:
+    """:func:`min_vertex_cover` of the edges of ``g`` whose ids ``edge_ids``
+    holds, from the ids ``matched`` of a maximum matching among them, on
+    sides ``side`` that fit ``g``. Only the vertices those edges touch are
+    read: an untouched vertex is in no alternating path and in no cover, so
+    the cover is the one :func:`min_vertex_cover` finds on
+    ``edge_subgraph(g, edge_ids)``.
+    """
+    edges = g.edges
+    mate = [-1] * g.n
+    for e in matched:
+        u, v, _ = edges[e]
         mate[u] = v
         mate[v] = u
-    left = [v for v in range(g.n) if bp.side[v] == LEFT]
-    reached = set(v for v in left if mate[v] == -1)
-    queue = deque(sorted(reached))
+    adj = _left_adjacency(edges, side, edge_ids)
+    reached = set(u for u in adj if mate[u] == -1)
+    queue = deque(reached)  # the reached set does not depend on the order
     while queue:
         u = queue.popleft()
-        for e in g.adjacency[u]:
-            w = g.other_end(e, u)
-            if w == mate[u] or w in reached:
+        for w in adj[u]:
+            # A matched left vertex is reached only as the mate of a reached
+            # right one, so a matched u's mate is reached already, and the
+            # mate of a newly reached w is not.
+            if w in reached:
                 continue
             reached.add(w)
-            if mate[w] != -1 and mate[w] not in reached:
+            if mate[w] != -1:
                 reached.add(mate[w])
                 queue.append(mate[w])
-    cover = [v for v in left if v not in reached]
-    cover += [v for v in range(g.n) if bp.side[v] == RIGHT and v in reached]
-    return frozenset(cover)
+    return frozenset([u for u in adj if u not in reached]
+                     + [w for w in reached if side[w] == RIGHT])
 
 
 def edge_subgraph(g: Graph, edge_ids) -> tuple[Graph, tuple[int, ...]]:

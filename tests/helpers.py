@@ -370,3 +370,19 @@ def section_bound_reference(wdeg, left, budget: int) -> int:
         if not budget:
             break
     return bound
+
+
+def best_per_cost_reference(wdeg, costs, budget: int) -> list[int]:
+    """The picks of the bounded-degree rule as it made them before it kept
+    its vertices by cost class: one scan over every vertex per node, keeping
+    per cost from 1 to ``budget`` the vertex of largest positive ``wdeg``,
+    the lower id on a tie. Returns the picks in increasing cost."""
+    best_per_cost: dict[int, int] = {}
+    for v, w in enumerate(wdeg):
+        c = costs[v]
+        if 1 <= c <= budget and w > 0:
+            # Vertices come in ascending id, so a tie keeps the lower one.
+            held = best_per_cost.get(c)
+            if held is None or w > wdeg[held]:
+                best_per_cost[c] = v
+    return [best_per_cost[c] for c in sorted(best_per_cost)]

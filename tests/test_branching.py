@@ -1,16 +1,17 @@
+import random
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import c4, path3, relabeled, star, triangle
+from helpers import best_per_cost_reference, c4, path3, relabeled, star, triangle
 from test_trust import instances
 from pvckit import (InputError, NotBipartiteError, SolveReport, Variant, VariantError,
                     WpvcInstance, coverage, infer_variant, make_graph, make_instance,
                     make_solution, solve_epvcbd, solve_pvcbm, solve_wpvc_bounded_degree,
                     solve_wpvc_by_L, solve_wpvcbfd)
-from pvckit.branching import _copy_prefix, _search
+from pvckit.branching import _best_per_cost, _copy_prefix, _cost_classes, _search
 from pvckit.generators import (bounded_degree_case, general_graph_case,
                                unit_cost_bipartite_case)
 from pvckit.oracle import oracle_wpvc
@@ -144,6 +145,44 @@ class TestBoundedDegree:
             assert rep.max_depth <= inst.budget
             if rep.verdict:
                 check_yes_witness(inst, rep)
+
+
+class TestBestPerCost:
+    """The bounded-degree rule's picks from its cost classes, against the
+    per-node scan it replaced. The cases below fail a pick that keeps the
+    last of equal weights, one that keeps a class above the node budget and
+    one that keeps a class whose best weight is 0."""
+
+    def test_matches_the_scan(self):
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(3000):
+            n = rng.randint(0, 12)
+            costs = [rng.randint(0, 4) for _ in range(n)]
+            # Few distinct weights, so ties and zero-weight classes are common.
+            wdeg = [rng.choice((0, 0, 1, 2, 3)) for _ in range(n)]
+            root = rng.randint(0, 5)
+            classes = _cost_classes(costs, root)
+            assert all(members == sorted(members) for members in classes.values())
+            for budget in range(root + 1):
+                picks = _best_per_cost(classes, wdeg, budget)
+                assert sorted(picks, key=costs.__getitem__) == \
+                    best_per_cost_reference(wdeg, costs, budget)
+                for c, members in classes.items():
+                    weights = [wdeg[v] for v in members]
+                    if c > budget:
+                        seen.add("above budget")
+                    elif max(weights) == 0:
+                        seen.add("zero best")
+                    elif weights.count(max(weights)) > 1:
+                        seen.add("tie")
+        assert seen == {"above budget", "zero best", "tie"}
+
+    def test_ties_keep_the_lowest_id(self):
+        classes = _cost_classes([2, 1, 2, 2], 2)
+        assert classes == {2: [0, 2, 3], 1: [1]}
+        assert _best_per_cost(classes, [1, 0, 3, 3], 2) == [2]
+        assert _best_per_cost(classes, [1, 0, 3, 3], 1) == []
 
 
 class TestByProfitTarget:

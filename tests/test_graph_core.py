@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from helpers import (bipartition_reference, brute_force_cover_number,
 from pvckit import (LEFT, RIGHT, Bipartition, Graph, InputError, Matching, NotBipartite,
                     bipartition, coverage, edge_subgraph, make_graph, max_matching,
                     min_vertex_cover, weighted_degree, weighted_degrees)
+from pvckit.graph import _cover, _matching
 
 
 def small_graphs():
@@ -377,7 +380,6 @@ class TestMatchingAndCover:
             seen.update((u, v))
 
     def test_konig_on_random_bipartite(self):
-        import random
         for seed in range(120):
             rng = random.Random(seed)
             n = rng.randint(2, 10)
@@ -412,6 +414,44 @@ class TestMatchingAndCover:
         mat = max_matching(g, bipartition(g))
         assert mat.size == 1500
         assert mat.edge_ids == frozenset(range(1500))  # every (i, R(i)) edge
+
+
+class TestCoresOverEdgeIds:
+    """The Hopcroft-Karp and Konig cores read only the edges whose ids they
+    are given; on any id set they must find what the public functions find
+    on the subgraph of those edges, ids mapped back."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(5)
+        for _ in range(250):
+            n = rng.randint(0, 40)
+            side = [rng.choice((LEFT, RIGHT)) for _ in range(n)]
+            # Only some vertices carry edges, so many are isolated, and left
+            # and right ids interleave.
+            active = [v for v in range(n) if rng.random() < 0.5]
+            slots = [(u, v) for i, u in enumerate(active) for v in active[i + 1:]
+                     if side[u] != side[v]]
+            g = make_graph(n, rng.sample(slots, rng.randint(0, min(len(slots), 60))))
+            partial = {e for e in range(g.m) if rng.random() < 0.5}
+            for ids in (frozenset(), frozenset(partial), range(g.m)):
+                yield g, tuple(side), ids
+
+    def test_cores_match_the_public_functions_on_the_subgraph(self):
+        kinds = set()
+        for g, side, ids in self.cases():
+            bp = Bipartition(side)
+            sub, back = edge_subgraph(g, ids)
+            whole = max_matching(sub, bp)
+            mat = _matching(g, side, ids)
+            assert mat == Matching(frozenset(back[e] for e in whole.edge_ids), whole.size)
+            ref = max_matching_reference(sub, bp)
+            assert mat == Matching(frozenset(back[e] for e in ref.edge_ids), ref.size)
+            cover = _cover(g, side, ids, mat.edge_ids)
+            assert cover == min_vertex_cover(sub, bp, whole)
+            assert len(cover) == mat.size
+            kinds.add(0 if not ids else 2 if len(ids) == g.m else 1)
+        assert kinds == {0, 1, 2}
 
 
 class TestEdgeSubgraph:

@@ -1,15 +1,18 @@
+import json
 import random
+import sys
 from dataclasses import replace
 
 import pytest
 
 import pvckit.pvcbm
 from helpers import c4, long_augmenting_path, star
+from make_golden_search import GOLDEN, GROWTH_CASES, GROWTH_SEED, grows
 from pvckit import (NotBipartiteError, VariantError, coverage, edge_subgraph,
                     bipartition, make_graph, make_solution, max_matching, solve_epvcbd,
                     solve_pvcbm, Variant, WpvcInstance)
 from pvckit.generators import matching_constrained_case
-from pvckit.graph import Matching
+from pvckit.graph import Graph, Matching, _matching
 from pvckit.instance import _witness_problem
 from pvckit.oracle import oracle_pvcbm
 
@@ -96,17 +99,70 @@ class TestSolvePvcbm:
         check_witness(g, rep, 1500, g.m, 1500)
 
 
-def _too_few(g, bp):
-    mat = max_matching(g, bp)
+class TestNoSubgraphs:
+    """The growth stage matches over sets of edge ids of the input graph, so
+    a solve builds no subgraph and no graph at all, whether its first check
+    is a yes or its witness has to grow."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Count the calls of ``edge_subgraph``, of ``_trusted_graph`` (which
+        every graph derived from another goes through) and of the check of a
+        graph built by hand, wherever the package looks them up."""
+        calls = []
+        modules = [pvckit] + [m for name, m in sys.modules.items() if name.startswith("pvckit.")]
+        for name in ("edge_subgraph", "_trusted_graph"):
+            for module in modules:
+                if hasattr(module, name):
+                    def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                        calls.append(_name)
+                        return _fn(*args, **kwargs)
+
+                    monkeypatch.setattr(module, name, counted)
+        check = Graph.__post_init__
+
+        def checked(self):
+            calls.append("Graph")
+            check(self)
+
+        monkeypatch.setattr(Graph, "__post_init__", checked)
+        return calls
+
+    def test_the_counts_see_every_build(self, built):
+        g = c4()
+        Graph(g.n, g.edges, g.costs, g.adjacency)
+        pvckit.edge_subgraph(g, {0, 2})
+        assert built == ["_trusted_graph", "Graph", "edge_subgraph", "_trusted_graph"]
+
+    def test_a_first_check_yes_builds_no_graph(self, built):
+        g = c4()
+        built.clear()
+        rep = solve_pvcbm(g, 2, 4, 2)
+        assert rep.verdict and built == []
+
+    def test_growth_cases_build_no_graph(self, built):
+        sources = [case["source"] for case in json.loads(GOLDEN.read_text())["cases"]]
+        seeds = [src[2] for src in sources if src[0] == "pvcbm" and src[2] >= GROWTH_SEED]
+        assert len(seeds) == GROWTH_CASES
+        for seed in seeds:
+            assert grows(seed)
+            g, *ks = matching_constrained_case(seed)
+            built.clear()
+            rep = solve_pvcbm(g, *ks)
+            assert rep.verdict and built == [], seed
+
+
+def _too_few(g, side, ids):
+    mat = _matching(g, side, ids)
     return Matching(mat.edge_ids - {max(mat.edge_ids)}, mat.size)
 
 
-def _overlapping(g, bp):
+def _overlapping(g, side, ids):
     # One matched edge swapped for an edge that shares an end with another.
-    mat = max_matching(g, bp)
+    mat = _matching(g, side, ids)
     keep = min(mat.edge_ids)
     ends = set(g.edges[keep][:2])
-    extra = next(f for f in range(g.m)
+    extra = next(f for f in sorted(ids)
                  if f not in mat.edge_ids and ends & set(g.edges[f][:2]))
     return Matching(mat.edge_ids - {max(mat.edge_ids)} | {extra}, mat.size)
 
@@ -117,7 +173,7 @@ class TestWitnessCheck:
 
     @pytest.mark.parametrize("fake", [_too_few, _overlapping])
     def test_a_matching_that_misreports_its_size_fails_the_solve(self, monkeypatch, fake):
-        monkeypatch.setattr(pvckit.pvcbm, "max_matching", fake)
+        monkeypatch.setattr(pvckit.pvcbm, "_matching", fake)
         with pytest.raises(AssertionError, match="matching"):
             solve_pvcbm(c4(), 2, 4, 2)
 
@@ -128,11 +184,11 @@ class TestWitnessCheck:
         assert (g.m, k1, k2, k3) == (1, 1, 0, 1)
         calls = []
 
-        def counted(sub, bp):
-            calls.append(sub.m)
-            return max_matching(sub, bp)
+        def counted(g, side, ids):
+            calls.append(len(ids))
+            return _matching(g, side, ids)
 
-        monkeypatch.setattr(pvckit.pvcbm, "max_matching", counted)
+        monkeypatch.setattr(pvckit.pvcbm, "_matching", counted)
         rep = solve_pvcbm(g, k1, k2, k3)
         assert rep.verdict and rep.matching_edge_ids == {0}
         assert calls == [0, 1]  # the covered edges, then the whole graph once
